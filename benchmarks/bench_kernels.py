@@ -3,11 +3,13 @@
 The execution path is chosen at import time from the TSPHNN_NO_NUMBA
 environment variable, so this script re-invokes itself in two worker
 subprocesses (one per path), times each kernel, checks that both paths
-computed the same answers, and prints a speedup table.
+computed the same answers, and prints a speedup table.  When numba cannot
+be imported, only the fallback timings are printed.
 
 Usage: python benchmarks/bench_kernels.py
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -97,33 +99,37 @@ def run_worker():
     print(json.dumps(results))
 
 
-def run_parent():
-    here = os.path.abspath(__file__)
-    outputs = {}
-    for label, no_numba in (("numba", "0"), ("fallback", "1")):
-        env = dict(os.environ, TSPHNN_NO_NUMBA=no_numba)
-        proc = subprocess.run(
-            [sys.executable, here, "--worker"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        if proc.returncode != 0:
-            print(proc.stderr, file=sys.stderr)
-            raise SystemExit(f"{label} worker failed")
-        outputs[label] = json.loads(proc.stdout.strip().splitlines()[-1])
+def _worker(label, no_numba):
+    env = dict(os.environ, TSPHNN_NO_NUMBA=no_numba)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+        raise SystemExit(f"{label} worker failed")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
-    assert outputs["numba"]["numba"] is True, "numba path did not enable numba"
-    assert outputs["fallback"]["numba"] is False, "fallback path still used numba"
+
+def run_parent():
+    fallback = _worker("fallback", "1")
+    assert fallback["numba"] is False, "fallback path still used numba"
+    jit = _worker("numba", "0") if importlib.util.find_spec("numba") else None
+    if jit is None or not jit["numba"]:
+        print("numba not installed: fallback-only timings, nothing to compare")
+        print(f"{'kernel':<26} {'fallback':>10}")
+        for name, slow in fallback["timings"].items():
+            print(f"{name:<26} {slow:>9.4f}s")
+        return
 
     mismatches = [
-        name
-        for name in outputs["numba"]["checks"]
-        if outputs["numba"]["checks"][name] != outputs["fallback"]["checks"][name]
+        name for name in jit["checks"] if jit["checks"][name] != fallback["checks"][name]
     ]
     print(f"{'kernel':<26} {'numba':>10} {'fallback':>10} {'speedup':>8}")
-    for name, fast in outputs["numba"]["timings"].items():
-        slow = outputs["fallback"]["timings"][name]
+    for name, fast in jit["timings"].items():
+        slow = fallback["timings"][name]
         print(f"{name:<26} {fast:>9.4f}s {slow:>9.4f}s {slow / fast:>7.1f}x")
     if mismatches:
         raise SystemExit(f"result mismatch between paths: {mismatches}")

@@ -122,6 +122,24 @@ def swap_positions(order, k, uniforms):
 
 
 @maybe_njit
+def temperature(t0, cooling, t_floor, step):
+    """Geometric cooling schedule t0 * cooling**step, floored at ``t_floor``."""
+    temp = t0 * cooling ** step
+    if temp < t_floor:
+        temp = t_floor
+    return temp
+
+
+@maybe_njit
+def metropolis(cur_len, cand_len, temp):
+    """Acceptance probability of a move from ``cur_len`` to ``cand_len``:
+    1.0 when the candidate is no worse, else exp(-delta / temp)."""
+    if cand_len <= cur_len:
+        return 1.0
+    return np.exp(-(cand_len - cur_len) / temp)
+
+
+@maybe_njit
 def anneal_loop(d, start, t0, cooling, t_floor, iters, k, uniforms):
     """Metropolis annealing over tour space with geometric cooling.
 
@@ -138,16 +156,10 @@ def anneal_loop(d, start, t0, cooling, t_floor, iters, k, uniforms):
     cur_lens = np.empty(iters)
     best_lens = np.empty(iters)
     for step in range(iters):
-        temp = t0 * cooling ** step
-        if temp < t_floor:
-            temp = t_floor
+        temp = temperature(t0, cooling, t_floor, step)
         cand = swap_positions(cur, k, uniforms[step])
         cand_len = closed_tour_length(d, cand)
-        if cand_len <= cur_len:
-            accept = True
-        else:
-            accept = np.exp(-(cand_len - cur_len) / temp) >= uniforms[step, 2 * k]
-        if accept:
+        if metropolis(cur_len, cand_len, temp) >= uniforms[step, 2 * k]:
             cur = cand
             cur_len = cand_len
             if cur_len < best_len:
@@ -160,39 +172,33 @@ def anneal_loop(d, start, t0, cooling, t_floor, iters, k, uniforms):
 
 
 @maybe_njit
-def hopfield_dynamics(w, bias, g, threshold, orders, snaps):
-    """Asynchronous threshold updates until a full sweep changes nothing.
+def net_input(w, bias, g, u):
+    """Net input of unit ``u`` in the flat state ``g``: w[u] . g + bias[u]."""
+    return np.dot(w[u], g) + bias[u]
 
-    ``g`` (flat n^2 state, mutated in place) is swept in the unit order
-    given by each row of ``orders``.  After each sweep the state is copied
-    into ``snaps``.  Returns (sweeps_used, converged, max_de) where max_de
-    is the largest single-update energy change observed (-inf when no unit
-    ever flipped); with symmetric zero-diagonal weights it stays <= 0.
+
+@maybe_njit
+def hopfield_sweep(w, bias, g, threshold, order, max_de):
+    """One asynchronous sweep of threshold updates in the unit ``order``.
+
+    ``g`` (flat n^2 state) is mutated in place, each update immediately
+    visible to the next.  Returns (changed, max_de): whether any unit
+    flipped, and the largest single-update energy change seen so far, given
+    the running ``max_de`` (-inf before any flip); with symmetric
+    zero-diagonal weights it stays <= 0.
     """
-    n2 = g.shape[0]
-    max_sweeps = orders.shape[0]
-    sweeps_used = 0
-    converged = False
-    max_de = -np.inf
-    for s in range(max_sweeps):
-        changed = False
-        for t in range(n2):
-            u = orders[s, t]
-            net = np.dot(w[u], g) + bias[u]
-            new = 1.0 if net >= threshold else 0.0
-            dv = new - g[u]
-            if dv != 0.0:
-                de = -dv * net
-                if de > max_de:
-                    max_de = de
-                g[u] = new
-                changed = True
-        snaps[s, :] = g
-        sweeps_used = s + 1
-        if not changed:
-            converged = True
-            break
-    return sweeps_used, converged, max_de
+    changed = False
+    for u in order:
+        net = net_input(w, bias, g, u)
+        new = 1.0 if net >= threshold else 0.0
+        dv = new - g[u]
+        if dv != 0.0:
+            de = -dv * net
+            if de > max_de:
+                max_de = de
+            g[u] = new
+            changed = True
+    return changed, max_de
 
 
 @maybe_njit
@@ -237,68 +243,19 @@ def two_opt_loop(d, start, min_gain):
 def _rebuild_three_opt(tour, i, j, k, combo):
     """Reconnect the three cut edges (i,i+1), (j,j+1), (k,k+1) per ``combo``.
 
-    With segments S1 = tour[i+1..j] and S2 = tour[j+1..k], the 7 non-identity
-    reconnections are every combination of reversing S1/S2 and swapping them.
+    With segments S1 = tour[i+1..j] and S2 = tour[j+1..k], combo bit 1
+    reverses S1, bit 2 reverses S2 and bit 4 puts S2 before S1, so the 7
+    non-identity reconnections are combos 1..7.
     """
-    n = tour.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    idx = 0
-    for p in range(i + 1):
-        out[idx] = tour[p]
-        idx += 1
-    if combo == 1:  # rev(S1), S2
-        for p in range(j, i, -1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(j + 1, k + 1):
-            out[idx] = tour[p]
-            idx += 1
-    elif combo == 2:  # S1, rev(S2)
-        for p in range(i + 1, j + 1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(k, j, -1):
-            out[idx] = tour[p]
-            idx += 1
-    elif combo == 3:  # rev(S1), rev(S2)
-        for p in range(j, i, -1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(k, j, -1):
-            out[idx] = tour[p]
-            idx += 1
-    elif combo == 4:  # S2, S1
-        for p in range(j + 1, k + 1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(i + 1, j + 1):
-            out[idx] = tour[p]
-            idx += 1
-    elif combo == 5:  # S2, rev(S1)
-        for p in range(j + 1, k + 1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(j, i, -1):
-            out[idx] = tour[p]
-            idx += 1
-    elif combo == 6:  # rev(S2), S1
-        for p in range(k, j, -1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(i + 1, j + 1):
-            out[idx] = tour[p]
-            idx += 1
-    else:  # combo == 7: rev(S2), rev(S1)
-        for p in range(k, j, -1):
-            out[idx] = tour[p]
-            idx += 1
-        for p in range(j, i, -1):
-            out[idx] = tour[p]
-            idx += 1
-    for p in range(k + 1, n):
-        out[idx] = tour[p]
-        idx += 1
-    return out
+    s1 = tour[i + 1 : j + 1]
+    s2 = tour[j + 1 : k + 1]
+    if combo & 1:
+        s1 = s1[::-1]
+    if combo & 2:
+        s2 = s2[::-1]
+    if combo & 4:
+        s1, s2 = s2, s1
+    return np.concatenate((tour[: i + 1], s1, s2, tour[k + 1 :]))
 
 
 @maybe_njit
@@ -368,9 +325,9 @@ def warmup():
     anneal_loop(d, order, 1.0, 0.9, 1e-12, 2, 1, u)
     two_opt_loop(d, order, 1e-12)
     three_opt_loop(d, order, 1e-12)
+    temperature(1.0, 0.9, 1e-12, 0)
+    metropolis(1.0, 2.0, 1.0)
     w = np.zeros((9, 9))
-    bias = np.zeros(9)
     g = np.zeros(9)
-    orders = np.arange(9, dtype=np.int64).reshape(1, 9).repeat(2, axis=0)
-    snaps = np.zeros((2, 9))
-    hopfield_dynamics(w, bias, g, 0.0, orders, snaps)
+    net_input(w, g, g, 0)
+    hopfield_sweep(w, g, g.copy(), 0.0, np.arange(9, dtype=np.int64), -np.inf)

@@ -6,7 +6,6 @@ The solver reports the best tour seen rather than the final walker state
 (the final state is kept on the trace).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -32,8 +31,10 @@ class SaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise InvalidTemperatureError(f"t0 must be positive, got {self.t0}")
+        if not 0 < self.t0 < np.inf:
+            raise InvalidTemperatureError(
+                f"t0 must be positive and finite, got {self.t0}"
+            )
         if not 0 < self.cooling_rate < 1:
             raise TsphnnError(
                 f"cooling_rate must be in (0, 1), got {self.cooling_rate}"
@@ -83,14 +84,14 @@ def acceptance_probability(e: float, e_new: float, t: float) -> float:
     """1.0 for non-worsening candidates, else the Metropolis factor."""
     if not t > 0:
         raise InvalidTemperatureError(f"temperature must be positive, got {t}")
-    if e_new <= e:
-        return 1.0
-    return math.exp(-(e_new - e) / t)
+    return float(_kernels.metropolis(e, e_new, t))
 
 
 def temperature_at(step: int, cfg: SaConfig) -> float:
     """Geometric schedule t0 * rate^step, floored to avoid division by zero."""
-    return max(cfg.t0 * cfg.cooling_rate**step, TEMPERATURE_FLOOR)
+    return float(
+        _kernels.temperature(cfg.t0, cfg.cooling_rate, TEMPERATURE_FLOOR, step)
+    )
 
 
 def anneal(

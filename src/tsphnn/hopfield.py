@@ -50,8 +50,11 @@ class HopfieldParams:
 
     def __post_init__(self):
         for name in ("a_pen", "b_pen", "c_pen", "d_pen"):
-            if getattr(self, name) < 0:
-                raise TsphnnError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise TsphnnError(f"{name} must be finite and nonnegative, got {value}")
+        if not np.isfinite(self.threshold):
+            raise TsphnnError(f"threshold must be finite, got {self.threshold}")
         if self.max_sweeps < 0:
             raise TsphnnError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
 
@@ -156,7 +159,7 @@ def unit_update(
     """
     v = _check_binary(g, w.n)
     u = unit[0] * w.n + unit[1]
-    net = float(w.w[u] @ v.ravel() + w.bias[u])
+    net = _kernels.net_input(w.w, w.bias, v.ravel(), u)
     return 1 if net >= threshold else 0
 
 
@@ -179,10 +182,10 @@ def run(
     after every sweep and decodes a tour whenever the final grid is a valid
     permutation matrix (an invalid final grid is an outcome, not an error).
     Passing ``rng`` lets callers that fan out many trials supply their own
-    derived stream instead of ``p.seed``.
+    derived stream instead of ``p.seed``; it advances by one permutation of
+    the n^2 units per sweep run.
     """
     n = m.n
-    n2 = n * n
     if rng is None:
         rng = np.random.default_rng(p.seed)
     if init is None:
@@ -190,44 +193,38 @@ def run(
     else:
         grid = _check_binary(init, n).copy()
 
-    if p.max_sweeps == 0:
-        orders = np.zeros((0, n2), dtype=np.int64)
-        snaps = np.zeros((0, n2))
-        sweeps_used, converged, max_de = 0, False, -np.inf
-        flat = grid.ravel()
-    else:
-        weights = build_weights(m, p)
-        orders = np.vstack([rng.permutation(n2) for _ in range(p.max_sweeps)])
-        snaps = np.empty((p.max_sweeps, n2))
-        flat = grid.ravel().copy()
-        sweeps_used, converged, max_de = _kernels.hopfield_dynamics(
-            weights.w, weights.bias, flat, p.threshold, orders, snaps
+    flat = grid.ravel()
+    weights = build_weights(m, p) if p.max_sweeps > 0 else None
+    trace = []
+    converged, max_de = False, -np.inf
+    for _ in range(p.max_sweeps):
+        order = rng.permutation(n * n)
+        changed, max_de = _kernels.hopfield_sweep(
+            weights.w, weights.bias, flat, p.threshold, order, max_de
         )
+        trace.append(energy(grid, m, p))
+        if not changed:
+            converged = True
+            break
 
-    final = flat.reshape(n, n)
-    final.flags.writeable = False
-    trace = np.array(
-        [energy(snaps[s].reshape(n, n), m, p) for s in range(sweeps_used)]
-    )
-    tour = decode_grid(final.astype(np.int64))
+    grid.flags.writeable = False
+    tour = decode_grid(grid.astype(np.int64))
     length = None
     if tour is not None:
         length = float(_kernels.closed_tour_length(m.d, tour.as_array()))
     return HopfieldResult(
-        grid=final,
-        converged=bool(converged),
+        grid=grid,
+        converged=converged,
         valid=tour is not None,
         tour=tour,
         length=length,
-        energy_trace=trace,
-        sweeps_used=int(sweeps_used),
+        energy_trace=np.array(trace),
+        sweeps_used=len(trace),
         max_update_delta_e=float(max_de),
     )
 
 
-def decode(g: np.ndarray) -> Optional[Tour]:
-    """Tour encoded by the grid, or None when it is not a permutation matrix."""
-    return decode_grid(np.asarray(g))
+decode = decode_grid
 
 
 def grid_to_text(g: np.ndarray) -> str:

@@ -8,6 +8,9 @@ decoded tour, so the chain of reported lengths never worsens.
 The sweep runs seeded network trials per (C, D) penalty cell and reports
 best/mean/worst valid length, success rate and mean sweeps in the five
 column layout "Best Mean Worst % Succ. Iter.".
+
+Both hand the network distances rescaled to max 1.0, so the penalty
+constants keep the same meaning on every instance.
 """
 
 import csv
@@ -77,12 +80,6 @@ class BenchmarkReport:
     seed_scheme: str = "default_rng([master_seed, cell_index, trial_index])"
 
 
-def _hnn_matrix(m: DistanceMatrix) -> DistanceMatrix:
-    """Distances are rescaled to max 1.0 before weight construction so the
-    penalty constants keep the same meaning on every instance."""
-    return normalize_distances(m)
-
-
 def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridReport:
     """Anneal from a seeded random tour, then refine with the network.
 
@@ -96,7 +93,7 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     sa_start_length = tour_length(m, start)
     sa_tour, sa_length, sa_trace = anneal(m, start, sa, rng=rng)
 
-    hnn = run(_hnn_matrix(m), hp, init=tour_to_matrix(sa_tour))
+    hnn = run(normalize_distances(m), hp, init=tour_to_matrix(sa_tour))
     hnn_length = None
     if hnn.valid:
         hnn_length = tour_length(m, hnn.tour)
@@ -173,15 +170,16 @@ def sweep(
         raise InvalidArgumentError(f"unknown success metric {success_metric!r}")
 
     m_raw = distance_matrix(inst)
-    m_scaled = _hnn_matrix(m_raw)
+    m_scaled = normalize_distances(m_raw)
     optimum = None
     if success_metric == "optimal":
         optimum = brute_force_optimum(m_raw)[1]
 
     cells = []
-    grid_points = [(c, d) for c in c_values for d in d_values]
-    for cell_index, (c_pen, d_pen) in enumerate(grid_points):
-        params = replace(base, c_pen=float(c_pen), d_pen=float(d_pen))
+    cell_params = [
+        replace(base, c_pen=float(c), d_pen=float(d)) for c in c_values for d in d_values
+    ]
+    for cell_index, params in enumerate(cell_params):
         entropies = [[seed, cell_index, t] for t in range(trials)]
 
         def job(entropy):
@@ -198,8 +196,8 @@ def sweep(
         sweeps_all = [r[2] for r in results]
         cells.append(
             CellStats(
-                c_pen=float(c_pen),
-                d_pen=float(d_pen),
+                c_pen=params.c_pen,
+                d_pen=params.d_pen,
                 best=min(lengths) if lengths else None,
                 mean=float(np.mean(lengths)) if lengths else None,
                 worst=max(lengths) if lengths else None,

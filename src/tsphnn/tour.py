@@ -46,15 +46,7 @@ class Tour:
 
 def is_valid_permutation_matrix(tm: np.ndarray) -> bool:
     """True iff every row and column holds exactly one 1 and the total is n."""
-    v = np.asarray(tm)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        return False
-    n = v.shape[0]
-    return (
-        bool(np.all(v.sum(axis=1) == 1))
-        and bool(np.all(v.sum(axis=0) == 1))
-        and int(v.sum()) == n
-    )
+    return decode_grid(tm) is not None
 
 
 def tour_to_matrix(t: Tour) -> np.ndarray:
@@ -119,6 +111,7 @@ def brute_force_optimum(m: DistanceMatrix) -> Tuple[Tour, float]:
 def decode_grid(grid: np.ndarray) -> Optional[Tour]:
     """Tour encoded by a binary grid, or None when the grid is not a
     permutation matrix."""
-    if is_valid_permutation_matrix(grid):
+    try:
         return matrix_to_tour(grid)
-    return None
+    except InvalidTourMatrixError:
+        return None

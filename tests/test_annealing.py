@@ -10,8 +10,9 @@ from tsphnn.errors import InvalidArgumentError, InvalidTemperatureError
 
 
 def test_config_validation():
-    with pytest.raises(InvalidTemperatureError):
-        T.SaConfig(t0=0.0, cooling_rate=0.9, iterations=10)
+    for t0 in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidTemperatureError):
+            T.SaConfig(t0=t0, cooling_rate=0.9, iterations=10)
     with pytest.raises(T.TsphnnError):
         T.SaConfig(t0=1.0, cooling_rate=1.0, iterations=10)
     with pytest.raises(T.TsphnnError):

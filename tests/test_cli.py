@@ -123,6 +123,17 @@ def test_solve_missing_instance_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_non_finite_parameters_exit_2(capsys):
+    for argv in (
+        ("solve", "--instance", "paper8", "--method", "hnn", "--D", "nan"),
+        ("solve", "--instance", "paper8", "--method", "hnn", "--threshold", "nan"),
+        ("solve", "--instance", "paper8", "--method", "sa", "--t0", "inf"),
+        ("sweep", "--instance", "paper8", "--c-grid", "nan", "--d-grid", "10"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err
+
+
 def test_sweep_end_to_end_with_csv(tmp_path, capsys):
     out_csv = tmp_path / "report.csv"
     code, out, _ = run_cli(

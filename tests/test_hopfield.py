@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ ROUTE_MATRIX = np.array(
 @pytest.fixture(scope="module")
 def m5():
     return T.normalize_distances(T.distance_matrix(T.generate_random_instance(5, seed=2)))
+
+
+def test_params_reject_negative_or_non_finite_values():
+    for name in ("a_pen", "b_pen", "c_pen", "d_pen"):
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(T.TsphnnError, match=name):
+                T.HopfieldParams(**{name: bad})
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(T.TsphnnError, match="threshold"):
+            T.HopfieldParams(threshold=bad)
+    with pytest.raises(T.TsphnnError, match="max_sweeps"):
+        T.HopfieldParams(max_sweeps=-1)
 
 
 def test_zero_penalties_give_zero_weights(m5):
@@ -154,6 +167,44 @@ def test_run_reports_validity_and_length(cityset1_m):
     if res.valid:
         assert T.is_valid_permutation_matrix(res.grid.astype(int))
         assert res.length == pytest.approx(T.tour_length(m, res.tour), rel=1e-12)
+
+
+def test_run_replays_from_public_pieces(cityset1_m):
+    """Stepping unit_update and energy by hand, in one fresh permutation per
+    sweep, reproduces the run exactly and advances the caller's generator
+    by exactly sweeps_used permutations."""
+    m = T.normalize_distances(cityset1_m)
+    n = m.n
+    # valid fixed points, near-miss fixed points, and runs cut by the budget
+    for p in (
+        T.HopfieldParams(d_pen=10.0),
+        T.HopfieldParams(),
+        T.HopfieldParams(max_sweeps=2),
+    ):
+        w = build_weights(m, p)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            res = T.run_hopfield(m, p, rng=rng)
+
+            replay = np.random.default_rng(seed)
+            g = random_grid(n, replay)
+            trace = []
+            converged = False
+            while len(trace) < p.max_sweeps and not converged:
+                converged = True
+                for u in replay.permutation(n * n):
+                    x, i = divmod(int(u), n)
+                    new = T.unit_update(g, w, (x, i), p.threshold)
+                    if new != g[x, i]:
+                        g[x, i] = new
+                        converged = False
+                trace.append(T.energy(g, m, p))
+
+            assert np.array_equal(res.grid, g)
+            assert res.sweeps_used == len(trace)
+            assert res.converged == converged
+            assert np.array_equal(res.energy_trace, np.array(trace))
+            assert rng.random() == replay.random()
 
 
 def test_run_max_sweeps_zero_is_reported_unconverged(cityset1_m):

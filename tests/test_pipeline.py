@@ -113,6 +113,10 @@ def test_sweep_empty_grid_rejected(cityset1):
         T.sweep(cityset1, [], [100.0], trials=1, base=T.HopfieldParams(), seed=0)
     with pytest.raises(InvalidArgumentError):
         T.sweep(cityset1, [90.0], [100.0], trials=0, base=T.HopfieldParams(), seed=0)
+    with pytest.raises(T.TsphnnError):
+        T.sweep(
+            cityset1, [90.0, math.nan], [100.0], trials=1, base=T.HopfieldParams(), seed=0
+        )
 
 
 def test_sweep_optimal_metric_is_stricter(cityset1):
