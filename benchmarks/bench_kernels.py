@@ -48,13 +48,10 @@ def run_worker():
         results["timings"][name] = _time(fn)
         results["checks"][name] = check()
 
-    t, L = None, None
-
-    def brute():
-        nonlocal t, L
-        t, L = T.brute_force_optimum(m10)
-
-    bench("brute_force n=10", brute, lambda: repr(L))
+    m12 = T.distance_matrix(T.generate_random_instance(12, seed=6))
+    for label, m in (("held_karp n=10", m10), ("held_karp n=12", m12)):
+        found = []
+        bench(label, lambda: found.append(T.brute_force_optimum(m)), lambda: repr(found[-1]))
 
     greedy30 = T.greedy_nearest_neighbor(m30, 0)
     out2 = None

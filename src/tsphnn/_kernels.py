@@ -45,60 +45,6 @@ def closed_tour_length(d, order):
 
 
 @maybe_njit
-def next_permutation(a):
-    """Advance ``a`` in place to its lexicographic successor.
-
-    Returns False when ``a`` was already the last permutation.
-    """
-    n = a.shape[0]
-    i = n - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    lo = i + 1
-    hi = n - 1
-    while lo < hi:
-        a[lo], a[hi] = a[hi], a[lo]
-        lo += 1
-        hi -= 1
-    return True
-
-
-@maybe_njit
-def brute_force_search(d):
-    """Exhaustive minimum over all (n-1)!/2 canonical closed tours.
-
-    City 0 is pinned to the first slot and only orderings whose second city
-    is smaller than their last are evaluated, so each undirected tour is
-    scored exactly once.  Enumeration is lexicographic and ties keep the
-    first (lexicographically smallest) tour.
-    """
-    n = d.shape[0]
-    tail = np.arange(1, n, dtype=np.int64)
-    best = np.empty(n, dtype=np.int64)
-    best[0] = 0
-    best[1:] = tail
-    best_len = np.inf
-    more = True
-    while more:
-        if tail[0] < tail[n - 2]:
-            length = d[0, tail[0]]
-            for i in range(n - 2):
-                length += d[tail[i], tail[i + 1]]
-            length += d[tail[n - 2], 0]
-            if length < best_len:
-                best_len = length
-                best[1:] = tail
-        more = next_permutation(tail)
-    return best, best_len
-
-
-@maybe_njit
 def swap_positions(order, k, uniforms):
     """Exchange the cities at k disjoint position pairs, chosen by ``uniforms``.
 
@@ -320,7 +266,6 @@ def warmup():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     order = np.array([0, 1, 2], dtype=np.int64)
     closed_tour_length(d, order)
-    brute_force_search(d)
     u = np.full((2, 3), 0.5)
     anneal_loop(d, order, 1.0, 0.9, 1e-12, 2, 1, u)
     two_opt_loop(d, order, 1e-12)

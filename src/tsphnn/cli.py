@@ -194,6 +194,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _load_tour(path, n: int) -> Tour:
+    """Tour read from a JSON list or an object with an ``order`` list."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if isinstance(payload, dict):
+        if "order" not in payload:
+            raise TsphnnError(f"{path}: missing field 'order'")
+        payload = payload["order"]
+    try:
+        tour = Tour(tuple(int(v) for v in payload))
+    except (TypeError, ValueError) as exc:
+        raise TsphnnError(f"{path}: order: {exc}") from exc
+    if tour.n != n:
+        raise TsphnnError(f"{path}: order has {tour.n} cities but instance has {n}")
+    return tour
+
+
 def cmd_plot(args) -> int:
     inst = _resolve_instance(args.instance)
     if args.grid:
@@ -205,16 +222,7 @@ def cmd_plot(args) -> int:
             )
         svg = render_grid_svg(grid)
     else:
-        tour = None
-        if args.tour:
-            with open(args.tour, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            order = payload["order"] if isinstance(payload, dict) else payload
-            if len(order) != inst.n:
-                raise TsphnnError(
-                    f"tour has {len(order)} cities but instance has {inst.n}"
-                )
-            tour = Tour(tuple(int(v) for v in order))
+        tour = _load_tour(args.tour, inst.n) if args.tour else None
         svg = render_tour_svg(inst, tour)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

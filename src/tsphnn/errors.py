@@ -37,7 +37,7 @@ class InvalidTourMatrixError(TsphnnError):
 
 
 class EnumerationTooLargeError(TsphnnError):
-    """Exhaustive search was requested beyond the n <= 12 guard."""
+    """Exact search was requested beyond the n <= 12 guard."""
 
 
 class InvalidTemperatureError(TsphnnError):

@@ -235,11 +235,15 @@ def load_instance(path) -> Instance:
             raise ParseError(f"{path}: cities[{idx}]: {exc}") from exc
     matrix = payload.get("matrix")
     try:
+        matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: matrix: {exc}") from exc
+    try:
         return Instance(
             id=str(payload.get("id", "unnamed")),
             cities=tuple(cities),
             seed=payload.get("seed"),
-            matrix=None if matrix is None else np.asarray(matrix, dtype=np.float64),
+            matrix=matrix,
         )
     except TsphnnError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -156,7 +156,7 @@ def sweep(
     """Seeded network trials from random grids for every (C, D) cell.
 
     Success means the run converged to a valid permutation grid (or, with
-    ``success_metric="optimal"``, additionally hit the exhaustive optimum).
+    ``success_metric="optimal"``, additionally hit the exact optimum).
     Length statistics cover valid runs only; mean sweeps covers all runs,
     with unconverged runs counted at the full budget.  Per-trial seeds are
     derived from (master seed, cell index, trial index), so the report is a

@@ -1,4 +1,4 @@
-"""Tour representation, permutation-matrix codec, and the exhaustive solver.
+"""Tour representation, permutation-matrix codec, and the exact solver.
 
 A tour is a closed, undirected visiting order: rotations and reversals of
 the same cycle are the same tour, and :func:`canonicalize` picks one
@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError
 from .instance import DistanceMatrix
 
@@ -93,19 +92,66 @@ def canonicalize(t: Tour) -> Tour:
     return Tour(forward if forward[1] < backward[1] else backward)
 
 
-def brute_force_optimum(m: DistanceMatrix) -> Tuple[Tour, float]:
-    """Globally shortest closed tour by enumerating all (n-1)!/2 candidates.
+def _shortest_closings(d: np.ndarray, rest: np.ndarray, start: np.ndarray, second):
+    """For each next city ``rest[i]``, the least length of a canonical tour
+    that reaches it with length ``start[i]``, visits the rest of ``rest``
+    and returns to city 0; NaN where no canonical tour does.
 
-    Ties break to the lexicographically smallest canonical tour.  Guarded to
-    n <= 12; the search space grows factorially.
+    A tour is canonical when its last city is above its second one,
+    ``second``, or above the next city itself when ``second`` is None.
+    Held & Karp's dynamic program over (next city, visited set, last city)
+    adds each edge to the running length, as ``closed_tour_length`` does;
+    rounding x + c is monotone in x, so every minimum is exact in floating
+    point, not just to an ulp.
+    """
+    r = rest.shape[0]
+    bits = 1 << np.arange(r)  # bit t of a visited set is rest[t]
+    step = d[np.ix_(rest, rest)]  # symmetric: step[k, j] = d[rest[j], rest[k]]
+    sizes = ((np.arange(1 << r)[:, None] & bits) > 0).sum(axis=1)
+    layers = []  # the sets of each size, and each set without each city
+    for size in range(2, r + 1):
+        sets = np.flatnonzero(sizes == size)
+        layers.append((sets, sets[:, None] ^ bits))
+    ends = np.full(r, np.nan)
+    for i in range(r):
+        f = np.full((1 << r, r), np.nan)  # f[s, j]: shortest path through s to j
+        f[bits[i], i] = start[i]
+        for sets, prev in layers:
+            # the path into k comes from s without k; where k is not in s the
+            # lookup hits a larger set, still NaN
+            f[sets] = np.fmin.reduce(f[prev] + step, axis=2)
+        last_ok = rest > (rest[i] if second is None else second)
+        ends[i] = np.fmin.reduce(np.where(last_ok, f[-1] + d[rest, 0], np.nan))
+    return ends
+
+
+def brute_force_optimum(m: DistanceMatrix) -> Tuple[Tour, float]:
+    """Globally shortest closed tour, by Held & Karp's O(n^2 2^n) dynamic
+    program; guarded to n <= 12.
+
+    Returns what scoring all (n-1)!/2 canonical tours in lexicographic
+    order and keeping the first strict minimum would: the lexicographically
+    smallest canonical tour whose length, summed edge by edge from city 0,
+    is the floating-point minimum, and that length.  The tour is built city
+    by city, each time taking the smallest next city from which the
+    minimum is still reached.
     """
     n = m.n
     if n > BRUTE_FORCE_MAX_N:
         raise EnumerationTooLargeError(
-            f"n={n} exceeds exhaustive-search guard of {BRUTE_FORCE_MAX_N}"
+            f"n={n} exceeds exact-search guard of {BRUTE_FORCE_MAX_N}"
         )
-    best, best_len = _kernels.brute_force_search(m.d)
-    return Tour(tuple(int(v) for v in best)), float(best_len)
+    d = m.d
+    order = [0]
+    length = None  # sums start at the first edge, not 0.0, keeping a -0.0 sign
+    while len(order) < n:
+        rest = np.array([c for c in range(1, n) if c not in order])
+        start = d[0, rest] if length is None else length + d[order[-1], rest]
+        ends = _shortest_closings(d, rest, start, order[1] if len(order) > 1 else None)
+        k = np.nanargmin(ends)  # the first next city that keeps the minimum
+        order.append(int(rest[k]))
+        length = start[k]
+    return Tour(tuple(order)), float(length + d[order[-1], 0])
 
 
 def decode_grid(grid: np.ndarray) -> Optional[Tour]:

@@ -123,6 +123,16 @@ def test_solve_missing_instance_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("matrix", [[[0, 1, 2], [1, 0]], [["a", "b", "c"]] * 3])
+def test_solve_bad_matrix_exits_2(tmp_path, capsys, matrix):
+    path = tmp_path / "inst.json"
+    cities = [{"label": lab, "x": 0.0, "y": float(i)} for i, lab in enumerate("ABC")]
+    path.write_text(json.dumps({"cities": cities, "matrix": matrix}))
+    code, _, err = run_cli(capsys, "solve", "--instance", str(path), "--method", "exact")
+    assert code == 2
+    assert f"{path}: matrix:" in err and "Traceback" not in err
+
+
 def test_non_finite_parameters_exit_2(capsys):
     for argv in (
         ("solve", "--instance", "paper8", "--method", "hnn", "--D", "nan"),
@@ -228,6 +238,21 @@ def test_plot_size_mismatch_exits_2(tmp_path, capsys):
         "--out", str(tmp_path / "x.svg"),
     )
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "payload", [{"tour": [0, 1, 2, 3]}, {"order": [0, 1, "x", 3]}, {"order": 5}]
+)
+def test_plot_bad_tour_file_exits_2(tmp_path, capsys, payload):
+    tour_path = tmp_path / "tour.json"
+    tour_path.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        capsys,
+        "plot", "--instance", "matrix4", "--tour", str(tour_path),
+        "--out", str(tmp_path / "x.svg"),
+    )
+    assert code == 2
+    assert f"{tour_path}:" in err and "order" in err
 
 
 def test_plot_deterministic_bytes(tmp_path, capsys):

@@ -60,16 +60,6 @@ def test_both_paths_produce_identical_results():
     assert with_numba.splitlines()[1:] == without.splitlines()[1:]
 
 
-def test_next_permutation_matches_lexicographic_order():
-    import itertools
-
-    a = np.array([0, 1, 2, 3], dtype=np.int64)
-    seen = [tuple(a)]
-    while _kernels.next_permutation(a):
-        seen.append(tuple(int(v) for v in a))
-    assert seen == list(itertools.permutations(range(4)))
-
-
 def test_closed_tour_length_matches_manual():
     d = np.array([[0.0, 2.0, 9.0], [2.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
     order = np.array([2, 0, 1], dtype=np.int64)

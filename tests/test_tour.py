@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
+from tsphnn import _kernels
 from tsphnn.errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError
 
 # tour-matrix figure rows A..D for the visiting order B, A, D, C
@@ -144,3 +147,58 @@ def test_brute_force_result_is_canonical():
     m = T.distance_matrix(T.generate_random_instance(9, seed=8))
     tour, _ = T.brute_force_optimum(m)
     assert T.canonicalize(tour).order == tour.order
+
+
+def _reference_optimum(m):
+    """Score every canonical tour in lexicographic order, keeping the first
+    strict minimum."""
+    best, best_len = None, np.inf
+    for tail in itertools.permutations(range(1, m.n)):
+        if tail[0] < tail[-1]:
+            length = _kernels.closed_tour_length(m.d, np.array((0,) + tail))
+            if length < best_len:
+                best, best_len = (0,) + tail, length
+    return best, best_len
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(4, 8))
+    if draw(st.booleans()):
+        # integer-grid coordinates: many tours tie to within an ulp
+        point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        pts = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+        diff = pts[:, None] - pts[None]
+        return T.DistanceMatrix(np.hypot(diff[..., 0], diff[..., 1]))
+    entries = st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.1, 0.2, 0.3, 0.7]))
+    upper = draw(st.lists(entries, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    return T.DistanceMatrix(d + d.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_brute_force_matches_enumeration_reference(m):
+    tour, length = T.brute_force_optimum(m)
+    best, best_len = _reference_optimum(m)
+    assert tour.order == best
+    assert length == best_len
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_brute_force_uniform_matrix_returns_identity(n):
+    d = np.full((n, n), 2.5)
+    np.fill_diagonal(d, 0.0)
+    tour, length = T.brute_force_optimum(T.DistanceMatrix(d))
+    assert tour.order == tuple(range(n))
+    assert length == n * 2.5
+
+
+def test_brute_force_n12_beats_random_samples(rng):
+    m = T.distance_matrix(T.generate_random_instance(12, seed=5))
+    tour, opt = T.brute_force_optimum(m)
+    assert T.canonicalize(tour).order == tour.order
+    assert opt == T.tour_length(m, tour)
+    for _ in range(2000):
+        assert opt <= T.tour_length(m, T.Tour.random(12, rng))
