@@ -1,7 +1,6 @@
 """Euclidean TSP toolkit: Hopfield network, simulated annealing, hybrid
 pipeline, exact and local-search baselines, and a benchmark harness."""
 
-from ._kernels import NUMBA_ENABLED
 from .annealing import (
     SaConfig,
     SaTrace,
@@ -81,7 +80,6 @@ __all__ = [
     "InvalidTemperatureError",
     "InvalidTourError",
     "InvalidTourMatrixError",
-    "NUMBA_ENABLED",
     "ParseError",
     "SaConfig",
     "SaTrace",

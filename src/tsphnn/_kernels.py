@@ -1,39 +1,17 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels: the tour length, the SA loop and one network sweep.
 
-Every kernel is plain Python over NumPy arrays; ``maybe_njit`` compiles it
-with ``numba.njit`` unless the environment variable ``TSPHNN_NO_NUMBA`` is
-set (to anything other than "0"/"false") or numba is not importable.  Both
-paths execute the same source, so results are identical move-for-move;
-only speed differs.  ``benchmarks/bench_kernels.py`` compares the two.
+The loops are written scalar, one update at a time, because their float
+operation order defines the answers: the SA walk, the asynchronous sweep
+and the summed tour length are reproduced bit for bit only in that order.
 """
-
-import os
 
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("TSPHNN_NO_NUMBA", "").strip().lower()
-    return flag in ("", "0", "false", "no")
-
-
+# Read by the benchmark harness, which records whether a JIT path was active.
+# The kernels are plain Python/NumPy, so it is always False.
 NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
 
 
-def maybe_njit(func):
-    if NUMBA_ENABLED:
-        return numba.njit(cache=True)(func)
-    return func
-
-
-@maybe_njit
 def closed_tour_length(d, order):
     """Length of the closed tour visiting ``order`` and returning to its start."""
     n = order.shape[0]
@@ -44,7 +22,6 @@ def closed_tour_length(d, order):
     return total
 
 
-@maybe_njit
 def swap_positions(order, k, uniforms):
     """Exchange the cities at k disjoint position pairs, chosen by ``uniforms``.
 
@@ -67,7 +44,6 @@ def swap_positions(order, k, uniforms):
     return out
 
 
-@maybe_njit
 def temperature(t0, cooling, t_floor, step):
     """Geometric cooling schedule t0 * cooling**step, floored at ``t_floor``."""
     temp = t0 * cooling ** step
@@ -76,7 +52,6 @@ def temperature(t0, cooling, t_floor, step):
     return temp
 
 
-@maybe_njit
 def metropolis(cur_len, cand_len, temp):
     """Acceptance probability of a move from ``cur_len`` to ``cand_len``:
     1.0 when the candidate is no worse, else exp(-delta / temp)."""
@@ -85,7 +60,6 @@ def metropolis(cur_len, cand_len, temp):
     return np.exp(-(cand_len - cur_len) / temp)
 
 
-@maybe_njit
 def anneal_loop(d, start, t0, cooling, t_floor, iters, k, uniforms):
     """Metropolis annealing over tour space with geometric cooling.
 
@@ -117,13 +91,11 @@ def anneal_loop(d, start, t0, cooling, t_floor, iters, k, uniforms):
     return best, best_len, cur, temps, cur_lens, best_lens
 
 
-@maybe_njit
 def net_input(w, bias, g, u):
     """Net input of unit ``u`` in the flat state ``g``: w[u] . g + bias[u]."""
     return np.dot(w[u], g) + bias[u]
 
 
-@maybe_njit
 def hopfield_sweep(w, bias, g, threshold, order, max_de):
     """One asynchronous sweep of threshold updates in the unit ``order``.
 
@@ -145,134 +117,3 @@ def hopfield_sweep(w, bias, g, threshold, order, max_de):
             g[u] = new
             changed = True
     return changed, max_de
-
-
-@maybe_njit
-def two_opt_loop(d, start, min_gain):
-    """Best-improvement 2-opt: reverse the segment whose exchange saves most.
-
-    Repeats until no reversal improves the closed tour by more than
-    ``min_gain``.  Candidate scan order (and therefore tie-breaking) is
-    fixed, so the result is deterministic.
-    """
-    n = start.shape[0]
-    tour = start.copy()
-    improved = True
-    while improved:
-        improved = False
-        best_delta = -min_gain
-        best_i = -1
-        best_j = -1
-        for i in range(1, n - 1):
-            a = tour[i - 1]
-            b = tour[i]
-            for j in range(i + 1, n):
-                c = tour[j]
-                e = tour[(j + 1) % n]
-                delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
-                if delta < best_delta:
-                    best_delta = delta
-                    best_i = i
-                    best_j = j
-        if best_i >= 0:
-            lo = best_i
-            hi = best_j
-            while lo < hi:
-                tour[lo], tour[hi] = tour[hi], tour[lo]
-                lo += 1
-                hi -= 1
-            improved = True
-    return tour
-
-
-@maybe_njit
-def _rebuild_three_opt(tour, i, j, k, combo):
-    """Reconnect the three cut edges (i,i+1), (j,j+1), (k,k+1) per ``combo``.
-
-    With segments S1 = tour[i+1..j] and S2 = tour[j+1..k], combo bit 1
-    reverses S1, bit 2 reverses S2 and bit 4 puts S2 before S1, so the 7
-    non-identity reconnections are combos 1..7.
-    """
-    s1 = tour[i + 1 : j + 1]
-    s2 = tour[j + 1 : k + 1]
-    if combo & 1:
-        s1 = s1[::-1]
-    if combo & 2:
-        s2 = s2[::-1]
-    if combo & 4:
-        s1, s2 = s2, s1
-    return np.concatenate((tour[: i + 1], s1, s2, tour[k + 1 :]))
-
-
-@maybe_njit
-def three_opt_loop(d, start, min_gain):
-    """Best-improvement 3-opt over all edge triples and 7 reconnections each."""
-    n = start.shape[0]
-    tour = start.copy()
-    improved = True
-    while improved:
-        improved = False
-        best_delta = -min_gain
-        best_i = -1
-        best_j = -1
-        best_k = -1
-        best_combo = 0
-        for i in range(n - 2):
-            a = tour[i]
-            b = tour[i + 1]
-            for j in range(i + 1, n - 1):
-                c = tour[j]
-                dd = tour[j + 1]
-                for k in range(j + 1, n):
-                    e = tour[k]
-                    f = tour[(k + 1) % n]
-                    base = d[a, b] + d[c, dd] + d[e, f]
-                    d1 = d[a, c] + d[b, dd] + d[e, f] - base
-                    d2 = d[a, b] + d[c, e] + d[dd, f] - base
-                    d3 = d[a, c] + d[b, e] + d[dd, f] - base
-                    d4 = d[a, dd] + d[e, b] + d[c, f] - base
-                    d5 = d[a, dd] + d[e, c] + d[b, f] - base
-                    d6 = d[a, e] + d[dd, b] + d[c, f] - base
-                    d7 = d[a, e] + d[dd, c] + d[b, f] - base
-                    if d1 < best_delta:
-                        best_delta = d1
-                        best_i, best_j, best_k, best_combo = i, j, k, 1
-                    if d2 < best_delta:
-                        best_delta = d2
-                        best_i, best_j, best_k, best_combo = i, j, k, 2
-                    if d3 < best_delta:
-                        best_delta = d3
-                        best_i, best_j, best_k, best_combo = i, j, k, 3
-                    if d4 < best_delta:
-                        best_delta = d4
-                        best_i, best_j, best_k, best_combo = i, j, k, 4
-                    if d5 < best_delta:
-                        best_delta = d5
-                        best_i, best_j, best_k, best_combo = i, j, k, 5
-                    if d6 < best_delta:
-                        best_delta = d6
-                        best_i, best_j, best_k, best_combo = i, j, k, 6
-                    if d7 < best_delta:
-                        best_delta = d7
-                        best_i, best_j, best_k, best_combo = i, j, k, 7
-        if best_combo > 0:
-            tour = _rebuild_three_opt(tour, best_i, best_j, best_k, best_combo)
-            improved = True
-    return tour
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on a tiny problem."""
-    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
-    order = np.array([0, 1, 2], dtype=np.int64)
-    closed_tour_length(d, order)
-    u = np.full((2, 3), 0.5)
-    anneal_loop(d, order, 1.0, 0.9, 1e-12, 2, 1, u)
-    two_opt_loop(d, order, 1e-12)
-    three_opt_loop(d, order, 1e-12)
-    temperature(1.0, 0.9, 1e-12, 0)
-    metropolis(1.0, 2.0, 1.0)
-    w = np.zeros((9, 9))
-    g = np.zeros(9)
-    net_input(w, g, g, 0)
-    hopfield_sweep(w, g, g.copy(), 0.0, np.arange(9, dtype=np.int64), -np.inf)

@@ -17,7 +17,7 @@ from . import __version__
 from .annealing import SaConfig, anneal
 from .baselines import greedy_nearest_neighbor, three_opt, two_opt
 from .builtin import BUILTIN_INSTANCES, get_builtin
-from .errors import TsphnnError
+from .errors import InvalidTourError, TsphnnError
 from .hopfield import HopfieldParams, grid_to_text, run, text_to_grid
 from .instance import (
     distance_matrix,
@@ -81,13 +81,7 @@ def cmd_solve(args) -> int:
     elif args.method == "3opt":
         tour = three_opt(m, greedy_nearest_neighbor(m, 0))
     elif args.method == "sa":
-        cfg = SaConfig(
-            t0=args.t0,
-            cooling_rate=args.cooling,
-            iterations=args.iters,
-            swap_count=args.swaps,
-            seed=args.seed,
-        )
+        cfg = _sa_config(args)
         rng = np.random.default_rng(cfg.seed)
         start = Tour.random(m.n, rng)
         extras["start_length"] = tour_length(m, start)
@@ -102,14 +96,7 @@ def cmd_solve(args) -> int:
             with open(args.grid_out, "w", encoding="utf-8") as fh:
                 fh.write(grid_to_text(result.grid))
     elif args.method == "hybrid":
-        cfg = SaConfig(
-            t0=args.t0,
-            cooling_rate=args.cooling,
-            iterations=args.iters,
-            swap_count=args.swaps,
-            seed=args.seed,
-        )
-        report = solve_hybrid(inst, cfg, _hopfield_params(args))
+        report = solve_hybrid(inst, _sa_config(args), _hopfield_params(args))
         extras["sa_start_length"] = report.sa_start_length
         extras["sa_length"] = report.sa_length
         extras["hnn_valid"] = report.hnn_valid
@@ -143,6 +130,16 @@ def cmd_solve(args) -> int:
             )
             fh.write("\n")
     return 0 if valid else 1
+
+
+def _sa_config(args) -> SaConfig:
+    return SaConfig(
+        t0=args.t0,
+        cooling_rate=args.cooling,
+        iterations=args.iters,
+        swap_count=args.swaps,
+        seed=args.seed,
+    )
 
 
 def _hopfield_params(args) -> HopfieldParams:
@@ -203,9 +200,9 @@ def _load_tour(path, n: int) -> Tour:
             raise TsphnnError(f"{path}: missing field 'order'")
         payload = payload["order"]
     try:
-        tour = Tour(tuple(int(v) for v in payload))
-    except (TypeError, ValueError) as exc:
-        raise TsphnnError(f"{path}: order: {exc}") from exc
+        tour = Tour(payload)
+    except InvalidTourError as exc:
+        raise InvalidTourError(f"{path}: order: {exc}") from exc
     if tour.n != n:
         raise TsphnnError(f"{path}: order has {tour.n} cities but instance has {n}")
     return tour

@@ -173,14 +173,17 @@ def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
 
 def _as_order_array(m: DistanceMatrix, tour) -> np.ndarray:
     order = getattr(tour, "order", tour)
-    arr = np.asarray(order, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] != m.n or not np.array_equal(
-        np.sort(arr), np.arange(m.n)
+    arr = np.asarray(order)
+    if (
+        arr.ndim != 1
+        or arr.dtype.kind not in "iu"
+        or arr.shape[0] != m.n
+        or not np.array_equal(np.sort(arr), np.arange(m.n))
     ):
         raise InvalidTourError(
             f"tour {list(np.atleast_1d(order))} is not a permutation of 0..{m.n - 1}"
         )
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def tour_length(m: DistanceMatrix, tour) -> float:
@@ -222,6 +225,8 @@ def load_instance(path) -> Instance:
         raise ParseError(f"{path}: top level must be an object")
     if "cities" not in payload:
         raise ParseError(f"{path}: missing field 'cities'")
+    if not isinstance(payload["cities"], list):
+        raise ParseError(f"{path}: cities must be a list")
     cities = []
     for idx, entry in enumerate(payload["cities"]):
         for field in ("label", "x", "y"):

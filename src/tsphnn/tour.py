@@ -7,6 +7,7 @@ columns = visit positions) is a permutation matrix exactly when the tour
 is legal.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -25,7 +26,10 @@ class Tour:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(int(v) for v in self.order)
+        try:
+            order = tuple(operator.index(v) for v in self.order)
+        except TypeError as exc:
+            raise InvalidTourError(f"{self.order!r} is not a list of integers") from exc
         n = len(order)
         if sorted(order) != list(range(n)):
             raise InvalidTourError(f"{order} is not a permutation of 0..{n - 1}")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
+from tsphnn.baselines import MIN_GAIN, _rebuild_three_opt
 
 
 def all_two_opt_deltas(d, order):
@@ -126,3 +129,128 @@ def test_outputs_are_valid_permutations():
     greedy = T.greedy_nearest_neighbor(m, 4)
     for t in (greedy, T.two_opt(m, greedy), T.three_opt(m, greedy)):
         assert sorted(t.order) == list(range(11))
+
+
+def two_opt_loop(d, start, min_gain):
+    """Reference best-improvement 2-opt as a scalar loop: the first strictly
+    smallest delta in i-major scan order wins."""
+    n = start.shape[0]
+    tour = start.copy()
+    improved = True
+    while improved:
+        improved = False
+        best_delta = -min_gain
+        best_i = -1
+        best_j = -1
+        for i in range(1, n - 1):
+            a = tour[i - 1]
+            b = tour[i]
+            for j in range(i + 1, n):
+                c = tour[j]
+                e = tour[(j + 1) % n]
+                delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
+                if delta < best_delta:
+                    best_delta = delta
+                    best_i = i
+                    best_j = j
+        if best_i >= 0:
+            lo = best_i
+            hi = best_j
+            while lo < hi:
+                tour[lo], tour[hi] = tour[hi], tour[lo]
+                lo += 1
+                hi -= 1
+            improved = True
+    return tour
+
+
+def three_opt_loop(d, start, min_gain):
+    """Reference best-improvement 3-opt as a scalar loop over all edge
+    triples and 7 reconnections each."""
+    n = start.shape[0]
+    tour = start.copy()
+    improved = True
+    while improved:
+        improved = False
+        best_delta = -min_gain
+        best_i = -1
+        best_j = -1
+        best_k = -1
+        best_combo = 0
+        for i in range(n - 2):
+            a = tour[i]
+            b = tour[i + 1]
+            for j in range(i + 1, n - 1):
+                c = tour[j]
+                dd = tour[j + 1]
+                for k in range(j + 1, n):
+                    e = tour[k]
+                    f = tour[(k + 1) % n]
+                    base = d[a, b] + d[c, dd] + d[e, f]
+                    d1 = d[a, c] + d[b, dd] + d[e, f] - base
+                    d2 = d[a, b] + d[c, e] + d[dd, f] - base
+                    d3 = d[a, c] + d[b, e] + d[dd, f] - base
+                    d4 = d[a, dd] + d[e, b] + d[c, f] - base
+                    d5 = d[a, dd] + d[e, c] + d[b, f] - base
+                    d6 = d[a, e] + d[dd, b] + d[c, f] - base
+                    d7 = d[a, e] + d[dd, c] + d[b, f] - base
+                    if d1 < best_delta:
+                        best_delta = d1
+                        best_i, best_j, best_k, best_combo = i, j, k, 1
+                    if d2 < best_delta:
+                        best_delta = d2
+                        best_i, best_j, best_k, best_combo = i, j, k, 2
+                    if d3 < best_delta:
+                        best_delta = d3
+                        best_i, best_j, best_k, best_combo = i, j, k, 3
+                    if d4 < best_delta:
+                        best_delta = d4
+                        best_i, best_j, best_k, best_combo = i, j, k, 4
+                    if d5 < best_delta:
+                        best_delta = d5
+                        best_i, best_j, best_k, best_combo = i, j, k, 5
+                    if d6 < best_delta:
+                        best_delta = d6
+                        best_i, best_j, best_k, best_combo = i, j, k, 6
+                    if d7 < best_delta:
+                        best_delta = d7
+                        best_i, best_j, best_k, best_combo = i, j, k, 7
+        if best_combo > 0:
+            tour = _rebuild_three_opt(tour, best_i, best_j, best_k, best_combo)
+            improved = True
+    return tour
+
+
+@st.composite
+def _local_search_cases(draw):
+    n = draw(st.integers(3, 14))
+    family = draw(st.sampled_from(("uniform", "grid", "three-valued")))
+    if family == "uniform":
+        seed = draw(st.integers(0, 2**32 - 1))
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed))
+    elif family == "grid":
+        # integer-grid coordinates, repeats allowed: many deltas tie exactly
+        point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        pts = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+        diff = pts[:, None] - pts[None]
+        m = T.DistanceMatrix(np.hypot(diff[..., 0], diff[..., 1]))
+    else:
+        size = n * (n - 1) // 2
+        value = st.sampled_from([1.0, 2.0, 3.0])
+        upper = draw(st.lists(value, min_size=size, max_size=size))
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        m = T.DistanceMatrix(d + d.T)
+    return m, T.Tour(tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_local_search_cases())
+def test_local_search_scans_match_loop_reference(case):
+    """The NumPy scans return the scalar loops' tours, ties included."""
+    m, start = case
+    expected = two_opt_loop(m.d, start.as_array(), MIN_GAIN)
+    assert T.two_opt(m, start).order == tuple(expected.tolist())
+    if m.n >= 5:
+        expected = three_opt_loop(m.d, start.as_array(), MIN_GAIN)
+        assert T.three_opt(m, start).order == tuple(expected.tolist())

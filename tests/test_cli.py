@@ -241,7 +241,13 @@ def test_plot_size_mismatch_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload", [{"tour": [0, 1, 2, 3]}, {"order": [0, 1, "x", 3]}, {"order": 5}]
+    "payload",
+    [
+        {"tour": [0, 1, 2, 3]},
+        {"order": [0, 1, "x", 3]},
+        {"order": 5},
+        {"order": [0.9, 1.2, 2.5, 3.1]},
+    ],
 )
 def test_plot_bad_tour_file_exits_2(tmp_path, capsys, payload):
     tour_path = tmp_path / "tour.json"

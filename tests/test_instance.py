@@ -160,6 +160,8 @@ def test_tour_length_rejects_non_permutation(matrix4_m):
         T.tour_length(matrix4_m, (0, 0, 1, 2))
     with pytest.raises(InvalidTourError):
         T.tour_length(matrix4_m, (0, 1, 2))
+    with pytest.raises(InvalidTourError):
+        T.tour_length(matrix4_m, (0.9, 1.2, 2.5, 3.1))
 
 
 def test_tour_length_rotation_and_reversal_invariance(rng):
@@ -190,9 +192,11 @@ def test_save_load_round_trip_with_matrix(tmp_path, matrix4):
 
 def test_load_missing_cities_field(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"id": "x"}))
-    with pytest.raises(ParseError, match="cities"):
-        T.load_instance(path)
+    for payload in ({"id": "x"}, {"cities": 5}):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="cities") as exc:
+            T.load_instance(path)
+        assert str(exc.value).startswith(f"{path}:")
 
 
 def test_load_malformed_json_reports_line(tmp_path):

@@ -1,63 +1,11 @@
-"""The numba-compiled kernels and the pure-Python fallback (selected by the
-TSPHNN_NO_NUMBA environment flag) must produce identical results."""
-
-import os
-import subprocess
-import sys
+"""Direct checks of the scalar kernels and the 3-opt reconnection."""
 
 import numpy as np
 import pytest
 
 import tsphnn as T
 from tsphnn import _kernels
-
-PROBE = """
-import numpy as np
-import tsphnn as T
-from tsphnn import _kernels
-print("numba", _kernels.NUMBA_ENABLED)
-inst = T.generate_random_instance(8, seed=4)
-m = T.distance_matrix(inst)
-t, L = T.brute_force_optimum(m)
-print("bf", t.order, repr(L))
-g = T.greedy_nearest_neighbor(m, 0)
-for name, fn in (("two", T.two_opt), ("three", T.three_opt)):
-    out = fn(m, g)
-    print(name, out.order, repr(T.tour_length(m, out)))
-cfg = T.SaConfig(t0=1.0, cooling_rate=0.995, iterations=400, swap_count=1, seed=7)
-tour, L, trace = T.anneal(m, T.Tour(tuple(range(8))), cfg)
-print("sa", tour.order, repr(L), repr(float(trace.current_length.sum())))
-res = T.run_hopfield(T.normalize_distances(m), T.HopfieldParams(d_pen=10.0, seed=3))
-print("hnn", res.converged, res.valid, res.sweeps_used,
-      repr(float(res.energy_trace.sum())))
-"""
-
-
-def _probe_output(no_numba: bool) -> str:
-    env = dict(os.environ)
-    if no_numba:
-        env["TSPHNN_NO_NUMBA"] = "1"
-    else:
-        env.pop("TSPHNN_NO_NUMBA", None)
-    return subprocess.run(
-        [sys.executable, "-c", PROBE],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-    ).stdout
-
-
-def test_flag_selects_fallback():
-    out = _probe_output(no_numba=True)
-    assert out.splitlines()[0] == "numba False"
-
-
-def test_both_paths_produce_identical_results():
-    with_numba = _probe_output(no_numba=False)
-    without = _probe_output(no_numba=True)
-    # everything but the flag line must match bit for bit
-    assert with_numba.splitlines()[1:] == without.splitlines()[1:]
+from tsphnn.baselines import _rebuild_three_opt
 
 
 def test_closed_tour_length_matches_manual():
@@ -105,7 +53,7 @@ def test_rebuild_three_opt_matches_list_reference():
         base = d[a, b] + d[c, dd] + d[e, f]
         t = tour.tolist()
         for combo, rebuild in reference.items():
-            out = _kernels._rebuild_three_opt(tour, i, j, k, combo)
+            out = _rebuild_three_opt(tour, i, j, k, combo)
             expected = t[: i + 1] + rebuild(t[i + 1 : j + 1], t[j + 1 : k + 1]) + t[k + 1 :]
             assert out.tolist() == expected
             assert sorted(expected) == list(range(n))

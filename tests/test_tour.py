@@ -25,6 +25,8 @@ def test_tour_validates_permutation():
         T.Tour((0, 1, 1))
     with pytest.raises(InvalidTourError):
         T.Tour((0, 2, 3))
+    with pytest.raises(InvalidTourError):
+        T.Tour((0.9, 1.2, 2.5))
 
 
 def test_identity_matrix_is_valid():
