@@ -1,8 +1,8 @@
-"""Hot numeric kernels: the tour length, the SA loop and one network sweep.
+"""Hot numeric kernels: the tour length and the SA loop.
 
 The loops are written scalar, one update at a time, because their float
-operation order defines the answers: the SA walk, the asynchronous sweep
-and the summed tour length are reproduced bit for bit only in that order.
+operation order defines the answers: the SA walk and the summed tour
+length are reproduced bit for bit only in that order.
 """
 
 import numpy as np
@@ -90,30 +90,3 @@ def anneal_loop(d, start, t0, cooling, t_floor, iters, k, uniforms):
         best_lens[step] = best_len
     return best, best_len, cur, temps, cur_lens, best_lens
 
-
-def net_input(w, bias, g, u):
-    """Net input of unit ``u`` in the flat state ``g``: w[u] . g + bias[u]."""
-    return np.dot(w[u], g) + bias[u]
-
-
-def hopfield_sweep(w, bias, g, threshold, order, max_de):
-    """One asynchronous sweep of threshold updates in the unit ``order``.
-
-    ``g`` (flat n^2 state) is mutated in place, each update immediately
-    visible to the next.  Returns (changed, max_de): whether any unit
-    flipped, and the largest single-update energy change seen so far, given
-    the running ``max_de`` (-inf before any flip); with symmetric
-    zero-diagonal weights it stays <= 0.
-    """
-    changed = False
-    for u in order:
-        net = net_input(w, bias, g, u)
-        new = 1.0 if net >= threshold else 0.0
-        dv = new - g[u]
-        if dv != 0.0:
-            de = -dv * net
-            if de > max_de:
-                max_de = de
-            g[u] = new
-            changed = True
-    return changed, max_de

@@ -1,11 +1,11 @@
 """Classical baselines: nearest-neighbour construction, 2-opt and 3-opt.
 
 Both local searches use best-improvement move selection and stop when no
-move gains more than a small threshold, which prevents floating-point
-cycling.  A pass scores every move with NumPy, using the float expression
-a scalar loop over the cuts would use, and takes the first minimum in scan
-order (``np.argmin``): the move a loop keeping only strictly smaller deltas
-picks.
+move gains more than a small threshold (:func:`_min_gain`), which prevents
+floating-point cycling.  A pass scores every move with NumPy, using the
+float expression a scalar loop over the cuts would use, and takes the
+first minimum in scan order (``np.argmin``): the move a loop keeping only
+strictly smaller deltas picks.
 """
 
 import numpy as np
@@ -15,6 +15,12 @@ from .instance import DistanceMatrix
 from .tour import Tour
 
 MIN_GAIN = 1e-12
+
+
+def _min_gain(d: np.ndarray) -> float:
+    """MIN_GAIN, or 8 ulps of the largest distance if more (above about 560):
+    a finite delta errs by under 6.5, so each move applied shortens the tour."""
+    return max(MIN_GAIN, 8 * np.finfo(np.float64).eps * float(d.max()))
 
 
 def greedy_nearest_neighbor(m: DistanceMatrix, start: int = 0) -> Tour:
@@ -46,14 +52,17 @@ def two_opt(m: DistanceMatrix, t: Tour) -> Tour:
     tour = t.as_array()
     movable = np.triu(np.ones((n, n), dtype=bool), 1)
     movable[0] = False
+    min_gain = _min_gain(d)
     while True:
         prev, nxt = np.roll(tour, 1), np.roll(tour, -1)
         # cut edges (a, b) = (tour[i-1], tour[i]) and (c, e) = (tour[j], tour[j+1]):
         # delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
         ac_be = d[prev[:, None], tour] + d[tour[:, None], nxt]
-        delta = np.where(movable, ac_be - d[prev, tour][:, None] - d[tour, nxt], np.inf)
+        delta = ac_be - d[prev, tour][:, None] - d[tour, nxt]
+        # an overflowed +-inf is no move: _min_gain bounds finite deltas only
+        delta = np.where(movable & np.isfinite(delta), delta, np.inf)
         pos = int(np.argmin(delta))
-        if not delta.flat[pos] < -MIN_GAIN:
+        if not delta.flat[pos] < -min_gain:
             return Tour(tuple(tour.tolist()))
         i, j = divmod(pos, n)
         tour[i : j + 1] = tour[i : j + 1][::-1]
@@ -95,6 +104,7 @@ def three_opt(m: DistanceMatrix, t: Tour) -> Tour:
     d, n = m.d, m.n
     tour = t.as_array()
     later = np.triu(np.ones((n, n), dtype=bool), 1)
+    min_gain = _min_gain(d)
     while True:
         nxt = np.roll(tour, -1)
         # pairwise distances between cities at two positions p, q, taken at
@@ -103,7 +113,7 @@ def three_opt(m: DistanceMatrix, t: Tour) -> Tour:
         tn = d[tour[:, None], nxt]
         nn = d[nxt[:, None], nxt]
         cut = np.diagonal(tn)
-        best, move = -MIN_GAIN, None
+        best, move = -min_gain, None
         for i in range(n - 2):
             # cut edges (a, b), (c, dd), (e, f) after positions i, j and k;
             # rows are j = i+1..n-2, columns k = i+2..n-1
@@ -116,8 +126,9 @@ def three_opt(m: DistanceMatrix, t: Tour) -> Tour:
             new = (ac + bd + ef, ab + ce + df, ac + be + df, ad + be + cf,
                    ad + ce + bf, ae + bd + cf, ae + cd + bf)
             delta = np.stack(new, axis=-1) - (ab + cd + ef)[..., None]
-            # k <= j is no move; NaN (inf - inf on overflow) never compares less
-            delta = np.where(later[js, ks, None] & (delta < best), delta, np.inf)
+            # k <= j is no move, nor is a delta that overflowed (see two_opt)
+            keep = later[js, ks, None] & np.isfinite(delta) & (delta < best)
+            delta = np.where(keep, delta, np.inf)
             pos = int(np.argmin(delta))
             if delta.flat[pos] < best:
                 best = delta.flat[pos]

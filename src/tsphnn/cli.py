@@ -212,12 +212,7 @@ def cmd_plot(args) -> int:
     inst = _resolve_instance(args.instance)
     if args.grid:
         with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = text_to_grid(fh.read())
-        if grid.shape[0] != inst.n:
-            raise TsphnnError(
-                f"grid is {grid.shape[0]}x{grid.shape[0]} but instance has {inst.n} cities"
-            )
-        svg = render_grid_svg(grid)
+            svg = render_grid_svg(text_to_grid(fh.read(), inst.n))
     else:
         tour = _load_tour(args.tour, inst.n) if args.tour else None
         svg = render_tour_svg(inst, tour)
@@ -307,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TsphnnError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (TsphnnError, OSError, MemoryError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,14 +8,16 @@ Its quadratic energy
 penalizes a city appearing in two positions (A), two cities sharing one
 position (B), the total activation count missing n (C), and, for states
 that are permutation matrices, measures twice the closed tour length (D
-term), so E = D * tour_length there.  Connection weights and the unit bias
-are set analytically so that the standard network energy coincides with E:
-pair penalties become inhibitory weights, the count term contributes a
-uniform inhibition of C between every pair of distinct units plus a bias
-of C*(n - 1/2) per unit (the half comes from folding the binary diagonal
-v^2 = v into the linear part when self-connections are zeroed).  With
-symmetric weights, zero self-connections and threshold 0, asynchronous
-updates never increase E, so the dynamics settle into a fixed point.
+term), so E = D * tour_length there.  :func:`build_weights` sets the
+weights and bias analytically so that the standard network energy equals
+E: pair penalties become inhibitory weights, the count term a uniform
+inhibition of C between distinct units plus a bias of C*(n - 1/2) per unit
+(the half folds the binary diagonal v^2 = v into the linear part when
+self-connections are zeroed).  :func:`run` never forms that n^2 x n^2
+matrix: a unit's net input follows from the active units in its row, its
+column and the grid, and from a distance field.  With symmetric weights,
+zero self-connections and threshold 0, asynchronous updates never increase
+E, so the dynamics settle into a fixed point.
 
 Activations live in {0, 1}; a unit switches to 1 exactly when its net
 input reaches the threshold.
@@ -26,9 +28,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import TsphnnError
-from .instance import DistanceMatrix
+from .instance import DistanceMatrix, tour_length
 from .tour import Tour, decode_grid
 
 
@@ -122,6 +123,23 @@ def _check_binary(g: np.ndarray, n: int = None) -> np.ndarray:
     return v
 
 
+def _distance_field(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """field[x, i] = sum_y d[x, y] * (g[y, i+1] + g[y, i-1]), positions mod n."""
+    return d @ (np.roll(g, -1, axis=1) + np.roll(g, 1, axis=1))
+
+
+def _net_inputs(g: np.ndarray, m: DistanceMatrix, p: HopfieldParams) -> np.ndarray:
+    """Every unit's net input, ``w @ g + bias`` of :func:`build_weights`, from
+    the active units in its row, its column, the grid and the distance field."""
+    return (
+        p.c_pen * (m.n - 0.5)
+        - p.a_pen * (g.sum(axis=1, keepdims=True) - g)
+        - p.b_pen * (g.sum(axis=0, keepdims=True) - g)
+        - p.c_pen * (g.sum() - g)
+        - p.d_pen * _distance_field(g, m.d)
+    )
+
+
 def energy_terms(
     g: np.ndarray, m: DistanceMatrix
 ) -> Tuple[float, float, float, float]:
@@ -136,8 +154,7 @@ def energy_terms(
     row = float((v.sum(axis=1) ** 2 - (v * v).sum(axis=1)).sum())
     col = float((v.sum(axis=0) ** 2 - (v * v).sum(axis=0)).sum())
     count = float((v.sum() - n) ** 2)
-    shifted = np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1)
-    dist = float((v * (m.d @ shifted)).sum())
+    dist = float((v * _distance_field(v, m.d)).sum())
     return row, col, count, dist
 
 
@@ -159,7 +176,7 @@ def unit_update(
     """
     v = _check_binary(g, w.n)
     u = unit[0] * w.n + unit[1]
-    net = _kernels.net_input(w.w, w.bias, v.ravel(), u)
+    net = np.dot(w.w[u], v.ravel()) + w.bias[u]
     return 1 if net >= threshold else 0
 
 
@@ -194,14 +211,23 @@ def run(
         grid = _check_binary(init, n).copy()
 
     flat = grid.ravel()
-    weights = build_weights(m, p) if p.max_sweeps > 0 else None
     trace = []
     converged, max_de = False, -np.inf
     for _ in range(p.max_sweeps):
         order = rng.permutation(n * n)
-        changed, max_de = _kernels.hopfield_sweep(
-            weights.w, weights.bias, flat, p.threshold, order, max_de
-        )
+        changed, rest = False, order
+        # Net inputs change only when a unit flips, so jump to the next unit
+        # in the order whose threshold decision differs from its state.
+        while True:
+            net = _net_inputs(grid, m, p).ravel()
+            flips = np.flatnonzero((net[rest] >= p.threshold) != flat[rest])
+            if flips.size == 0:
+                break
+            u, rest = rest[flips[0]], rest[flips[0] + 1 :]
+            dv = 1.0 - 2.0 * flat[u]
+            max_de = max(max_de, -dv * net[u])
+            flat[u] += dv
+            changed = True
         trace.append(energy(grid, m, p))
         if not changed:
             converged = True
@@ -209,15 +235,12 @@ def run(
 
     grid.flags.writeable = False
     tour = decode_grid(grid.astype(np.int64))
-    length = None
-    if tour is not None:
-        length = float(_kernels.closed_tour_length(m.d, tour.as_array()))
     return HopfieldResult(
         grid=grid,
         converged=converged,
         valid=tour is not None,
         tour=tour,
-        length=length,
+        length=None if tour is None else tour_length(m, tour),
         energy_trace=np.array(trace),
         sweeps_used=len(trace),
         max_update_delta_e=float(max_de),
@@ -233,8 +256,10 @@ def grid_to_text(g: np.ndarray) -> str:
     return "\n".join("".join(str(int(b)) for b in row) for row in v) + "\n"
 
 
-def text_to_grid(text: str) -> np.ndarray:
-    """Inverse of :func:`grid_to_text`; tolerates spaces between cells."""
+def text_to_grid(text: str, n: int = None) -> np.ndarray:
+    """Inverse of :func:`grid_to_text`, spaces between cells allowed; n x n if given."""
     rows = [line.replace(" ", "") for line in text.strip().splitlines() if line.strip()]
-    out = np.array([[float(ch) for ch in row] for row in rows])
-    return _check_binary(out)
+    for number, row in enumerate(rows, 1):
+        if len(row) != len(rows) or set(row) - {"0", "1"}:
+            raise TsphnnError(f"grid row {number} is not {len(rows)} cells of 0 or 1: {row!r}")
+    return _check_binary(np.array([[float(ch) for ch in row] for row in rows]), n)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,3 +260,38 @@ def test_local_search_scans_match_loop_reference(case):
     if m.n >= 5:
         expected = three_opt_loop(m.d, start.as_array(), MIN_GAIN)
         assert T.three_opt(m, start).order == tuple(expected.tolist())
+
+
+def test_local_search_ends_on_huge_distances():
+    """Both searches used to hang once distances reach about 1e5: a delta's
+    rounding error, larger than MIN_GAIN there, passed for a gain that the
+    next pass undid.  Entries near 1.7e308 also overflow sums to inf.  A
+    subprocess turns a hang into a failure."""
+    code = textwrap.dedent(
+        """
+        import warnings
+        import numpy as np
+        import tsphnn as T
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cases = []
+        for seed in (0, 5, 15):
+            rng = np.random.default_rng(seed)
+            upper = np.triu(rng.uniform(0, 1.7e308, (9, 9)), 1)
+            cases.append((T.DistanceMatrix(upper + upper.T), T.Tour.random(9, rng)))
+        m = T.distance_matrix(T.generate_random_instance(6, seed=0, bound=1e5))
+        cases.append((m, T.greedy_nearest_neighbor(m, 0)))
+        for m, start in cases:
+            for search in (T.two_opt, T.three_opt):
+                assert sorted(search(m, start).order) == list(range(m.n))
+        length = T.tour_length(m, T.three_opt(m, start))
+        assert length <= T.tour_length(m, T.two_opt(m, start)) <= T.tour_length(m, start)
+        print("done")
+        """
+    )
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "done"

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tsphnn as T
+from tsphnn import cli
 from tsphnn.cli import main
 
 
@@ -116,11 +118,36 @@ def test_solve_unknown_method_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_solve_missing_instance_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "solve", "--instance", "/nope/missing.json", "--method", "greedy"
-    )
-    assert code == 2 and "error" in err
+def test_solve_missing_instance_exits_2(tmp_path, capsys):
+    for path in ("/nope/missing.json", str(tmp_path)):
+        code, _, err = run_cli(capsys, "solve", "--instance", path, "--method", "greedy")
+        assert code == 2 and "error" in err
+
+
+def test_solve_out_of_memory_exits_2(capsys, monkeypatch):
+    def anneal(*args, **kwargs):
+        raise MemoryError("Unable to allocate 21.8 TiB")
+
+    monkeypatch.setattr(cli, "anneal", anneal)
+    code, out, err = run_cli(capsys, "solve", "--instance", "paper8", "--method", "sa")
+    assert code == 2 and out == "" and "21.8 TiB" in err
+
+
+def test_solve_hnn_n200_completes(tmp_path, capsys):
+    """n=200 would need 12.8 GB of dense weights; the network needs none."""
+    path = tmp_path / "n200.json"
+    run_cli(capsys, "gen", "--n", "200", "--seed", "5", "--out", str(path))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            capsys, "solve", "--instance", str(path), "--method", "hnn", "--seed", "1"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = parse_record(out)
+    assert code in (0, 1) and record["n"] == "200" and record["converged"] == "true"
+    assert peak < 50e6
 
 
 @pytest.mark.parametrize("matrix", [[[0, 1, 2], [1, 0]], [["a", "b", "c"]] * 3])
@@ -227,6 +254,26 @@ def test_plot_grid_svg(tmp_path, capsys):
     svg = svg_path.read_text()
     assert svg.count("<rect") == 1 + 16
     assert svg.count('fill="black"') == 4
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0100\n1000\n01x1\n0010\n", "grid row 3"),
+        ("0100\n1000\n010\n0010\n", "grid row 3"),
+        ("010\n100\n001\n", "expected n=4"),
+    ],
+    ids=["bad-cell", "short-row", "wrong-size"],
+)
+def test_plot_bad_grid_file_exits_2(tmp_path, capsys, text, message):
+    grid_path = tmp_path / "grid.txt"
+    grid_path.write_text(text)
+    code, _, err = run_cli(
+        capsys,
+        "plot", "--instance", "matrix4", "--grid", str(grid_path),
+        "--out", str(tmp_path / "x.svg"),
+    )
+    assert code == 2 and message in err
 
 
 def test_plot_size_mismatch_exits_2(tmp_path, capsys):

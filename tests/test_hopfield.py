@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
+from tsphnn import hopfield
 from tsphnn.hopfield import (
+    _net_inputs,
     build_weights,
     grid_to_text,
     random_grid,
@@ -138,6 +142,47 @@ def test_unit_flip_energy_matches_local_field(rng):
         assert T.energy(flipped, m, p) - T.energy(g, m, p) == pytest.approx(
             -dv * net, abs=1e-9
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    seed=st.integers(0, 2**32 - 1),
+    penalties=st.tuples(*[st.floats(0, 300)] * 4),
+)
+def test_net_inputs_match_dense_weights(n, seed, penalties):
+    """The grid-structured net inputs that ``run`` uses equal the explicit
+    ``w @ g + bias`` of :func:`build_weights` on every unit."""
+    rng = np.random.default_rng(seed)
+    m = T.normalize_distances(T.distance_matrix(T.generate_random_instance(n, seed=seed)))
+    p = T.HopfieldParams(*penalties)
+    w = build_weights(m, p)
+    g = (rng.random((n, n)) < rng.random()).astype(float)
+    dense = w.w @ g.ravel() + w.bias
+    assert np.allclose(_net_inputs(g, m, p).ravel(), dense, rtol=0, atol=1e-9)
+
+
+def test_run_hybrid_and_sweep_build_no_weights(cityset1, cityset1_m, monkeypatch):
+    m = T.normalize_distances(cityset1_m)
+    p = T.HopfieldParams(d_pen=10.0, seed=4)
+    sa = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=500, seed=2)
+
+    def results():
+        res = T.run_hopfield(m, p)
+        hybrid = T.solve_hybrid(cityset1, sa, p)
+        report = T.sweep(cityset1, [90.0], [10.0, 100.0], trials=5, base=p, seed=3)
+        return (
+            res.grid.tobytes(), res.energy_trace.tobytes(), res.sweeps_used,
+            hybrid.final_tour, hybrid.hnn_result.energy_trace.tobytes(), report.cells,
+        )
+
+    expected = results()
+
+    def refuse(*args):
+        raise AssertionError("build_weights called at run time")
+
+    monkeypatch.setattr(hopfield, "build_weights", refuse)
+    assert results() == expected
 
 
 def test_run_reconverges_on_fixed_point(cityset1_m):
