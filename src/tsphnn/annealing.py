@@ -17,6 +17,7 @@ from .instance import DistanceMatrix
 from .tour import Tour
 
 TEMPERATURE_FLOOR = 1e-12
+CHUNK = 2048  # steps whose uniforms `anneal` draws at once
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,20 @@ def swap_cities(t: Tour, k: int, rng: np.random.Generator) -> Tour:
 
 
 def acceptance_probability(e: float, e_new: float, t: float) -> float:
-    """1.0 for non-worsening candidates, else the Metropolis factor."""
+    """1.0 for non-worsening candidates, else the Metropolis factor
+    exp(-(e_new - e) / t).  ``np.exp``, not ``math.exp``: the two differ in
+    the last bit on a few per cent of inputs, and the walk's answers are
+    defined by this one."""
     if not t > 0:
         raise InvalidTemperatureError(f"temperature must be positive, got {t}")
-    return float(_kernels.metropolis(e, e_new, t))
+    if e_new <= e:
+        return 1.0
+    return float(np.exp(-(e_new - e) / t))
 
 
 def temperature_at(step: int, cfg: SaConfig) -> float:
     """Geometric schedule t0 * rate^step, floored to avoid division by zero."""
-    return float(
-        _kernels.temperature(cfg.t0, cfg.cooling_rate, TEMPERATURE_FLOOR, step)
-    )
+    return float(max(cfg.t0 * cfg.cooling_rate**step, TEMPERATURE_FLOOR))
 
 
 def anneal(
@@ -105,34 +109,45 @@ def anneal(
     Each step proposes a ``swap_count``-pair exchange and accepts it when
     the acceptance probability beats one uniform draw.  Deterministic for a
     fixed seed; passing ``rng`` lets callers chain draws instead.
+
+    The walk runs on Python lists and floats.  Its 2k+1 uniforms per step
+    are drawn ``CHUNK`` steps at a time, the same values and generator state
+    as one draw of them all, so it holds at most ``CHUNK * (2k+1)`` uniforms
+    at once besides the trace's 32 bytes per step.
     """
     n = m.n
     if start.n != n:
         raise TsphnnError(f"start tour has {start.n} cities, matrix has {n}")
-    if 2 * cfg.swap_count > n:
-        raise InvalidArgumentError(
-            f"swap_count={cfg.swap_count} too large for n={n}"
-        )
+    k = cfg.swap_count
+    if 2 * k > n:
+        raise InvalidArgumentError(f"swap_count={k} too large for n={n}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    uniforms = rng.random((cfg.iterations, 2 * cfg.swap_count + 1))
-    best, best_len, final, temps, cur_lens, best_lens = _kernels.anneal_loop(
-        m.d,
-        start.as_array(),
-        cfg.t0,
-        cfg.cooling_rate,
-        TEMPERATURE_FLOOR,
-        cfg.iterations,
-        cfg.swap_count,
-        uniforms,
-    )
-    final_tour = Tour(tuple(int(v) for v in final))
+    iters = cfg.iterations
+    d = m.d.tolist()
+    cur = list(start.order)
+    cur_len = _kernels.closed_tour_length(d, cur)
+    best, best_len = cur, cur_len
+    temps, cur_lens, best_lens = np.empty(iters), np.empty(iters), np.empty(iters)
+    for first in range(0, iters, CHUNK):
+        rows = rng.random((min(CHUNK, iters - first), 2 * k + 1)).tolist()
+        for step, u in enumerate(rows, first):
+            temp = temperature_at(step, cfg)
+            cand = _kernels.swap_positions(cur, k, u)
+            cand_len = _kernels.closed_tour_length(d, cand)
+            if acceptance_probability(cur_len, cand_len, temp) >= u[2 * k]:
+                cur, cur_len = cand, cand_len
+                if cur_len < best_len:
+                    best, best_len = cur, cur_len
+            temps[step] = temp
+            cur_lens[step] = cur_len
+            best_lens[step] = best_len
     trace = SaTrace(
-        iteration=np.arange(cfg.iterations),
+        iteration=np.arange(iters),
         temperature=temps,
         current_length=cur_lens,
         best_length=best_lens,
-        final_tour=final_tour,
+        final_tour=Tour(tuple(cur)),
         final_length=float(cur_lens[-1]),
     )
-    return Tour(tuple(int(v) for v in best)), float(best_len), trace
+    return Tour(tuple(best)), float(best_len), trace

@@ -166,6 +166,8 @@ def sweep(
         raise InvalidArgumentError("c_values and d_values must be non-empty")
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     if success_metric not in ("valid", "optimal"):
         raise InvalidArgumentError(f"unknown success metric {success_metric!r}")
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import _kernels
-from tsphnn.annealing import TEMPERATURE_FLOOR
+from tsphnn.annealing import CHUNK, TEMPERATURE_FLOOR
 from tsphnn.errors import InvalidArgumentError, InvalidTemperatureError
 
 
@@ -175,6 +177,79 @@ def test_anneal_replays_from_public_pieces(cityset1_m):
         assert trace.current_length[step] == cur_len
         assert trace.best_length[step] == best
     assert best == best_len
+
+
+class _DrawRecorder:
+    """Passes ``random`` calls through to a generator, recording each size."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("iters", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
+def test_anneal_chunk_boundaries_match_one_draw(cityset1_m, iters, k):
+    """Uniforms drawn at most CHUNK steps at a time give the trace of a hand
+    replay over one draw of them all, and leave the caller's generator
+    where that one draw leaves it."""
+    cfg = T.SaConfig(t0=0.5, cooling_rate=0.999, iterations=iters, swap_count=k)
+    start = T.Tour(tuple(range(10)))
+    recorder = _DrawRecorder(np.random.default_rng(7))
+    tour, length, trace = T.anneal(cityset1_m, start, cfg, rng=recorder)
+    assert all(rows <= CHUNK and cols == 2 * k + 1 for rows, cols in recorder.sizes)
+
+    replay_rng = np.random.default_rng(7)
+    draws = replay_rng.random((iters, 2 * k + 1))
+    cur, cur_len = start, T.tour_length(cityset1_m, start)
+    best, best_len = cur, cur_len
+    temps, current, bests = [], [], []
+    for step in range(iters):
+        temp = T.temperature_at(step, cfg)
+        cand = _kernels.swap_positions(cur.as_array(), k, draws[step, : 2 * k])
+        cand_tour = T.Tour(tuple(int(v) for v in cand))
+        cand_len = T.tour_length(cityset1_m, cand_tour)
+        if T.acceptance_probability(cur_len, cand_len, temp) >= draws[step, 2 * k]:
+            cur, cur_len = cand_tour, cand_len
+            if cur_len < best_len:
+                best, best_len = cur, cur_len
+        temps.append(temp)
+        current.append(cur_len)
+        bests.append(best_len)
+    assert trace.temperature.tolist() == temps
+    assert trace.current_length.tolist() == current
+    assert trace.best_length.tolist() == bests
+    assert (tour, length) == (best, best_len)
+    assert (trace.final_tour, trace.final_length) == (cur, cur_len)
+    assert np.array_equal(recorder.rng.random(4), replay_rng.random(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 12),
+    instance_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(1e-3, 100.0),
+    cooling=st.floats(0.5, 0.9999),
+    iters=st.integers(1, 300),
+    data=st.data(),
+)
+def test_anneal_properties(n, instance_seed, seed, t0, cooling, iters, data):
+    """On any instance and schedule the best length never rises, ends at the
+    returned length, and both reported lengths are exactly their tours'."""
+    m = T.distance_matrix(T.generate_random_instance(n, seed=instance_seed))
+    k = data.draw(st.integers(1, n // 2), label="swap_count")
+    cfg = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=iters, swap_count=k, seed=seed)
+    start = T.Tour.random(n, np.random.default_rng(seed))
+    tour, length, trace = T.anneal(m, start, cfg)
+    assert np.all(np.diff(trace.best_length) <= 0)
+    assert trace.best_length[-1] == length
+    assert T.tour_length(m, tour) == length
+    assert T.tour_length(m, trace.final_tour) == trace.final_length
 
 
 def test_trace_csv_round_trip(paper8_m):

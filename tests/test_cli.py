@@ -166,6 +166,10 @@ def test_non_finite_parameters_exit_2(capsys):
         ("solve", "--instance", "paper8", "--method", "hnn", "--threshold", "nan"),
         ("solve", "--instance", "paper8", "--method", "sa", "--t0", "inf"),
         ("sweep", "--instance", "paper8", "--c-grid", "nan", "--d-grid", "10"),
+        ("sweep", "--instance", "paper8", "--c-grid", "90", "--d-grid", "10",
+         "--workers", "0"),
+        ("sweep", "--instance", "paper8", "--c-grid", "90", "--d-grid", "10",
+         "--workers", "-3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "error" in err

@@ -205,6 +205,23 @@ def test_energy_trace_non_increasing_and_updates_descend():
         assert res.converged
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 12),
+    instance_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    penalties=st.tuples(*[st.floats(0, 300)] * 4),
+)
+def test_energy_trace_never_rises_property(n, instance_seed, seed, penalties):
+    """At threshold 0 asynchronous updates never raise the energy, on any
+    instance, penalties and seed (to the tolerance of the fixed-seed test)."""
+    m = T.normalize_distances(
+        T.distance_matrix(T.generate_random_instance(n, seed=instance_seed))
+    )
+    res = T.run_hopfield(m, T.HopfieldParams(*penalties, threshold=0.0, seed=seed))
+    assert np.all(np.diff(res.energy_trace) <= 1e-9)
+
+
 def test_run_reports_validity_and_length(cityset1_m):
     m = T.normalize_distances(cityset1_m)
     res = T.run_hopfield(m, T.HopfieldParams(d_pen=10.0, seed=3))

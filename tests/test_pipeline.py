@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn.errors import InvalidArgumentError
@@ -22,6 +24,30 @@ def test_hybrid_chain_inequality_many_runs():
             rep = T.solve_hybrid(inst, _sa(seed, iters=200), hp)
             assert rep.final_length <= rep.sa_length + 1e-12
             assert rep.sa_length <= rep.sa_start_length + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 12),
+    instance_seed=st.integers(0, 2**32 - 1),
+    sa_seed=st.integers(0, 2**32 - 1),
+    hnn_seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(1e-3, 100.0),
+    cooling=st.floats(0.5, 0.9999),
+    iters=st.integers(1, 300),
+    d_pen=st.floats(0, 300),
+    data=st.data(),
+)
+def test_hybrid_chain_inequality_property(
+    n, instance_seed, sa_seed, hnn_seed, t0, cooling, iters, d_pen, data
+):
+    """final <= sa <= sa_start exactly, on any instance, schedule and D."""
+    inst = T.generate_random_instance(n, seed=instance_seed)
+    k = data.draw(st.integers(1, n // 2), label="swap_count")
+    sa = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=iters, swap_count=k, seed=sa_seed)
+    hp = T.HopfieldParams(d_pen=d_pen, max_sweeps=50, seed=hnn_seed)
+    rep = T.solve_hybrid(inst, sa, hp)
+    assert rep.final_length <= rep.sa_length <= rep.sa_start_length
 
 
 def test_hybrid_zero_sweeps_falls_back_to_sa(paper8):
@@ -113,6 +139,12 @@ def test_sweep_empty_grid_rejected(cityset1):
         T.sweep(cityset1, [], [100.0], trials=1, base=T.HopfieldParams(), seed=0)
     with pytest.raises(InvalidArgumentError):
         T.sweep(cityset1, [90.0], [100.0], trials=0, base=T.HopfieldParams(), seed=0)
+    for workers in (0, -3):
+        with pytest.raises(InvalidArgumentError):
+            T.sweep(
+                cityset1, [90.0], [100.0], trials=1, base=T.HopfieldParams(), seed=0,
+                workers=workers,
+            )
     with pytest.raises(T.TsphnnError):
         T.sweep(
             cityset1, [90.0, math.nan], [100.0], trials=1, base=T.HopfieldParams(), seed=0
