@@ -18,6 +18,9 @@ from .tour import Tour
 
 TEMPERATURE_FLOOR = 1e-12
 CHUNK = 2048  # steps whose uniforms `anneal` draws at once
+# The trace keeps four 8-byte records per step, so this caps it at 160 MB;
+# 250 times the CLI's default of 20,000 iterations.
+MAX_ITERATIONS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,11 @@ class SaConfig:
             )
         if self.iterations < 1:
             raise TsphnnError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations > MAX_ITERATIONS:
+            raise InvalidArgumentError(
+                f"iterations must be <= {MAX_ITERATIONS} (the trace takes 32 bytes "
+                f"per step), got {self.iterations}"
+            )
         if self.swap_count < 1:
             raise InvalidArgumentError(
                 f"swap_count must be >= 1, got {self.swap_count}"

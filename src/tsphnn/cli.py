@@ -282,7 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--success-metric", choices=("valid", "optimal"), default="valid"
     )
-    sweep_p.add_argument("--workers", type=int, default=1)
+    sweep_p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="must be >= 1; trials run in lockstep on one thread, so this "
+        "changes neither speed nor output",
+    )
     sweep_p.add_argument("--out", default=None, help="write the report CSV here")
     sweep_p.set_defaults(func=cmd_sweep)
 

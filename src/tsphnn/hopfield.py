@@ -15,7 +15,10 @@ inhibition of C between distinct units plus a bias of C*(n - 1/2) per unit
 (the half folds the binary diagonal v^2 = v into the linear part when
 self-connections are zeroed).  :func:`run` never forms that n^2 x n^2
 matrix: a unit's net input follows from the active units in its row, its
-column and the grid, and from a distance field.  With symmetric weights,
+column and the grid, and from a distance field.  :func:`run_lockstep` runs
+many independent trials as one stack, one flip per trial per step, with the
+same results as running them one at a time; :func:`run` is a stack of one,
+so the dynamics have a single loop.  With symmetric weights,
 zero self-connections and threshold 0, asynchronous updates never increase
 E, so the dynamics settle into a fixed point.
 
@@ -24,7 +27,8 @@ input reaches the threshold.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,20 +127,71 @@ def _check_binary(g: np.ndarray, n: int = None) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=None)
+def _ring(n: int) -> np.ndarray:
+    """ring[j, i] = [j == i+1 mod n] + [j == i-1 mod n], so that
+    (g @ ring)[y, i] = g[y, i+1] + g[y, i-1], exactly for 0/1 grids."""
+    eye = np.eye(n)
+    ring = np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0)
+    ring.flags.writeable = False
+    return ring
+
+
+@lru_cache(maxsize=None)
+def _ones(n: int) -> np.ndarray:
+    ones = np.ones((n, 1))
+    ones.flags.writeable = False
+    return ones
+
+
 def _distance_field(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """field[x, i] = sum_y d[x, y] * (g[y, i+1] + g[y, i-1]), positions mod n."""
-    return d @ (np.roll(g, -1, axis=1) + np.roll(g, 1, axis=1))
+    """field[x, i] = sum_y d[x, y] * (g[y, i+1] + g[y, i-1]), positions mod n,
+    for one grid or a stack of grids."""
+    return d @ (g @ _ring(g.shape[-1]))
 
 
 def _net_inputs(g: np.ndarray, m: DistanceMatrix, p: HopfieldParams) -> np.ndarray:
     """Every unit's net input, ``w @ g + bias`` of :func:`build_weights`, from
-    the active units in its row, its column, the grid and the distance field."""
+    the active units in its row, its column, the grid and the distance field:
+
+        C*(n - 1/2) - A*(row - g) - B*(col - g) - C*(total - g) - D*field
+
+    evaluated left to right, for one grid or a stack of grids.  The counts
+    are products with a column of ones, exact for 0/1 grids, so everything
+    but the distance field has the same bits for a grid and for a stack.
+    """
+    ones = _ones(m.n)
+    row = g @ ones
+    col = ones.T @ g
     return (
         p.c_pen * (m.n - 0.5)
-        - p.a_pen * (g.sum(axis=1, keepdims=True) - g)
-        - p.b_pen * (g.sum(axis=0, keepdims=True) - g)
-        - p.c_pen * (g.sum() - g)
+        - p.a_pen * (row - g)
+        - p.b_pen * (col - g)
+        - p.c_pen * (col @ ones - g)
         - p.d_pen * _distance_field(g, m.d)
+    )
+
+
+def _terms(v: np.ndarray, field: np.ndarray):
+    """The four energy sums of a 0/1 grid or a stack of them, given its field.
+
+    The first three are exact integer counts.  The distance term sums each
+    grid's n^2 products as one contiguous row, in the order of a 2-D ``sum()``.
+    """
+    n = v.shape[-1]
+    rows = v.sum(axis=-1)
+    cols = v.sum(axis=-2)
+    row = (rows * rows - rows).sum(axis=-1)
+    col = (cols * cols - cols).sum(axis=-1)
+    count = (rows.sum(axis=-1) - n) ** 2
+    dist = (v * field).reshape(v.shape[:-2] + (n * n,)).sum(axis=-1)
+    return row, col, count, dist
+
+
+def _weighted(terms, p: HopfieldParams):
+    row, col, count, dist = terms
+    return (
+        p.a_pen / 2 * row + p.b_pen / 2 * col + p.c_pen / 2 * count + p.d_pen / 2 * dist
     )
 
 
@@ -150,20 +205,12 @@ def energy_terms(
     such grids.
     """
     v = _check_binary(g, m.n)
-    n = m.n
-    row = float((v.sum(axis=1) ** 2 - (v * v).sum(axis=1)).sum())
-    col = float((v.sum(axis=0) ** 2 - (v * v).sum(axis=0)).sum())
-    count = float((v.sum() - n) ** 2)
-    dist = float((v * _distance_field(v, m.d)).sum())
-    return row, col, count, dist
+    return tuple(float(t) for t in _terms(v, _distance_field(v, m.d)))
 
 
 def energy(g: np.ndarray, m: DistanceMatrix, p: HopfieldParams) -> float:
     """Weighted energy A/2*row + B/2*col + C/2*count + D/2*dist."""
-    row, col, count, dist = energy_terms(g, m)
-    return (
-        p.a_pen / 2 * row + p.b_pen / 2 * col + p.c_pen / 2 * count + p.d_pen / 2 * dist
-    )
+    return _weighted(energy_terms(g, m), p)
 
 
 def unit_update(
@@ -200,51 +247,156 @@ def run(
     permutation matrix (an invalid final grid is an outcome, not an error).
     Passing ``rng`` lets callers that fan out many trials supply their own
     derived stream instead of ``p.seed``; it advances by one permutation of
-    the n^2 units per sweep run.
+    the n^2 units per sweep run.  The run is a stack of one trial in
+    :func:`run_lockstep`.
     """
-    n = m.n
     if rng is None:
         rng = np.random.default_rng(p.seed)
-    if init is None:
-        grid = random_grid(n, rng)
-    else:
-        grid = _check_binary(init, n).copy()
+    grid = random_grid(m.n, rng) if init is None else init
+    return run_lockstep(m, p, [grid], [rng])[0]
 
-    flat = grid.ravel()
-    trace = []
-    converged, max_de = False, -np.inf
-    for _ in range(p.max_sweeps):
-        order = rng.permutation(n * n)
-        changed, rest = False, order
-        # Net inputs change only when a unit flips, so jump to the next unit
-        # in the order whose threshold decision differs from its state.
-        while True:
-            net = _net_inputs(grid, m, p).ravel()
-            flips = np.flatnonzero((net[rest] >= p.threshold) != flat[rest])
-            if flips.size == 0:
-                break
-            u, rest = rest[flips[0]], rest[flips[0] + 1 :]
-            dv = 1.0 - 2.0 * flat[u]
-            max_de = max(max_de, -dv * net[u])
-            flat[u] += dv
-            changed = True
-        trace.append(energy(grid, m, p))
-        if not changed:
-            converged = True
-            break
 
-    grid.flags.writeable = False
-    tour = decode_grid(grid.astype(np.int64))
-    return HopfieldResult(
-        grid=grid,
-        converged=converged,
-        valid=tour is not None,
-        tour=tour,
-        length=None if tour is None else tour_length(m, tour),
-        energy_trace=np.array(trace),
-        sweeps_used=len(trace),
-        max_update_delta_e=float(max_de),
-    )
+def _guard_band(m: DistanceMatrix, p: HopfieldParams) -> float:
+    """Half-width of the band around the threshold outside which a net input
+    computed from a stacked matrix product decides as the 2-D one does.
+
+    Let u = 2^-53 and F = 2 * max_x sum_y |d[x, y]|.  A field entry sums the
+    n exact products d[x, y] * s[y, i], s in {0, 1, 2}.  Summed in any order
+    it lies within gamma * F of the exact sum, with
+    gamma = (n-1)*u / (1 - (n-1)*u) <= 2*(n-1)*u, so two orders differ by at
+    most 2*gamma*F.  The rest of the net input, P, is exact counts combined
+    elementwise and has the same bits both ways.  For
+    net = fl(P - fl(D * field)) the two values differ by
+
+        delta <= E + u' * (|net_1| + |net_2|),
+        E = 2*gamma*D*F + 2*u*D*F*(1 + gamma),  u' = u / (1 - u).
+
+    They decide differently only if the threshold t lies between them; then
+    |net_1 - t| <= delta and |net_1|, |net_2| <= |t| + delta, so
+
+        delta <= (E + 2*u'*|t|) / (1 - 2*u') <= 4*(n + 1)*u*(D*F + |t|).
+    """
+    field_bound = 2.0 * float(np.abs(m.d).sum(axis=1).max())
+    return 4 * (m.n + 1) * 2.0**-53 * (p.d_pen * field_bound + abs(p.threshold))
+
+
+def run_lockstep(
+    m: DistanceMatrix,
+    p: HopfieldParams,
+    grids: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> List[HopfieldResult]:
+    """Run one network trial per generator, trial t from ``grids[t]`` with
+    ``rngs[t]``, all in lockstep.  Trial t's result is that of
+    ``run(m, p, init=grids[t], rng=rngs[t])``, and ``rngs[t]`` ends in the
+    same state.
+
+    Each step computes the net inputs of every running trial as one
+    (trials, n, n) stack and makes at most one flip per trial: the first
+    unit, from the trial's scan position in its own sweep order, whose
+    threshold decision differs from its state.  A trial whose scan finds
+    none ends its sweep, records its energy, and either stops or draws its
+    next order from its own generator.
+
+    The stacked product may sum the distance field in another order than
+    the 2-D one.  So when a trial's scan, from its position through its
+    chosen flip, passes a net input inside :func:`_guard_band` of the
+    threshold, that trial's step is decided by its own 2-D
+    :func:`_net_inputs` instead.  The energy at a sweep's end uses the grid's
+    own 2-D field, the one :func:`energy` computes.  So the flips, grids and
+    energy traces do not depend on how trials are stacked.  Only
+    ``max_update_delta_e`` is read from the stacked net input of each flip;
+    it has the 2-D bits wherever the two products sum alike.
+    """
+    n = m.n
+    n2 = n * n
+    if len(grids) != len(rngs):
+        raise TsphnnError(f"{len(grids)} grids for {len(rngs)} generators")
+    g = np.array([_check_binary(x, n) for x in grids]).reshape(len(rngs), n, n)
+    trial = np.arange(len(rngs))  # the trial that each row of the state runs
+    rank = np.empty((len(rngs), n2), dtype=np.int64)  # each unit's place in its order
+    pos = np.zeros(len(rngs), dtype=np.int64)  # the place the scan has reached
+    changed = np.zeros(len(rngs), dtype=bool)
+    max_de = np.full(len(rngs), -np.inf)
+    traces = [[] for _ in rngs]
+    results = [None] * len(rngs)
+    units = np.arange(n2)
+    band = _guard_band(m, p)
+
+    def start_sweeps(rows):
+        for r in rows:
+            rank[r, rngs[trial[r]].permutation(n2)] = units
+        pos[rows] = 0
+        changed[rows] = False
+
+    def finish(r, converged):
+        grid = g[r].copy()
+        grid.flags.writeable = False
+        tour = decode_grid(grid.astype(np.int64))
+        results[trial[r]] = HopfieldResult(
+            grid=grid,
+            converged=converged,
+            valid=tour is not None,
+            tour=tour,
+            length=None if tour is None else tour_length(m, tour),
+            energy_trace=np.array(traces[trial[r]]),
+            sweeps_used=len(traces[trial[r]]),
+            max_update_delta_e=float(max_de[r]),
+        )
+
+    def next_flips(net):
+        # each row's next flip at or after its scan position: the unit and
+        # its place in the order, n2 where the rest of the sweep has none
+        key = np.where(((net >= p.threshold) != flat) & todo, rank, n2)
+        u = key.argmin(axis=1)
+        return u, key.ravel()[offset + u]
+
+    if p.max_sweeps == 0:
+        for r in range(len(rngs)):
+            finish(r, False)
+        return results
+    start_sweeps(trial)
+    rows = np.arange(trial.size)
+    offset = rows * n2  # each row's start in the raveled state
+    while trial.size:
+        flat = g.reshape(trial.size, n2)
+        net = _net_inputs(g, m, p).reshape(trial.size, n2)
+        todo = rank >= pos[:, None]
+        u, k = next_flips(net)
+        if np.abs(net - p.threshold).min() <= band:
+            near = (np.abs(net - p.threshold) <= band) & todo & (rank <= k[:, None])
+            for r in np.flatnonzero(near.any(axis=1)):
+                net[r] = _net_inputs(g[r], m, p).ravel()
+            u, k = next_flips(net)
+        # A row without a flip adds 0 to some unit and ends its sweep, which
+        # resets its scan position.
+        flip = k < n2
+        at = offset + u
+        dv = flip * (1.0 - 2.0 * g.ravel()[at])
+        de = -dv * net.ravel()[at]
+        max_de = np.where(flip & (de > max_de), de, max_de)
+        g.ravel()[at] += dv
+        pos = k + 1
+        changed |= flip
+
+        ended = rows[~flip]
+        if ended.size:
+            fields = np.array([_distance_field(x, m.d) for x in g[ended]])
+            energies = _weighted(_terms(g[ended], fields), p)
+            stop = np.zeros(trial.size, dtype=bool)
+            for r, e in zip(ended, energies.tolist()):
+                traces[trial[r]].append(e)
+                if not changed[r] or len(traces[trial[r]]) == p.max_sweeps:
+                    finish(r, not changed[r])
+                    stop[r] = True
+            start_sweeps(ended[~stop[ended]])
+            if stop.any():
+                g, rank, pos, changed, max_de, trial = (
+                    a[~stop] for a in (g, rank, pos, changed, max_de, trial)
+                )
+                rows = np.arange(trial.size)
+                offset = rows * n2
+    return results
 
 
 decode = decode_grid

@@ -7,7 +7,9 @@ decoded tour, so the chain of reported lengths never worsens.
 
 The sweep runs seeded network trials per (C, D) penalty cell and reports
 best/mean/worst valid length, success rate and mean sweeps in the five
-column layout "Best Mean Worst % Succ. Iter.".
+column layout "Best Mean Worst % Succ. Iter.".  A cell's trials advance in
+lockstep on one thread, in blocks of bounded size, each trial with its own
+generator, so the report does not depend on how trials are grouped.
 
 Both hand the network distances rescaled to max 1.0, so the penalty
 constants keep the same meaning on every instance.
@@ -15,7 +17,6 @@ constants keep the same meaning on every instance.
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -23,7 +24,13 @@ import numpy as np
 
 from .annealing import SaConfig, SaTrace, anneal
 from .errors import InvalidArgumentError
-from .hopfield import HopfieldParams, HopfieldResult, random_grid, run
+from .hopfield import (
+    HopfieldParams,
+    HopfieldResult,
+    random_grid,
+    run,
+    run_lockstep,
+)
 from .instance import (
     DistanceMatrix,
     Instance,
@@ -34,6 +41,10 @@ from .instance import (
 from .tour import Tour, brute_force_optimum, tour_to_matrix
 
 REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
+# A sweep cell's trials run in lockstep in blocks of at most this many grid
+# units (trials x n^2, but at least one trial), which bounds the memory of
+# the stacked arrays.
+BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -118,21 +129,14 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     )
 
 
-def _trial(
-    m_scaled: DistanceMatrix,
+def _outcome(
+    result: HopfieldResult,
     m_raw: DistanceMatrix,
     params: HopfieldParams,
-    entropy,
     success_metric: str,
     optimum: Optional[float],
 ):
-    """One seeded network run from a random grid.
-
-    Returns (valid_length_or_None, success_flag, sweeps_charged).
-    """
-    rng = np.random.default_rng(entropy)
-    init = random_grid(m_scaled.n, rng)
-    result = run(m_scaled, params, init=init, rng=rng)
+    """Score one network trial: (valid_length_or_None, success_flag, sweeps_charged)."""
     length = None
     if result.valid:
         length = tour_length(m_raw, result.tour)
@@ -160,7 +164,12 @@ def sweep(
     Length statistics cover valid runs only; mean sweeps covers all runs,
     with unconverged runs counted at the full budget.  Per-trial seeds are
     derived from (master seed, cell index, trial index), so the report is a
-    pure function of the master seed whatever ``workers`` is.
+    pure function of the master seed.
+
+    A cell's trials run in lockstep on one thread, through
+    :func:`~tsphnn.hopfield.run_lockstep`, in blocks of at most
+    ``BLOCK_ELEMENTS`` grid units; each block is scored as it ends.
+    ``workers`` must be >= 1 and changes neither speed nor output.
     """
     if len(c_values) == 0 or len(d_values) == 0:
         raise InvalidArgumentError("c_values and d_values must be non-empty")
@@ -177,21 +186,24 @@ def sweep(
     if success_metric == "optimal":
         optimum = brute_force_optimum(m_raw)[1]
 
+    n = m_raw.n
+    block = max(1, BLOCK_ELEMENTS // (n * n))
     cells = []
     cell_params = [
         replace(base, c_pen=float(c), d_pen=float(d)) for c in c_values for d in d_values
     ]
     for cell_index, params in enumerate(cell_params):
-        entropies = [[seed, cell_index, t] for t in range(trials)]
-
-        def job(entropy):
-            return _trial(m_scaled, m_raw, params, entropy, success_metric, optimum)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, entropies))
-        else:
-            results = [job(e) for e in entropies]
+        results = []
+        for first in range(0, trials, block):
+            rngs = [
+                np.random.default_rng([seed, cell_index, t])
+                for t in range(first, min(first + block, trials))
+            ]
+            grids = [random_grid(n, rng) for rng in rngs]
+            results += [
+                _outcome(r, m_raw, params, success_metric, optimum)
+                for r in run_lockstep(m_scaled, params, grids, rngs)
+            ]
 
         lengths = [r[0] for r in results if r[0] is not None]
         successes = sum(1 for r in results if r[1])

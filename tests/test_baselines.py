@@ -295,3 +295,35 @@ def test_local_search_ends_on_huge_distances():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "done"
+
+
+@st.composite
+def _small_instances(draw):
+    """A generated instance with n <= 10 and a greedy start city."""
+    n = draw(st.integers(3, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bound = draw(st.sampled_from((1.0, 100.0)))
+    m = T.distance_matrix(T.generate_random_instance(n, seed=seed, bound=bound))
+    return m, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_instances())
+def test_two_opt_output_has_no_improving_move_property(case):
+    m, start = case
+    out = T.two_opt(m, T.greedy_nearest_neighbor(m, start))
+    assert all(delta >= -1e-9 for delta in all_two_opt_deltas(m.d, out.order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_instances())
+def test_oracle_local_search_greedy_sandwich_property(case):
+    """oracle <= 3-opt <= greedy and oracle <= 2-opt <= greedy, both local
+    searches from the same greedy tour."""
+    m, start = case
+    _, opt = T.brute_force_optimum(m)
+    greedy = T.greedy_nearest_neighbor(m, start)
+    greedy_len = T.tour_length(m, greedy)
+    for search in (T.two_opt, T.three_opt):
+        length = T.tour_length(m, search(m, greedy))
+        assert opt - 1e-9 <= length <= greedy_len + 1e-12

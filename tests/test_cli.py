@@ -133,6 +133,30 @@ def test_solve_out_of_memory_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "21.8 TiB" in err
 
 
+def test_solve_oversized_sa_trace_exits_2(capsys, monkeypatch):
+    """A run whose 32-byte-per-step SA trace would pass the bound is refused
+    with a typed error before anything is annealed or allocated."""
+    from tsphnn import pipeline
+    from tsphnn.annealing import MAX_ITERATIONS
+
+    def anneal(*args, **kwargs):
+        raise AssertionError("anneal started")
+
+    monkeypatch.setattr(cli, "anneal", anneal)
+    monkeypatch.setattr(pipeline, "anneal", anneal)
+    for method in ("sa", "hybrid"):
+        for iters in (MAX_ITERATIONS + 1, 300_000_000):
+            code, out, err = run_cli(
+                capsys, "solve", "--instance", "paper8", "--method", method,
+                "--iters", str(iters),
+            )
+            assert code == 2 and out == ""
+            assert f"iterations must be <= {MAX_ITERATIONS}" in err
+    T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=MAX_ITERATIONS)
+    with pytest.raises(T.InvalidArgumentError):
+        T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=MAX_ITERATIONS + 1)
+
+
 def test_solve_hnn_n200_completes(tmp_path, capsys):
     """n=200 would need 12.8 GB of dense weights; the network needs none."""
     path = tmp_path / "n200.json"

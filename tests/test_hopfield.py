@@ -317,3 +317,85 @@ def test_grid_svg_counts(rng):
     # one background rect plus one per cell; filled cells are black
     assert svg.count("<rect") == 1 + 25
     assert svg.count('fill="black"') == int(g.sum())
+
+
+def _replay(m, p, g, rng):
+    """Step unit_update and energy by hand, one fresh permutation per sweep."""
+    w = build_weights(m, p)
+    g = g.copy()
+    trace, converged = [], False
+    while len(trace) < p.max_sweeps and not converged:
+        converged = True
+        for u in rng.permutation(m.n * m.n):
+            x, i = divmod(int(u), m.n)
+            new = T.unit_update(g, w, (x, i), p.threshold)
+            if new != g[x, i]:
+                g[x, i] = new
+                converged = False
+        trace.append(T.energy(g, m, p))
+    return g, trace, converged
+
+
+def test_lockstep_guard_band_falls_back_to_2d_net_inputs(cityset1_m, monkeypatch):
+    """With D = 0, integer penalties and an even C every net input is an
+    integer, and many land exactly on threshold 0, inside the guard band.
+    Those steps are decided by the trial's own 2-D ``_net_inputs``, and
+    every trial still matches the unit_update replay."""
+    m = T.normalize_distances(cityset1_m)
+    n = m.n
+    p = T.HopfieldParams(a_pen=1.0, b_pen=1.0, c_pen=2.0, d_pen=0.0, max_sweeps=20)
+    calls = []
+    net_inputs = hopfield._net_inputs
+
+    def counting(g, m, p):
+        calls.append(g.ndim)
+        return net_inputs(g, m, p)
+
+    monkeypatch.setattr(hopfield, "_net_inputs", counting)
+    rngs = [np.random.default_rng(seed) for seed in range(8)]
+    grids = [random_grid(n, rng) for rng in rngs]
+    results = hopfield.run_lockstep(m, p, grids, rngs)
+    assert calls.count(2) > 0  # the fallback fired
+    for seed, (res, rng) in enumerate(zip(results, rngs)):
+        replay = np.random.default_rng(seed)
+        g, trace, converged = _replay(m, p, random_grid(n, replay), replay)
+        assert np.array_equal(res.grid, g)
+        assert np.array_equal(res.energy_trace, np.array(trace))
+        assert res.converged == converged
+        assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("n", (3, 5, 8, 13))
+def test_lockstep_matches_single_runs(n):
+    """A stack of trials gives each trial the bits of its own ``run``."""
+    m = T.normalize_distances(T.distance_matrix(T.generate_random_instance(n, seed=n)))
+    for p in (
+        T.HopfieldParams(),
+        T.HopfieldParams(d_pen=10.0),
+        T.HopfieldParams(threshold=0.5),
+        T.HopfieldParams(d_pen=120.0, max_sweeps=3),
+    ):
+        rngs = [np.random.default_rng([n, seed]) for seed in range(6)]
+        grids = [random_grid(n, rng) for rng in rngs]
+        stacked = hopfield.run_lockstep(m, p, grids, rngs)
+        for seed, (res, rng) in enumerate(zip(stacked, rngs)):
+            alone_rng = np.random.default_rng([n, seed])
+            alone = T.run_hopfield(m, p, init=random_grid(n, alone_rng), rng=alone_rng)
+            assert res.grid.tobytes() == alone.grid.tobytes()
+            assert res.energy_trace.tobytes() == alone.energy_trace.tobytes()
+            assert res.sweeps_used == alone.sweeps_used
+            assert res.converged == alone.converged
+            assert res.tour == alone.tour and res.length == alone.length
+            assert res.max_update_delta_e.hex() == alone.max_update_delta_e.hex()
+            assert rng.random() == alone_rng.random()
+
+
+def test_lockstep_rejects_bad_grids(cityset1_m):
+    m = T.normalize_distances(cityset1_m)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(T.TsphnnError, match="3 grids for 2 generators"):
+        hopfield.run_lockstep(m, T.HopfieldParams(), np.zeros((3, 10, 10)), rngs)
+    with pytest.raises(T.TsphnnError, match="expected n=10"):
+        hopfield.run_lockstep(m, T.HopfieldParams(), np.zeros((2, 9, 9)), rngs)
+    with pytest.raises(T.TsphnnError, match="0 or 1"):
+        hopfield.run_lockstep(m, T.HopfieldParams(), np.full((2, 10, 10), 0.5), rngs)

@@ -224,3 +224,27 @@ def test_unknown_render_format_rejected(cityset1):
     )
     with pytest.raises(InvalidArgumentError):
         T.render_report(rep, "yaml")
+
+
+def test_sweep_csv_independent_of_block_budget(paper8, monkeypatch):
+    """Blocks of one trial, blocks that split a cell unevenly and one block
+    per cell give byte-identical reports."""
+    from tsphnn import pipeline
+
+    kwargs = dict(trials=7, base=T.HopfieldParams(), seed=13)
+    expected = T.render_report(T.sweep(paper8, [90.0], [10.0, 100.0], **kwargs), "csv")
+    calls = []
+    run_lockstep = pipeline.run_lockstep
+
+    def counting(m, p, grids, rngs):
+        calls.append(len(rngs))
+        return run_lockstep(m, p, grids, rngs)
+
+    monkeypatch.setattr(pipeline, "run_lockstep", counting)
+    n2 = 8 * 8
+    for budget, blocks in ((1, [1] * 7), (3 * n2 + 5, [3, 3, 1]), (7 * n2, [7])):
+        calls.clear()
+        monkeypatch.setattr(pipeline, "BLOCK_ELEMENTS", budget)
+        report = T.sweep(paper8, [90.0], [10.0, 100.0], **kwargs)
+        assert T.render_report(report, "csv") == expected
+        assert calls == blocks * 2  # two cells

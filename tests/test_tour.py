@@ -204,3 +204,12 @@ def test_brute_force_n12_beats_random_samples(rng):
     assert opt == T.tour_length(m, tour)
     for _ in range(2000):
         assert opt <= T.tour_length(m, T.Tour.random(12, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_codec_round_trip_property(perm):
+    tour = T.Tour(tuple(perm))
+    grid = T.tour_to_matrix(tour)
+    assert T.matrix_to_tour(grid) == tour
+    assert np.array_equal(T.tour_to_matrix(T.matrix_to_tour(grid)), grid)
