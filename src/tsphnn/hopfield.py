@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import TsphnnError
+from .errors import InvalidArgumentError, TsphnnError
 from .instance import DistanceMatrix, tour_length
 from .tour import Tour, decode_grid
 
@@ -62,6 +62,8 @@ class HopfieldParams:
             raise TsphnnError(f"threshold must be finite, got {self.threshold}")
         if self.max_sweeps < 0:
             raise TsphnnError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

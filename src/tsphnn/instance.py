@@ -17,6 +17,7 @@ from . import _kernels
 from .errors import (
     DegenerateInstanceError,
     InstanceSizeError,
+    InvalidArgumentError,
     InvalidTourError,
     ParseError,
     TsphnnError,
@@ -144,6 +145,8 @@ def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
         raise InstanceSizeError(f"instance needs at least 3 cities, got {n}")
     if not bound > 0:
         raise TsphnnError(f"bound must be positive, got {bound}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, bound, size=(n, 2))
     cities = tuple(

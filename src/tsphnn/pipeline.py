@@ -177,6 +177,8 @@ def sweep(
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if success_metric not in ("valid", "optimal"):
         raise InvalidArgumentError(f"unknown success metric {success_metric!r}")
 

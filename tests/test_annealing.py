@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsphnn as T
-from tsphnn import _kernels
+from tsphnn import _kernels, annealing
 from tsphnn.annealing import CHUNK, TEMPERATURE_FLOOR
 from tsphnn.errors import InvalidArgumentError, InvalidTemperatureError
 
@@ -262,3 +263,184 @@ def test_trace_csv_round_trip(paper8_m):
     row = lines[5].split(",")
     assert float(row[1]) == trace.temperature[4]
     assert float(row[3]) == trace.best_length[4]
+
+
+def _pick_positions_reference(n, k, uniforms):
+    """The partial Fisher-Yates pick as a scalar loop, one row at a time."""
+    pos = list(range(n))
+    for j in range(2 * k):
+        r = j + int(uniforms[j] * (n - j))
+        if r >= n:
+            r = n - 1
+        pos[j], pos[r] = pos[r], pos[j]
+    return pos[: 2 * k]
+
+
+def test_pick_positions_match_scalar_fisher_yates():
+    rng = np.random.default_rng(12)
+    edge = [0.0, 0.5, 1 - 2.0**-53]  # the smallest uniform, a midpoint, the largest
+    for n in (4, 5, 10, 50, 127, 128, 300):
+        for k in sorted({1, 2, n // 2}):
+            u = rng.random((40, 2 * k + 1))
+            u[:3, : 2 * k] = np.array(edge)[:, None]
+            picks = _kernels.pick_positions(n, k, u)
+            assert picks.shape == (40, 2 * k)
+            for row, draws in zip(picks.tolist(), u):
+                assert row == _pick_positions_reference(n, k, draws)
+
+
+def _replay(m, start, cfg, draws):
+    """Step the public pieces by hand over ``draws``: the trace's three
+    arrays as lists, the best (tour, length) and the final (tour, length)."""
+    k = cfg.swap_count
+    cur, cur_len = start, T.tour_length(m, start)
+    best, best_len = cur, cur_len
+    temps, current, bests = [], [], []
+    for step in range(cfg.iterations):
+        temp = T.temperature_at(step, cfg)
+        cand = _kernels.swap_positions(cur.as_array(), k, draws[step, : 2 * k])
+        cand_tour = T.Tour(tuple(int(v) for v in cand))
+        cand_len = T.tour_length(m, cand_tour)
+        if T.acceptance_probability(cur_len, cand_len, temp) >= draws[step, 2 * k]:
+            cur, cur_len = cand_tour, cand_len
+            if cur_len < best_len:
+                best, best_len = cur, cur_len
+        temps.append(temp)
+        current.append(cur_len)
+        bests.append(best_len)
+    return temps, current, bests, (best, best_len), (cur, cur_len)
+
+
+def _anneal_counting_exact_steps(monkeypatch, m, start, cfg):
+    """Run ``anneal`` from its seed, counting the steps that reached
+    ``acceptance_probability`` (the exact step), and check its output
+    against a hand replay."""
+    exact = []
+    real = annealing.acceptance_probability
+
+    def counted(e, e_new, t):
+        exact.append((e, e_new))
+        return real(e, e_new, t)
+
+    monkeypatch.setattr(annealing, "acceptance_probability", counted)
+    tour, length, trace = T.anneal(m, start, cfg)
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 2 * cfg.swap_count + 1))
+    temps, current, bests, best, final = _replay(m, start, cfg, draws)
+    assert trace.temperature.tolist() == temps
+    assert trace.current_length.tolist() == current
+    assert trace.best_length.tolist() == bests
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+    return exact
+
+
+def test_screen_leaves_ties_to_the_exact_step(monkeypatch):
+    """Swapping opposite corners of a square tour reverses it: the edge
+    delta is exactly 0, which the screen cannot decide, so the exact step
+    runs (and accepts the tie) while the screen rejects the crossings."""
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    square = T.Instance(
+        id="square", cities=tuple(T.City(f"c{i}", x, y) for i, (x, y) in enumerate(corners))
+    )
+    m = T.distance_matrix(square)
+    monkeypatch.setattr(annealing, "SCREEN_GAP", 1)  # screen every step
+    cfg = T.SaConfig(t0=1e-3, cooling_rate=0.99, iterations=400, seed=6)
+    exact = _anneal_counting_exact_steps(monkeypatch, m, T.Tour((0, 1, 2, 3)), cfg)
+    assert any(e == e_new == 4.0 for e, e_new in exact)
+    assert 1 <= len(exact) < cfg.iterations
+
+
+@pytest.mark.parametrize("k", (1, 25))
+def test_anneal_chunk_boundary_replay_n50(monkeypatch, k):
+    m = T.distance_matrix(T.generate_random_instance(50, seed=8))
+    cfg = T.SaConfig(t0=0.05, cooling_rate=0.999, iterations=CHUNK + 1, swap_count=k, seed=4)
+    start = T.Tour.random(50, np.random.default_rng(9))
+    exact = _anneal_counting_exact_steps(monkeypatch, m, start, cfg)
+    assert len(exact) < cfg.iterations  # the screen rejected steps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bound", (1e200, 1e308))
+def test_anneal_replays_at_extreme_bounds(monkeypatch, bound):
+    """At bound 1e200 the screen works on lengths near 1e201.  At 1e308 the
+    tour sums overflow to inf, where every step ties and is accepted; the
+    band is infinite, so even a screen at every step leaves them all to the
+    exact step."""
+    m = T.distance_matrix(T.generate_random_instance(10, seed=2, bound=bound))
+    if bound == 1e308:
+        monkeypatch.setattr(annealing, "SCREEN_GAP", 1)
+    cfg = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=600, swap_count=2, seed=5)
+    start = T.Tour(tuple(range(10)))
+    exact = _anneal_counting_exact_steps(monkeypatch, m, start, cfg)
+    if bound == 1e308:
+        assert T.tour_length(m, start) == math.inf
+        assert len(exact) == cfg.iterations
+    else:
+        assert len(exact) < cfg.iterations
+
+
+def _tied_instance(n, rng):
+    """n distinct cities on a small integer grid, so many distances tie."""
+    cells = rng.choice(25, size=n, replace=False)
+    return T.Instance(
+        id="grid",
+        cities=tuple(T.City(f"c{i}", float(c % 5), float(c // 5)) for i, c in enumerate(cells)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 14),
+    bound=st.sampled_from([1.0, 100.0, 1e5, "grid"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_screen_never_rejects_an_accepted_step(n, bound, seed, data):
+    """Every step the screen rejects is one ``acceptance_probability``
+    rejects, and every edge delta is within the band of the exact length
+    difference.  Uniforms include 0.0, the step's own acceptance
+    probability and its float neighbours; temperatures run from the floor
+    to 1e300."""
+    rng = np.random.default_rng(seed)
+    if bound == "grid":
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed, bound=bound))
+    k = data.draw(st.integers(1, n // 2), label="swap_count")
+    steps = 64
+    cur = rng.permutation(n).tolist()
+    d = m.d.tolist()
+    cur_len = _kernels.closed_tour_length(d, cur)
+    temps = np.maximum(10.0 ** rng.uniform(-12, 300, steps), TEMPERATURE_FLOOR)
+    temps[: steps // 3] = TEMPERATURE_FLOOR  # where a rounding tie could be rejected
+    temps[steps // 3 : steps // 3 + 3] = (1e-6, 1.0, 1e300)
+    u = rng.random((steps, 2 * k + 1))
+    picks = _kernels.pick_positions(n, k, u)
+    lengths, probs = [], []
+    for j in range(steps):
+        cand = _kernels.swap_pairs(cur, picks[j].reshape(k, 2).tolist())
+        lengths.append(_kernels.closed_tour_length(d, cand))
+        probs.append(annealing.acceptance_probability(cur_len, lengths[-1], temps[j]))
+    modes = rng.integers(0, 5, steps)
+    for j, (mode, p) in enumerate(zip(modes, probs)):
+        if mode == 1:
+            u[j, 2 * k] = 0.0
+        elif mode == 2:
+            u[j, 2 * k] = p
+        elif mode == 3:
+            u[j, 2 * k] = np.nextafter(p, 0.0)
+        elif mode == 4:
+            u[j, 2 * k] = np.nextafter(p, 1.0)
+    band = annealing._screen_band(m, k)
+    assert band > 0
+    edges = annealing._changed_edges(picks, n)
+    tour = np.array(cur, dtype=picks.dtype)
+    cuts = annealing._rejection_cuts(temps, u[:, 2 * k])
+    undecided = set(annealing._screen(m.d, tour, edges, band, cuts).tolist())
+    cities = tour[edges]
+    deltas = (m.d[cities[2], cities[3]] - m.d[cities[0], cities[1]]).sum(axis=1)
+    for j in range(steps):
+        excess = Fraction(lengths[j]) - Fraction(cur_len) - Fraction(float(deltas[j]))
+        assert abs(excess) <= Fraction(band)
+        if j not in undecided:
+            assert probs[j] < u[j, 2 * k]

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import cli
+from tsphnn.annealing import MAX_ITERATIONS
 from tsphnn.cli import main
 
 
@@ -360,3 +365,81 @@ def test_solve_writes_tour_file_for_plotting(tmp_path, capsys):
         "--out", str(svg_path),
     )
     assert code == 0 and svg_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--instance", "paper8", "--method", "sa"),
+        ("solve", "--instance", "paper8", "--method", "hnn"),
+        ("solve", "--instance", "paper8", "--method", "hybrid"),
+        ("sweep", "--instance", "paper8", "--c-grid", "90", "--d-grid", "10"),
+        ("gen", "--n", "5", "--out", "unused.json"),
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+)
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """A negative seed is a usage error, refused where it enters the
+    library, not a NumPy traceback."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "error: seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "unused.json").exists()
+
+
+def test_negative_seed_rejected_by_the_library():
+    for make in (
+        lambda: T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=10, seed=-1),
+        lambda: T.HopfieldParams(seed=-1),
+        lambda: T.generate_random_instance(5, seed=-1),
+        lambda: T.sweep(T.get_builtin("paper8"), [90.0], [10.0], 1, T.HopfieldParams(), seed=-1),
+    ):
+        with pytest.raises(T.InvalidArgumentError, match="seed must be >= 0"):
+            make()
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    ["-1", "0", "-0.0", "nan", "inf", "-inf", "5e-324", "2.2e-308", "1e308", "1", "10"]
+)
+_SPECIAL_INTS = st.sampled_from(["-1180591620717411303424", "-1", "0", str(MAX_ITERATIONS + 1)])
+# flag -> (ordinary values, odd values); --iters stays at most 2000 unless refused.
+_SA_FLAGS = {
+    "t0": (st.floats(1e-3, 100.0).map(repr), _SPECIAL_FLOATS),
+    "cooling": (st.floats(0.5, 0.99999).map(repr), _SPECIAL_FLOATS),
+    "iters": (st.integers(1, 2000).map(str), _SPECIAL_INTS),
+    "swaps": (st.integers(1, 2).map(str), st.integers(-2, 8).map(str)),
+    "seed": (st.integers(0, 2**64).map(str), _SPECIAL_INTS),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    method=st.sampled_from(["sa", "hybrid"]),
+    instance=st.sampled_from(["matrix4", "paper8", "cityset1"]),
+    odd=st.sets(st.sampled_from(sorted(_SA_FLAGS)), max_size=3),
+    data=st.data(),
+)
+def test_sa_flags_fuzz(method, instance, odd, data):
+    """SA flag values, ordinary or odd (negative, 0, NaN, +-inf, subnormal,
+    1e308, 2k > n, one over MAX_ITERATIONS), give exit 0, 1 or 2, never a
+    traceback, and the same stdout twice."""
+    argv = ["solve", f"--instance={instance}", f"--method={method}"]
+    for flag, (ordinary, special) in sorted(_SA_FLAGS.items()):
+        value = data.draw(special if flag in odd else ordinary, label=flag)
+        argv.append(f"--{flag}={value}")
+    first = _main_in_process(argv)
+    second = _main_in_process(argv)
+    assert first[0] in (0, 1, 2)
+    assert "Traceback" not in first[2]
+    assert first[:2] == second[:2]
