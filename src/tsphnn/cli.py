@@ -8,6 +8,7 @@ notes and timing go to stderr.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -17,7 +18,7 @@ from . import __version__
 from .annealing import SaConfig, anneal
 from .baselines import greedy_nearest_neighbor, three_opt, two_opt
 from .builtin import BUILTIN_INSTANCES, get_builtin
-from .errors import InvalidTourError, TsphnnError
+from .errors import InvalidArgumentError, InvalidTourError, TsphnnError
 from .hopfield import HopfieldParams, grid_to_text, run, text_to_grid
 from .instance import (
     distance_matrix,
@@ -40,6 +41,21 @@ def _resolve_instance(ref: str):
     return load_instance(ref)
 
 
+def _distances(inst):
+    """The instance's distance matrix, refused when a tour length can
+    overflow: a distance that is already infinite, or n times the largest
+    distance past the largest float."""
+    with np.errstate(over="ignore"):  # DistanceMatrix refuses an infinite distance
+        m = distance_matrix(inst)
+    longest = float(m.d.max())
+    if math.isinf(m.n * longest):
+        raise TsphnnError(
+            f"instance {inst.id!r}: tour lengths overflow "
+            f"({m.n} cities, largest distance {longest:g})"
+        )
+    return m
+
+
 def _emit(record: dict) -> None:
     for key, value in record.items():
         if isinstance(value, float):
@@ -52,6 +68,10 @@ def _emit(record: dict) -> None:
 
 
 def cmd_gen(args) -> int:
+    if math.isinf(args.n * math.hypot(args.bound, args.bound)):
+        raise InvalidArgumentError(
+            f"--bound {args.bound:g} lets tour lengths of {args.n} cities overflow"
+        )
     inst = generate_random_instance(args.n, args.seed, args.bound)
     save_instance(inst, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -60,7 +80,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _resolve_instance(args.instance)
-    m = distance_matrix(inst)
+    m = _distances(inst)
     started = time.perf_counter()
 
     record = {
@@ -166,6 +186,7 @@ def _parse_grid_list(text: str, flag: str):
 
 def cmd_sweep(args) -> int:
     inst = _resolve_instance(args.instance)
+    _distances(inst)  # refuses an instance whose tour lengths overflow
     base = HopfieldParams(
         a_pen=args.A,
         b_pen=args.B,

@@ -18,23 +18,27 @@ matrix: a unit's net input follows from the active units in its row, its
 column and the grid, and from a distance field.  :func:`run_lockstep` runs
 many independent trials as one stack, one flip per trial per step, with the
 same results as running them one at a time; :func:`run` is a stack of one,
-so the dynamics have a single loop.  With symmetric weights,
-zero self-connections and threshold 0, asynchronous updates never increase
-E, so the dynamics settle into a fixed point.
+so the dynamics have a single loop.  The dynamics keep each trial's grid at
+its sweep ends, one bit a unit, and a :class:`HopfieldResult` computes the
+energy trace and the tour length from them only when they are read.
+
+With symmetric weights, zero self-connections and threshold 0,
+asynchronous updates never increase E, so the dynamics settle into a
+fixed point.
 
 Activations live in {0, 1}; a unit switches to 1 exactly when its net
 input reaches the threshold.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, TsphnnError
 from .instance import DistanceMatrix, tour_length
-from .tour import Tour, decode_grid
+from .tour import Tour, decode_grid, decode_grids
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,38 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class HopfieldResult:
+    """The outcome of one network run.
+
+    ``energy_trace``, the :func:`energy` after each sweep, and ``length``,
+    the decoded tour's length on the distances the network ran on, are
+    computed on first read and then kept.  The trace is computed from a
+    record of the grid at each sweep end, n^2 bits a sweep, so at most
+    ``max_sweeps * n^2`` bits.  A caller that reads neither, such as the
+    sweep, never pays for them.
+    """
+
     grid: np.ndarray
     converged: bool
     valid: bool
     tour: Optional[Tour]
-    length: Optional[float]
-    energy_trace: np.ndarray
     sweeps_used: int
     max_update_delta_e: float
+    m: DistanceMatrix = field(repr=False, compare=False)
+    p: HopfieldParams = field(repr=False, compare=False)
+    # the sweep ends' grids, row-major and packed, from bit ``ends_at`` of ``ends``
+    ends: np.ndarray = field(repr=False, compare=False)
+    ends_at: int = field(repr=False, compare=False)
+
+    @cached_property
+    def energy_trace(self) -> np.ndarray:
+        n = self.m.n
+        bits = np.unpackbits(self.ends, count=self.ends_at + self.sweeps_used * n * n)
+        grids = bits[self.ends_at :].reshape(-1, n, n)
+        return np.array([energy(v, self.m, self.p) for v in grids], dtype=np.float64)
+
+    @cached_property
+    def length(self) -> Optional[float]:
+        return None if self.tour is None else tour_length(self.m, self.tour)
 
 
 def build_weights(m: DistanceMatrix, p: HopfieldParams) -> WeightMatrix:
@@ -244,9 +272,10 @@ def run(
     """Sweep all n^2 units in a fresh seeded random order, asynchronously,
     until a full sweep changes nothing or the sweep budget runs out.
 
-    Updates are immediately visible within a sweep.  Records the energy
-    after every sweep and decodes a tour whenever the final grid is a valid
-    permutation matrix (an invalid final grid is an outcome, not an error).
+    Updates are immediately visible within a sweep.  Records the grid
+    after every sweep, for the energy trace, and decodes a tour whenever
+    the final grid is a valid permutation matrix (an invalid final grid is
+    an outcome, not an error).
     Passing ``rng`` lets callers that fan out many trials supply their own
     derived stream instead of ``p.seed``; it advances by one permutation of
     the n^2 units per sweep run.  The run is a stack of one trial in
@@ -297,54 +326,48 @@ def run_lockstep(
     (trials, n, n) stack and makes at most one flip per trial: the first
     unit, from the trial's scan position in its own sweep order, whose
     threshold decision differs from its state.  A trial whose scan finds
-    none ends its sweep, records its energy, and either stops or draws its
-    next order from its own generator.
+    none ends its sweep, packs its grid into its record of sweep ends, and
+    either stops or draws its next order from its own generator.  The
+    trials that stop are decoded together once the stack has run out.
 
     The stacked product may sum the distance field in another order than
     the 2-D one.  So when a trial's scan, from its position through its
     chosen flip, passes a net input inside :func:`_guard_band` of the
     threshold, that trial's step is decided by its own 2-D
-    :func:`_net_inputs` instead.  The energy at a sweep's end uses the grid's
-    own 2-D field, the one :func:`energy` computes.  So the flips, grids and
-    energy traces do not depend on how trials are stacked.  Only
-    ``max_update_delta_e`` is read from the stacked net input of each flip;
-    it has the 2-D bits wherever the two products sum alike.
+    :func:`_net_inputs` instead.  So the flips, grids and the energy traces
+    that :class:`HopfieldResult` computes from them do not depend on how
+    trials are stacked.  Only ``max_update_delta_e`` is read from the
+    stacked net input of each flip; it has the 2-D bits wherever the two
+    products sum alike.
     """
     n = m.n
     n2 = n * n
-    if len(grids) != len(rngs):
-        raise TsphnnError(f"{len(grids)} grids for {len(rngs)} generators")
-    g = np.array([_check_binary(x, n) for x in grids]).reshape(len(rngs), n, n)
-    trial = np.arange(len(rngs))  # the trial that each row of the state runs
-    rank = np.empty((len(rngs), n2), dtype=np.int64)  # each unit's place in its order
-    pos = np.zeros(len(rngs), dtype=np.int64)  # the place the scan has reached
-    changed = np.zeros(len(rngs), dtype=bool)
-    max_de = np.full(len(rngs), -np.inf)
-    traces = [[] for _ in rngs]
-    results = [None] * len(rngs)
+    count = len(rngs)
+    if len(grids) != count:
+        raise TsphnnError(f"{len(grids)} grids for {count} generators")
+    g = _check_stack(grids, n)
+    trial = np.arange(count)  # the trial that each row of the state runs
+    rank = np.empty((count, n2), dtype=np.int64)  # each unit's place in its order
+    pos = np.zeros(count, dtype=np.int64)  # the place the scan has reached
+    changed = np.zeros(count, dtype=bool)
+    sweeps = np.zeros(count, dtype=np.int64)
+    max_de = np.full(count, -np.inf)
+    # each trial's outcome, filled in as it stops
+    final = np.empty((count, n, n))
+    converged = np.zeros(count, dtype=bool)
+    final_de = np.full(count, -np.inf)
+    # the grids at sweep ends, packed row by row, and the trials they are of
+    ends = [np.zeros((0, (n2 + 7) // 8), dtype=np.uint8)]
+    owners = [np.zeros(0, dtype=np.int64)]
     units = np.arange(n2)
     band = _guard_band(m, p)
 
     def start_sweeps(rows):
-        for r in rows:
-            rank[r, rngs[trial[r]].permutation(n2)] = units
+        if rows.size:
+            orders = np.array([rngs[t].permutation(n2) for t in trial[rows].tolist()])
+            rank[rows[:, None], orders] = units
         pos[rows] = 0
         changed[rows] = False
-
-    def finish(r, converged):
-        grid = g[r].copy()
-        grid.flags.writeable = False
-        tour = decode_grid(grid.astype(np.int64))
-        results[trial[r]] = HopfieldResult(
-            grid=grid,
-            converged=converged,
-            valid=tour is not None,
-            tour=tour,
-            length=None if tour is None else tour_length(m, tour),
-            energy_trace=np.array(traces[trial[r]]),
-            sweeps_used=len(traces[trial[r]]),
-            max_update_delta_e=float(max_de[r]),
-        )
 
     def next_flips(net):
         # each row's next flip at or after its scan position: the unit and
@@ -354,10 +377,10 @@ def run_lockstep(
         return u, key.ravel()[offset + u]
 
     if p.max_sweeps == 0:
-        for r in range(len(rngs)):
-            finish(r, False)
-        return results
-    start_sweeps(trial)
+        final[:] = g
+        trial = trial[:0]
+    else:
+        start_sweeps(trial)
     rows = np.arange(trial.size)
     offset = rows * n2  # each row's start in the raveled state
     while trial.size:
@@ -383,22 +406,73 @@ def run_lockstep(
 
         ended = rows[~flip]
         if ended.size:
-            fields = np.array([_distance_field(x, m.d) for x in g[ended]])
-            energies = _weighted(_terms(g[ended], fields), p)
+            ends.append(np.packbits(flat[ended] > 0, axis=1))
+            owners.append(trial[ended])
+            sweeps[ended] += 1
             stop = np.zeros(trial.size, dtype=bool)
-            for r, e in zip(ended, energies.tolist()):
-                traces[trial[r]].append(e)
-                if not changed[r] or len(traces[trial[r]]) == p.max_sweeps:
-                    finish(r, not changed[r])
-                    stop[r] = True
+            stop[ended] = ~changed[ended] | (sweeps[ended] == p.max_sweeps)
             start_sweeps(ended[~stop[ended]])
             if stop.any():
-                g, rank, pos, changed, max_de, trial = (
-                    a[~stop] for a in (g, rank, pos, changed, max_de, trial)
+                done = trial[stop]
+                final[done] = g[stop]
+                converged[done] = ~changed[stop]
+                final_de[done] = max_de[stop]
+                keep = ~stop
+                g, rank, pos, changed, sweeps, max_de, trial = (
+                    a[keep] for a in (g, rank, pos, changed, sweeps, max_de, trial)
                 )
                 rows = np.arange(trial.size)
                 offset = rows * n2
-    return results
+    return _results(m, p, final, converged, final_de, ends, owners)
+
+
+def _check_stack(grids, n: int) -> np.ndarray:
+    """The grids as a fresh (trials, n, n) float stack, checked as one array;
+    a stack of another shape is checked grid by grid, for the first bad
+    grid's message from :func:`_check_binary`."""
+    try:
+        g = np.array(grids, dtype=np.float64)
+    except ValueError:  # grids of unequal shapes
+        g = None
+    if g is None or g.shape[1:] != (n, n):
+        return np.array([_check_binary(x, n) for x in grids]).reshape(len(grids), n, n)
+    if not np.all((g == 0) | (g == 1)):
+        raise TsphnnError("activation grid entries must be 0 or 1")
+    return g
+
+
+def _results(m, p, final, converged, max_de, ends, owners) -> List[HopfieldResult]:
+    """One result per trial, from its final grid and its sweep ends.
+
+    ``ends`` holds the sweep ends packed row by row, in the order they
+    happened, and ``owners`` their trials.  They are repacked trial by trial
+    into one bit string, n^2 bits a sweep end, and each result keeps the
+    bytes that hold its own.
+    """
+    final.flags.writeable = False
+    trials, n = final.shape[:2]
+    n2 = n * n
+    who = np.concatenate(owners)
+    records = np.concatenate(ends)[np.argsort(who, kind="stable")]
+    packed = np.packbits(np.unpackbits(records, axis=1, count=n2))
+    starts = np.cumsum(np.bincount(who, minlength=trials)).tolist()
+    return [
+        HopfieldResult(
+            grid=final[t],
+            converged=conv,
+            valid=tour is not None,
+            tour=tour,
+            sweeps_used=stop - start,
+            max_update_delta_e=de,
+            m=m,
+            p=p,
+            ends=packed[start * n2 // 8 : (stop * n2 + 7) // 8],
+            ends_at=start * n2 % 8,
+        )
+        for t, (tour, conv, de, start, stop) in enumerate(
+            zip(decode_grids(final), converged.tolist(), max_de.tolist(), [0] + starts, starts)
+        )
+    ]
 
 
 decode = decode_grid

@@ -136,7 +136,11 @@ def _outcome(
     success_metric: str,
     optimum: Optional[float],
 ):
-    """Score one network trial: (valid_length_or_None, success_flag, sweeps_charged)."""
+    """Score one network trial: (valid_length_or_None, success_flag, sweeps_charged).
+
+    A valid trial's tour is measured once, on the raw distances; the
+    network-scale ``result.length`` is never read.
+    """
     length = None
     if result.valid:
         length = tour_length(m_raw, result.tour)

@@ -9,7 +9,7 @@ is legal.
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -165,3 +165,13 @@ def decode_grid(grid: np.ndarray) -> Optional[Tour]:
         return matrix_to_tour(grid)
     except InvalidTourMatrixError:
         return None
+
+
+def decode_grids(grids: np.ndarray) -> List[Optional[Tour]]:
+    """:func:`decode_grid` of every 0/1 grid in a (k, n, n) stack, in one
+    pass: a grid is a permutation matrix when each of its row sums and
+    column sums is 1, and then each position's city is its column's argmax."""
+    v = np.asarray(grids)
+    ok = (v.sum(axis=2) == 1).all(axis=1) & (v.sum(axis=1) == 1).all(axis=1)
+    cities = v.argmax(axis=1).tolist()
+    return [Tour(tuple(c)) if valid else None for c, valid in zip(cities, ok.tolist())]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -443,3 +444,121 @@ def test_sa_flags_fuzz(method, instance, odd, data):
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[2]
     assert first[:2] == second[:2]
+
+
+def test_gen_refuses_a_bound_that_overflows_tour_lengths(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning fails the test
+        code, _, err = run_cli(
+            capsys, "gen", "--n", "8", "--seed", "1", "--bound", "1e308", "--out", str(path)
+        )
+    assert code == 2 and "overflow" in err and not path.exists()
+    assert T.generate_random_instance(8, seed=1, bound=1e308).n == 8  # the library accepts it
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        # differences overflow, so some distance is infinite
+        [(-1e308, 1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, -1e308)],
+        # every distance is finite, but n times the largest is not
+        [(0.0, 9e307), (9e307, 0.0), (9e307, 9e307), (0.0, 0.0)],
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--method", "exact"),
+        ("solve", "--method", "sa", "--iters", "50"),
+        ("sweep", "--c-grid", "90", "--d-grid", "10", "--trials", "2"),
+    ],
+)
+def test_instances_whose_tour_lengths_overflow_exit_2(tmp_path, capsys, coords, argv):
+    path = tmp_path / "huge.json"
+    cities = [{"label": f"c{i}", "x": x, "y": y} for i, (x, y) in enumerate(coords)]
+    path.write_text(json.dumps({"id": "huge", "cities": cities}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv[:1], "--instance", str(path), *argv[1:])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+_ODD_FLOATS = st.sampled_from(["-1", "0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e308"])
+_ODD_INTS = st.sampled_from(["-1180591620717411303424", "-1", "0", "1180591620717411303424"])
+_ODD_GRIDS = st.sampled_from(
+    ["", ",", "nan", "90,inf", "-1,10", "1e308,5e-324", "-0.0", "ten", "90;10", "90,,10"]
+)
+_PENALTY = st.floats(0.0, 300.0).map(repr)
+# flag -> (ordinary values, odd values)
+_HNN_FLAGS = {
+    "A": (_PENALTY, _ODD_FLOATS),
+    "B": (_PENALTY, _ODD_FLOATS),
+    "C": (_PENALTY, _ODD_FLOATS),
+    "D": (st.floats(0.0, 30.0).map(repr), _ODD_FLOATS),  # low enough for valid tours
+    "threshold": (st.floats(-50.0, 50.0).map(repr), _ODD_FLOATS),
+    "max-sweeps": (st.integers(1, 30).map(str), _ODD_INTS),
+    "seed": (st.integers(0, 2**64).map(str), _ODD_INTS),
+}
+# --trials stays small when odd: a huge count would run for hours
+_SWEEP_FLAGS = {
+    "c-grid": (st.sampled_from(["90", "10,90", "0,300"]), _ODD_GRIDS),
+    "d-grid": (st.sampled_from(["10", "10,100", "0"]), _ODD_GRIDS),
+    "trials": (st.integers(1, 3).map(str), st.sampled_from(["-1", "0", "-99999999999999999999"])),
+    "max-sweeps": (st.integers(1, 20).map(str), _ODD_INTS),
+    "threshold": (st.floats(-50.0, 50.0).map(repr), _ODD_FLOATS),
+    "workers": (st.integers(1, 4).map(str), _ODD_INTS),
+    "seed": (st.integers(0, 2**64).map(str), _ODD_INTS),
+    "success-metric": (st.sampled_from(["valid", "optimal"]), st.sampled_from(["best", ""])),
+}
+
+
+def _fuzz_twice(argv, csv_dir):
+    """Run ``argv`` twice, each with its own CSV path where it takes one;
+    both runs must agree and end in exit 0, 1 or 2 without a traceback."""
+    runs = []
+    for name in ("first.csv", "second.csv"):
+        path = csv_dir / name
+        if path.exists():
+            path.unlink()
+        out_flag = [f"--out={path}"] if argv[0] == "sweep" else []
+        code, out, err = _main_in_process([*argv, *out_flag])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        runs.append((code, out, path.read_text() if path.exists() else None))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(["hnn", "hybrid"]),
+    instance=st.sampled_from(["matrix4", "paper8", "cityset1"]),
+    odd=st.sets(st.sampled_from(sorted(_HNN_FLAGS)), max_size=3),
+    data=st.data(),
+)
+def test_network_flags_fuzz(tmp_path_factory, method, instance, odd, data):
+    """Network flag values, ordinary or odd (negative, 0, -0.0, NaN, +-inf,
+    subnormal, 1e308, integers past 64 bits), give exit 0, 1 or 2, never a
+    traceback, and the same stdout twice."""
+    argv = ["solve", f"--instance={instance}", f"--method={method}", "--iters=300"]
+    for flag, (ordinary, special) in sorted(_HNN_FLAGS.items()):
+        value = data.draw(special if flag in odd else ordinary, label=flag)
+        argv.append(f"--{flag}={value}")
+    _fuzz_twice(argv, tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=st.sampled_from(["matrix4", "paper8", "cityset1"]),
+    odd=st.sets(st.sampled_from(sorted(_SWEEP_FLAGS)), max_size=3),
+    data=st.data(),
+)
+def test_sweep_flags_fuzz(tmp_path_factory, instance, odd, data):
+    """Sweep flag values, ordinary or odd (the numeric ones above, plus
+    empty and malformed grid lists and an unknown metric), give exit 0, 1
+    or 2, never a traceback, and the same stdout and CSV twice."""
+    argv = ["sweep", f"--instance={instance}"]
+    for flag, (ordinary, special) in sorted(_SWEEP_FLAGS.items()):
+        value = data.draw(special if flag in odd else ordinary, label=flag)
+        argv.append(f"--{flag}={value}")
+    _fuzz_twice(argv, tmp_path_factory.mktemp("fuzz"))

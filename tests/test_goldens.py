@@ -1,0 +1,44 @@
+"""The benchmark's recorded answers, checked in-process for golden seed 0.
+
+Each workload of ``perfbench/workloads.py`` is built for seed 0 under a
+temporary directory and run through ``cli.main``; the digest of every
+command's stdout and sweep CSV (``perfbench/checks.py``) must equal the one
+recorded in ``perfbench/golden/<workload>.json``.  An answer change then
+fails here, not only in the benchmark.  The benchmark's files are only read.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from tsphnn import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+checks = _load("checks")
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_golden_seed_0(workload, tmp_path):
+    golden = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())["seeds"]["0"]
+    digests = []
+    for cmd in workloads.build(workload, 0, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(list(cmd.argv))
+        csv_text = Path(cmd.csv_path).read_text(encoding="utf-8") if cmd.csv_path else ""
+        digests.append(checks.digest(out.getvalue(), csv_text))
+    assert digests == golden

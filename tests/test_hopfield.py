@@ -16,6 +16,7 @@ from tsphnn.hopfield import (
     text_to_grid,
 )
 from tsphnn.svg import render_grid_svg
+from tsphnn.tour import decode_grids
 
 ROUTE_MATRIX = np.array(
     [
@@ -399,3 +400,89 @@ def test_lockstep_rejects_bad_grids(cityset1_m):
         hopfield.run_lockstep(m, T.HopfieldParams(), np.zeros((2, 9, 9)), rngs)
     with pytest.raises(T.TsphnnError, match="0 or 1"):
         hopfield.run_lockstep(m, T.HopfieldParams(), np.full((2, 10, 10), 0.5), rngs)
+
+
+def _near_permutation(perm, kind, rng):
+    """The grid of ``perm``, or one with a row, a column or the count broken."""
+    n = len(perm)
+    g = np.zeros((n, n), dtype=np.int64)
+    g[perm, np.arange(n)] = 1
+    x, i = int(rng.integers(n)), int(rng.integers(n))
+    if kind == "flip":  # one unit on or off: a row, a column and the count
+        g[x, i] ^= 1
+    elif kind == "row":  # a one moved along its row: two columns, count kept
+        j = int(g[x].argmax())
+        g[x, j], g[x, (j + 1) % n] = 0, 1
+    elif kind == "column":  # a one moved along its column: two rows, count kept
+        y = int(g[:, i].argmax())
+        g[y, i], g[(y + 1) % n, i] = 0, 1
+    elif kind == "count":  # a one moved to another row and column, count kept
+        y = int(g[:, i].argmax())
+        g[y, i], g[(y + 1) % n, (i + 1) % n] = 0, 1
+    elif kind == "zeros":
+        g[:] = 0
+    elif kind == "random":
+        g = (rng.random((n, n)) < 1.0 / n).astype(np.int64)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    kinds=st.lists(
+        st.sampled_from(["none", "flip", "row", "column", "count", "zeros", "random"]),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    as_float=st.booleans(),
+)
+def test_stacked_decode_matches_decode_grid(n, kinds, seed, as_float):
+    """``decode_grids`` gives each grid of a stack the Tour or None of
+    ``decode_grid``, on permutation and near-permutation grids."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([_near_permutation(rng.permutation(n), k, rng) for k in kinds])
+    if as_float:
+        stack = stack.astype(np.float64)
+    assert decode_grids(stack) == [T.decode(g) for g in stack]
+
+
+def test_energy_trace_and_length_read_twice_match_replay(cityset1_m):
+    """The trace and the length, computed on first read, have the same bits
+    on a second read, and the trace still matches the unit_update replay
+    after the trial's generator has moved on."""
+    m = T.normalize_distances(cityset1_m)
+    n = m.n
+    for p in (T.HopfieldParams(d_pen=10.0), T.HopfieldParams(max_sweeps=2)):
+        rngs = [np.random.default_rng([9, seed]) for seed in range(5)]
+        grids = [random_grid(n, rng) for rng in rngs]
+        results = hopfield.run_lockstep(m, p, grids, rngs)
+        for rng in rngs:
+            rng.random(50)
+        for seed, res in enumerate(results):
+            first = res.energy_trace.tobytes()
+            assert res.energy_trace.tobytes() == first
+            replay = np.random.default_rng([9, seed])
+            _, trace, _ = _replay(m, p, random_grid(n, replay), replay)
+            assert first == np.array(trace).tobytes()
+            if res.valid:
+                length = res.length
+                assert length.hex() == res.length.hex()
+                assert length.hex() == T.tour_length(m, res.tour).hex()
+            else:
+                assert res.length is None
+
+
+def test_lockstep_record_is_bounded(cityset1_m):
+    """A trial keeps its sweep ends in at most sweeps * n^2 bits, rounded up
+    to whole bytes, besides the bits before its first in the shared bytes."""
+    m = T.normalize_distances(cityset1_m)
+    n = m.n
+    rngs = [np.random.default_rng(seed) for seed in range(7)]
+    results = hopfield.run_lockstep(
+        m, T.HopfieldParams(max_sweeps=4), [random_grid(n, rng) for rng in rngs], rngs
+    )
+    for res in results:
+        assert res.sweeps_used <= 4
+        assert res.ends.dtype == np.uint8
+        assert 8 * res.ends.nbytes < res.ends_at + res.sweeps_used * n * n + 8

@@ -248,3 +248,55 @@ def test_sweep_csv_independent_of_block_budget(paper8, monkeypatch):
         report = T.sweep(paper8, [90.0], [10.0, 100.0], **kwargs)
         assert T.render_report(report, "csv") == expected
         assert calls == blocks * 2  # two cells
+
+
+def test_sweep_measures_each_valid_tour_once(cityset1, monkeypatch):
+    """Each valid trial's tour is measured once, on the raw distances; the
+    network-scale length is never formed."""
+    from tsphnn import _kernels, pipeline
+
+    measured = []
+    closed_tour_length = _kernels.closed_tour_length
+
+    def counting(d, order):
+        measured.append(d)
+        return closed_tour_length(d, order)
+
+    valid = []
+    run_lockstep = pipeline.run_lockstep
+
+    def recording(m, p, grids, rngs):
+        results = run_lockstep(m, p, grids, rngs)
+        valid.extend(r.valid for r in results)
+        return results
+
+    monkeypatch.setattr(_kernels, "closed_tour_length", counting)
+    monkeypatch.setattr(pipeline, "run_lockstep", recording)
+    T.sweep(
+        cityset1, [90.0, 100.0], [10.0, 100.0, 110.0, 120.0], trials=150,
+        base=T.HopfieldParams(), seed=22,
+    )
+    raw = T.distance_matrix(cityset1).d
+    assert len(valid) == 8 * 150
+    assert len(measured) == sum(valid) == 300
+    assert all(np.array_equal(d, raw) for d in measured)
+
+
+def test_sweep_forms_no_energy(paper8, monkeypatch):
+    """The sweep reads no energy trace: with the energy sums patched to
+    raise, its table and CSV are byte-identical."""
+    from tsphnn import hopfield
+
+    def sweep():
+        report = T.sweep(
+            paper8, [90.0], [10.0, 100.0], trials=12, base=T.HopfieldParams(), seed=5
+        )
+        return T.render_report(report, "table"), T.render_report(report, "csv")
+
+    expected = sweep()
+
+    def refuse(*args):
+        raise AssertionError("an energy was formed")
+
+    monkeypatch.setattr(hopfield, "_terms", refuse)
+    assert sweep() == expected
