@@ -25,6 +25,8 @@ from .instance import (
     generate_random_instance,
     load_instance,
     normalize_distances,
+    read_json,
+    read_text,
     save_instance,
     tour_length,
 )
@@ -214,8 +216,7 @@ def cmd_sweep(args) -> int:
 
 def _load_tour(path, n: int) -> Tour:
     """Tour read from a JSON list or an object with an ``order`` list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if isinstance(payload, dict):
         if "order" not in payload:
             raise TsphnnError(f"{path}: missing field 'order'")
@@ -232,8 +233,7 @@ def _load_tour(path, n: int) -> Tour:
 def cmd_plot(args) -> int:
     inst = _resolve_instance(args.instance)
     if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            svg = render_grid_svg(text_to_grid(fh.read(), inst.n))
+        svg = render_grid_svg(text_to_grid(read_text(args.grid), inst.n))
     else:
         tour = _load_tour(args.tour, inst.n) if args.tour else None
         svg = render_tour_svg(inst, tour)
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TsphnnError, OSError, MemoryError, KeyError, json.JSONDecodeError) as exc:
+    except (TsphnnError, OSError, MemoryError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

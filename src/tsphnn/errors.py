@@ -26,9 +26,10 @@ class InvalidTourError(TsphnnError):
 
 
 class InvalidTourMatrixError(TsphnnError):
-    """Binary matrix is not a permutation matrix.
+    """Matrix is not a permutation matrix.
 
-    ``condition`` names the first violated check: "row", "column" or "count".
+    ``condition`` names the first violated check: "count" (the matrix is
+    not square), "row" (some row is not a single 1 among 0s) or "column".
     """
 
     def __init__(self, message: str, condition: str):

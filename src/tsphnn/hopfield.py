@@ -30,6 +30,7 @@ Activations live in {0, 1}; a unit switches to 1 exactly when its net
 input reaches the threshold.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -146,12 +147,20 @@ def build_weights(m: DistanceMatrix, p: HopfieldParams) -> WeightMatrix:
     return WeightMatrix(n=n, w=w, bias=bias)
 
 
-def _check_binary(g: np.ndarray, n: int = None) -> np.ndarray:
-    v = np.asarray(g, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise TsphnnError(f"activation grid must be square, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise TsphnnError(f"grid is {v.shape[0]}x{v.shape[0]}, expected n={n}")
+def _check_grids(grids, n: Optional[int] = None) -> np.ndarray:
+    """The grids as a fresh (k, n, n) float stack, refused unless they are
+    square, n x n when ``n`` is given, and every entry is 0 or 1.  A single
+    grid is checked as a stack of one."""
+    try:
+        v = np.array(grids, dtype=np.float64)
+    except ValueError as exc:  # grids of unequal shapes, or not numbers
+        raise TsphnnError(f"activation grids must be equal-shaped number arrays: {exc}") from exc
+    if v.shape == (0,) and n is not None:  # an empty stack
+        v = v.reshape(0, n, n)
+    if v.ndim != 3 or v.shape[1] != v.shape[2]:
+        raise TsphnnError(f"activation grid must be square, got shape {v.shape[1:]}")
+    if n is not None and v.shape[1] != n:
+        raise TsphnnError(f"grid is {v.shape[1]}x{v.shape[1]}, expected n={n}")
     if not np.all((v == 0) | (v == 1)):
         raise TsphnnError("activation grid entries must be 0 or 1")
     return v
@@ -234,7 +243,7 @@ def energy_terms(
     permutation matrix; the fourth equals twice the closed tour length on
     such grids.
     """
-    v = _check_binary(g, m.n)
+    v = _check_grids([g], m.n)[0]
     return tuple(float(t) for t in _terms(v, _distance_field(v, m.d)))
 
 
@@ -251,7 +260,7 @@ def unit_update(
     net = sum_v w[unit, v] * g[v] + bias[unit].  Pure; the grid is not
     modified.
     """
-    v = _check_binary(g, w.n)
+    v = _check_grids([g], w.n)[0]
     u = unit[0] * w.n + unit[1]
     net = np.dot(w.w[u], v.ravel()) + w.bias[u]
     return 1 if net >= threshold else 0
@@ -287,6 +296,41 @@ def run(
     return run_lockstep(m, p, [grid], [rng])[0]
 
 
+def _field_bound(m: DistanceMatrix) -> float:
+    """F = 2 * max_x sum_y |d[x, y]|, at least |field| at any unit of any
+    0/1 grid; inf when the sum overflows."""
+    with np.errstate(over="ignore"):
+        return 2.0 * float(np.abs(m.d).sum(axis=1).max())
+
+
+def _check_finite(m: DistanceMatrix, p: HopfieldParams) -> None:
+    """Refuse penalties at which a net input, its distance to the threshold
+    or an energy may overflow.
+
+    On a 0/1 grid a unit's row and column hold at most n - 1 other active
+    units, the grid at most n^2 - 1, and its field is at most F
+    (:func:`_field_bound`), so
+
+        |net| <= C*(n - 1/2) + A*(n - 1) + B*(n - 1) + C*(n^2 - 1) + D*F.
+
+    The energy's sums are at most n^3 (row, column), n^4 (count) and n^2*F
+    (distance), so |E| <= A/2*n^3 + B/2*n^3 + C/2*n^4 + D/2*n^2*F.  Every
+    partial sum of either is at most the whole, so both are refused when
+    twice the bound is not finite, the factor covering the rounding of the
+    sums.  Python floats overflow to inf without a warning.
+    """
+    n = m.n
+    a, b, c, d = (float(v) for v in (p.a_pen, p.b_pen, p.c_pen, p.d_pen))
+    f = _field_bound(m)
+    net = c * (n - 0.5) + (a + b) * (n - 1) + c * (n * n - 1) + d * f
+    e = (a + b) / 2 * n**3 + c / 2 * n**4 + d / 2 * n * n * f
+    if not math.isfinite(2 * (net + abs(float(p.threshold)))) or not math.isfinite(2 * e):
+        raise TsphnnError(
+            f"penalties A={a:g} B={b:g} C={c:g} D={d:g} with threshold "
+            f"{p.threshold:g} let net inputs or energies on {n} cities overflow"
+        )
+
+
 def _guard_band(m: DistanceMatrix, p: HopfieldParams) -> float:
     """Half-width of the band around the threshold outside which a net input
     computed from a stacked matrix product decides as the 2-D one does.
@@ -307,8 +351,7 @@ def _guard_band(m: DistanceMatrix, p: HopfieldParams) -> float:
 
         delta <= (E + 2*u'*|t|) / (1 - 2*u') <= 4*(n + 1)*u*(D*F + |t|).
     """
-    field_bound = 2.0 * float(np.abs(m.d).sum(axis=1).max())
-    return 4 * (m.n + 1) * 2.0**-53 * (p.d_pen * field_bound + abs(p.threshold))
+    return 4 * (m.n + 1) * 2.0**-53 * (p.d_pen * _field_bound(m) + abs(p.threshold))
 
 
 def run_lockstep(
@@ -345,7 +388,8 @@ def run_lockstep(
     count = len(rngs)
     if len(grids) != count:
         raise TsphnnError(f"{len(grids)} grids for {count} generators")
-    g = _check_stack(grids, n)
+    g = _check_grids(grids, n)
+    _check_finite(m, p)
     trial = np.arange(count)  # the trial that each row of the state runs
     rank = np.empty((count, n2), dtype=np.int64)  # each unit's place in its order
     pos = np.zeros(count, dtype=np.int64)  # the place the scan has reached
@@ -426,21 +470,6 @@ def run_lockstep(
     return _results(m, p, final, converged, final_de, ends, owners)
 
 
-def _check_stack(grids, n: int) -> np.ndarray:
-    """The grids as a fresh (trials, n, n) float stack, checked as one array;
-    a stack of another shape is checked grid by grid, for the first bad
-    grid's message from :func:`_check_binary`."""
-    try:
-        g = np.array(grids, dtype=np.float64)
-    except ValueError:  # grids of unequal shapes
-        g = None
-    if g is None or g.shape[1:] != (n, n):
-        return np.array([_check_binary(x, n) for x in grids]).reshape(len(grids), n, n)
-    if not np.all((g == 0) | (g == 1)):
-        raise TsphnnError("activation grid entries must be 0 or 1")
-    return g
-
-
 def _results(m, p, final, converged, max_de, ends, owners) -> List[HopfieldResult]:
     """One result per trial, from its final grid and its sweep ends.
 
@@ -480,7 +509,7 @@ decode = decode_grid
 
 def grid_to_text(g: np.ndarray) -> str:
     """Rows of 0/1 characters, one line per city."""
-    v = _check_binary(g)
+    v = _check_grids([g])[0]
     return "\n".join("".join(str(int(b)) for b in row) for row in v) + "\n"
 
 
@@ -490,4 +519,4 @@ def text_to_grid(text: str, n: int = None) -> np.ndarray:
     for number, row in enumerate(rows, 1):
         if len(row) != len(rows) or set(row) - {"0", "1"}:
             raise TsphnnError(f"grid row {number} is not {len(rows)} cells of 0 or 1: {row!r}")
-    return _check_binary(np.array([[float(ch) for ch in row] for row in rows]), n)
+    return _check_grids([[[float(ch) for ch in row] for row in rows]], n)[0]

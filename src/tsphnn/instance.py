@@ -107,8 +107,8 @@ def _validate_distance_array(d: np.ndarray) -> None:
 class DistanceMatrix:
     """Symmetric nonnegative matrix with a zero diagonal.
 
-    Validated on construction; the underlying array is frozen so instances
-    can be shared across workers.
+    Validated on construction; the underlying array is frozen, so a matrix
+    can be shared by every caller without being copied or checked again.
     """
 
     d: np.ndarray
@@ -174,27 +174,20 @@ def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
     return DistanceMatrix(m.d / peak)
 
 
-def _as_order_array(m: DistanceMatrix, tour) -> np.ndarray:
-    order = getattr(tour, "order", tour)
-    arr = np.asarray(order)
-    if (
-        arr.ndim != 1
-        or arr.dtype.kind not in "iu"
-        or arr.shape[0] != m.n
-        or not np.array_equal(np.sort(arr), np.arange(m.n))
-    ):
-        raise InvalidTourError(
-            f"tour {list(np.atleast_1d(order))} is not a permutation of 0..{m.n - 1}"
-        )
-    return arr.astype(np.int64, copy=False)
-
-
 def tour_length(m: DistanceMatrix, tour) -> float:
     """Closed-tour length: consecutive edges plus the edge back to the start.
 
-    ``tour`` may be a :class:`tsphnn.tour.Tour` or any index sequence.
+    ``tour`` is a :class:`tsphnn.tour.Tour`, used as it is, or any sequence
+    of city indices, checked by building a ``Tour`` from it.  Either way it
+    must visit the matrix's n cities, or :class:`InvalidTourError` is raised.
     """
-    return float(_kernels.closed_tour_length(m.d, _as_order_array(m, tour)))
+    from .tour import Tour  # imported here: tour imports DistanceMatrix from this module
+
+    if not isinstance(tour, Tour):
+        tour = Tour(tour)
+    if tour.n != m.n:
+        raise InvalidTourError(f"tour {list(tour.order)} is not a permutation of 0..{m.n - 1}")
+    return float(_kernels.closed_tour_length(m.d, tour.order))
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -211,19 +204,35 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
+def read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 raise :class:`ParseError`
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file.  Text that is not JSON, an integer
+    past Python's digit limit or nesting past its recursion limit raises
+    :class:`ParseError` naming the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_instance(path) -> Instance:
     """Read an instance written by :func:`save_instance`.
 
     Raises :class:`ParseError` with line/field context on malformed input.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: top level must be an object")
     if "cities" not in payload:
@@ -239,12 +248,12 @@ def load_instance(path) -> Instance:
             cities.append(
                 City(str(entry["label"]), float(entry["x"]), float(entry["y"]))
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: cities[{idx}]: {exc}") from exc
     matrix = payload.get("matrix")
     try:
         matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: matrix: {exc}") from exc
     try:
         return Instance(

@@ -240,21 +240,17 @@ def sweep(
 def render_report(r: BenchmarkReport, format: str = "table") -> str:
     """Render as an aligned text table or as CSV.
 
-    Table columns are fixed to Best, Mean, Worst, % Succ., Iter.; cells
-    with no valid run show an em dash.  CSV values are written at full
-    precision, so they parse back well beyond 6 significant digits.
+    Table columns are C, D and ``REPORT_COLUMNS``; cells with no valid run
+    show an em dash.  CSV values are written at full precision, so they
+    parse back well beyond 6 significant digits.
     """
     if not r.cells:
         raise InvalidArgumentError("report has no cells")
     if format == "table":
-        header = (
-            f"{'C':>6} {'D':>6} {'Best':>9} {'Mean':>9} {'Worst':>9} "
-            f"{'% Succ.':>9} {'Iter.':>9}"
-        )
         lines = [
             f"instance={r.instance_id} A={r.a_pen:g} B={r.b_pen:g} "
             f"trials={r.trials} seed={r.master_seed} metric={r.success_metric}",
-            header,
+            f"{'C':>6} {'D':>6} " + " ".join(f"{name:>9}" for name in REPORT_COLUMNS),
         ]
         for c in r.cells:
 

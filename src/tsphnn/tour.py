@@ -2,9 +2,10 @@
 
 A tour is a closed, undirected visiting order: rotations and reversals of
 the same cycle are the same tour, and :func:`canonicalize` picks one
-representative.  The n x n binary "tour matrix" encoding (rows = cities,
-columns = visit positions) is a permutation matrix exactly when the tour
-is legal.
+representative.  The n x n "tour matrix" encoding (rows = cities,
+columns = visit positions) is a tour exactly when it is a permutation
+matrix, each row and column a single 1 among 0s; every decoder asks one
+predicate.
 """
 
 import operator
@@ -47,8 +48,16 @@ class Tour:
         return Tour(tuple(int(v) for v in rng.permutation(n)))
 
 
+def _permutation_checks(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each matrix of a (..., n, n) stack: is every row a single 1 among
+    0s, and does every column then hold a single 1?"""
+    ones = v == 1
+    rows = ((ones | (v == 0)).all(axis=-1) & (ones.sum(axis=-1) == 1)).all(axis=-1)
+    return rows, (ones.sum(axis=-2) == 1).all(axis=-1)
+
+
 def is_valid_permutation_matrix(tm: np.ndarray) -> bool:
-    """True iff every row and column holds exactly one 1 and the total is n."""
+    """True iff ``tm`` is square, each row and column a single 1 among 0s."""
     return decode_grid(tm) is not None
 
 
@@ -65,20 +74,18 @@ def matrix_to_tour(tm: np.ndarray) -> Tour:
     """Inverse of :func:`tour_to_matrix`; rejects non-permutation matrices.
 
     The raised :class:`InvalidTourMatrixError` carries which condition
-    failed first ("row", "column" or "count").
+    failed first: "count" (not square), "row" or "column".
     """
     v = np.asarray(tm)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise InvalidTourMatrixError(f"matrix must be square, got {v.shape}", "count")
-    n = v.shape[0]
-    if not np.all(v.sum(axis=1) == 1):
-        raise InvalidTourMatrixError("some city row does not hold exactly one 1", "row")
-    if not np.all(v.sum(axis=0) == 1):
+    rows, columns = _permutation_checks(v)
+    if not rows:
+        raise InvalidTourMatrixError("some city row is not a single 1 among 0s", "row")
+    if not columns:
         raise InvalidTourMatrixError(
             "some position column does not hold exactly one 1", "column"
         )
-    if int(v.sum()) != n:
-        raise InvalidTourMatrixError(f"matrix holds {int(v.sum())} ones, wants {n}", "count")
     return Tour(tuple(int(city) for city in np.argmax(v, axis=0)))
 
 
@@ -159,8 +166,8 @@ def brute_force_optimum(m: DistanceMatrix) -> Tuple[Tour, float]:
 
 
 def decode_grid(grid: np.ndarray) -> Optional[Tour]:
-    """Tour encoded by a binary grid, or None when the grid is not a
-    permutation matrix."""
+    """Tour encoded by a grid, or None when the grid is not a permutation
+    matrix (:func:`matrix_to_tour`)."""
     try:
         return matrix_to_tour(grid)
     except InvalidTourMatrixError:
@@ -168,10 +175,10 @@ def decode_grid(grid: np.ndarray) -> Optional[Tour]:
 
 
 def decode_grids(grids: np.ndarray) -> List[Optional[Tour]]:
-    """:func:`decode_grid` of every 0/1 grid in a (k, n, n) stack, in one
-    pass: a grid is a permutation matrix when each of its row sums and
-    column sums is 1, and then each position's city is its column's argmax."""
+    """:func:`decode_grid` of every grid in a (k, n, n) stack, in one pass of
+    the same permutation-matrix checks; each position's city is then its
+    column's argmax."""
     v = np.asarray(grids)
-    ok = (v.sum(axis=2) == 1).all(axis=1) & (v.sum(axis=1) == 1).all(axis=1)
+    ok = np.logical_and(*_permutation_checks(v))
     cities = v.argmax(axis=1).tolist()
     return [Tour(tuple(c)) if valid else None for c, valid in zip(cities, ok.tolist())]

@@ -562,3 +562,152 @@ def test_sweep_flags_fuzz(tmp_path_factory, instance, odd, data):
         value = data.draw(special if flag in odd else ordinary, label=flag)
         argv.append(f"--{flag}={value}")
     _fuzz_twice(argv, tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "sweep", "--instance", "paper8", "--c-grid", "90", "--d-grid=1e308",
+            "--A", "1e308", "--threshold=-1e308", "--trials", "2",
+        ],
+        [
+            "solve", "--instance", "cityset1", "--method", "hybrid",
+            "--C", "1e308", "--D", "1e308", "--A", "1e308", "--threshold=1e308",
+        ],
+    ],
+    ids=["sweep", "hybrid"],
+)
+def test_penalties_whose_net_inputs_overflow_exit_2(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning fails the test
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflow" in err and "Traceback" not in err
+
+
+_BIG = "1" + "0" * 400  # past the largest float
+_CITIES = '{"label": "B", "x": 1, "y": 0}, {"label": "C", "x": 0, "y": 1}'
+# files that Python's float(), int() or json module, or UTF-8 decoding, cannot read
+_UNREADABLE = {
+    "coordinate-401-digits": f'{{"cities": [{{"label": "A", "x": {_BIG}, "y": 0}}, {_CITIES}]}}',
+    "matrix-401-digits": (
+        f'{{"cities": [{{"label": "A", "x": 0, "y": 0}}, {_CITIES}], '
+        f'"matrix": [[0, {_BIG}, 1], [{_BIG}, 0, 1], [1, 1, 0]]}}'
+    ),
+    "integer-5001-digits": (
+        f'{{"cities": [{{"label": "A", "x": {"9" * 5001}, "y": 0}}, {_CITIES}]}}'
+    ),
+    "nested-100000": "[" * 100_000,
+    "not-utf8": b'{"id": "\xff", "cities": []}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--method", "exact", "--instance", "F"),
+        ("solve", "--method", "greedy", "--instance", "F"),
+        ("solve", "--method", "sa", "--iters", "50", "--instance", "F"),
+        ("solve", "--method", "hnn", "--instance", "F"),
+        ("sweep", "--c-grid", "90", "--d-grid", "10", "--trials", "2", "--instance", "F"),
+        ("plot", "--instance", "paper8", "--tour", "F"),
+        ("plot", "--instance", "paper8", "--grid", "F"),
+    ],
+    ids=["exact", "greedy", "sa", "hnn", "sweep", "plot-tour", "plot-grid"],
+)
+def test_unreadable_files_exit_2(tmp_path, capsys, name, argv):
+    """Numbers past Python's limits, deep nesting and bytes that are not
+    UTF-8 are input errors wherever a file is read, not tracebacks."""
+    path = tmp_path / "input"
+    content = _UNREADABLE[name]
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_bytes(content)
+    argv = [str(path) if a == "F" else a for a in argv]
+    if argv[0] == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_ODD_COORDS = st.sampled_from(
+    [5e-324, -5e-324, 2.2e-308, 1e154, 1e200, 1e308, -1e308, 1.7e308, float("nan"),
+     float("inf"), 2**70, 10**400, -(10**400), "1.5", "x", None, True, [], {}]
+)
+_ODD_ENTRIES = st.sampled_from([-1.0, 1e308, float("nan"), float("-inf"), 10**400, "1", None])
+
+
+def _instance_text(data):
+    """The text or bytes of an instance file: n = 2-6 cities on a small
+    grid (so often coincident), with up to three odd changes."""
+    n = data.draw(st.sampled_from([3, 4, 5, 6, 2]), label="n")
+    point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    points = data.draw(st.lists(point, min_size=n, max_size=n), label="points")
+    cities = [{"label": "ABCDEF"[i], "x": x, "y": y} for i, (x, y) in enumerate(points)]
+    payload = {"id": "fuzz", "cities": cities}
+    kinds = ["coordinate", "type", "missing", "duplicate", "matrix", "top", "bytes"]
+    odd = data.draw(st.sets(st.sampled_from(kinds), max_size=3), label="odd")
+    for kind in sorted(odd - {"top", "bytes"}):
+        city = cities[data.draw(st.integers(0, n - 1))]
+        if kind == "coordinate":
+            city[data.draw(st.sampled_from("xy"))] = data.draw(_ODD_COORDS, label="coordinate")
+        elif kind == "type":
+            field = data.draw(st.sampled_from(["label", "x", "y", "id", "seed", "cities"]))
+            value = data.draw(st.sampled_from([None, [], {}, "7", 3.5, [[1]]]), label=field)
+            (payload if field in ("id", "seed", "cities") else city)[field] = value
+        elif kind == "missing":
+            field = data.draw(st.sampled_from(["label", "x", "y", "cities"]), label="missing")
+            (payload if field == "cities" else city).pop(field, None)
+        elif kind == "duplicate":
+            city["label"] = "A"
+        elif kind == "matrix":
+            size = n + data.draw(st.sampled_from([0, 0, 0, 1, -1]), label="size")
+            matrix = [[float(abs(i - j)) for j in range(size)] for i in range(size)]
+            change = data.draw(st.sampled_from(["none", "ragged", "asymmetric", "entry"]))
+            if size > 1 and change == "ragged":
+                matrix[1].pop()
+            elif size > 1 and change == "asymmetric":
+                matrix[0][1] += 1.0
+            elif size > 1 and change == "entry":
+                matrix[0][1] = matrix[1][0] = data.draw(_ODD_ENTRIES, label="entry")
+            payload["matrix"] = matrix
+    if "top" in odd:
+        payload = data.draw(st.sampled_from([[], "cities", 3, None]), label="top")
+    text = json.dumps(payload)
+    if "bytes" in odd:
+        text = data.draw(
+            st.sampled_from([text[: len(text) // 2], "[" * 100_000, text.replace('"', "\x00", 1)])
+        )
+        if data.draw(st.booleans(), label="not-utf8"):
+            return text.encode() + b"\xff\xfe"
+    return text.encode()
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    argv=st.sampled_from(
+        [
+            ["solve", "--method=exact"],
+            ["solve", "--method=greedy"],
+            ["solve", "--method=sa", "--iters=300"],
+            ["solve", "--method=hnn", "--max-sweeps=50"],
+            ["sweep", "--c-grid=90", "--d-grid=10,100", "--trials=3", "--max-sweeps=50"],
+        ]
+    ),
+    data=st.data(),
+)
+def test_instance_files_fuzz(tmp_path_factory, argv, data):
+    """Generated instance files (wrong types, missing fields, duplicate
+    labels, coincident cities, n = 2-6, subnormal, extreme and huge-integer
+    coordinates, bad matrices, invalid UTF-8, deep nesting) give exit 0, 1
+    or 2, never a traceback, and the same stdout and CSV twice."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "instance.json"
+    path.write_bytes(_instance_text(data))
+    _fuzz_twice([*argv, f"--instance={path}"], folder)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -486,3 +487,41 @@ def test_lockstep_record_is_bounded(cityset1_m):
         assert res.sweeps_used <= 4
         assert res.ends.dtype == np.uint8
         assert 8 * res.ends.nbytes < res.ends_at + res.sweeps_used * n * n + 8
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        T.HopfieldParams(a_pen=1e308, d_pen=1e308, threshold=-1e308),
+        T.HopfieldParams(a_pen=1e308, c_pen=1e308, d_pen=1e308, threshold=1e308),
+        T.HopfieldParams(threshold=1.7e308),  # only the distance to the threshold overflows
+        T.HopfieldParams(c_pen=1e306),  # only the count energy, C/2 * n^4, overflows
+        T.HopfieldParams(a_pen=1e308, max_sweeps=0),
+    ],
+)
+def test_network_refuses_penalties_that_overflow(paper8, params):
+    """Penalties at which a net input or an energy can overflow are refused
+    before any dynamics, by ``run``, ``run_lockstep``, the hybrid and the
+    sweep alike, with no NumPy warning."""
+    m = T.normalize_distances(T.distance_matrix(paper8))
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    sa = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=50)
+    calls = [
+        lambda: T.run_hopfield(m, params),
+        lambda: hopfield.run_lockstep(m, params, [random_grid(8, r) for r in rngs], rngs),
+        lambda: T.solve_hybrid(paper8, sa, params),
+        lambda: T.sweep(paper8, [params.c_pen], [params.d_pen], 2, params, seed=0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(T.TsphnnError, match="overflow"):
+                call()
+
+
+def test_network_accepts_large_penalties_that_cannot_overflow(paper8):
+    m = T.normalize_distances(T.distance_matrix(paper8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = T.run_hopfield(m, T.HopfieldParams(a_pen=1e300, b_pen=1e300, max_sweeps=3))
+        assert np.isfinite(res.energy_trace).all()

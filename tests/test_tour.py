@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import _kernels
+from tsphnn.tour import decode_grids
 from tsphnn.errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError
 
 # tour-matrix figure rows A..D for the visiting order B, A, D, C
@@ -213,3 +214,25 @@ def test_codec_round_trip_property(perm):
     grid = T.tour_to_matrix(tour)
     assert T.matrix_to_tour(grid) == tour
     assert np.array_equal(T.tour_to_matrix(T.matrix_to_tour(grid)), grid)
+
+
+def test_grids_that_are_not_0_1_are_not_tours():
+    """Row and column sums of 1 make no tour unless every entry is 0 or 1."""
+    assert not T.is_valid_permutation_matrix(np.array([[2, -1], [-1, 2]]))
+    assert T.decode(np.full((4, 4), 0.25)) is None
+    with pytest.raises(InvalidTourMatrixError) as exc:
+        T.matrix_to_tour(np.array([[2, -1], [-1, 2]]))
+    assert exc.value.condition == "row"
+    assert decode_grids(np.array([np.full((4, 4), 0.25), np.eye(4)])) == [
+        None,
+        T.Tour((0, 1, 2, 3)),
+    ]
+
+
+def test_tour_length_takes_a_tour_or_an_index_sequence(matrix4_m):
+    tour = T.Tour((1, 0, 3, 2))
+    for given_as in (tour, [1, 0, 3, 2], np.array([1, 0, 3, 2])):
+        assert T.tour_length(matrix4_m, given_as) == 71.0
+    for bad in (T.Tour((0, 1, 2)), (0, 1, 2), [[0, 1], [2, 3]], [0.0, 1.0, 2.0, 3.0]):
+        with pytest.raises(InvalidTourError):
+            T.tour_length(matrix4_m, bad)
