@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
         extras["start_length"] = tour_length(m, start)
         tour, _, _ = anneal(m, start, cfg, rng=rng)
     elif args.method == "hnn":
-        hp = _hopfield_params(args)
+        hp = _hopfield_params(args, c_pen=args.C, d_pen=args.D)
         result = run(normalize_distances(m), hp)
         extras["converged"] = result.converged
         extras["sweeps"] = result.sweeps_used
@@ -118,7 +118,8 @@ def cmd_solve(args) -> int:
             with open(args.grid_out, "w", encoding="utf-8") as fh:
                 fh.write(grid_to_text(result.grid))
     elif args.method == "hybrid":
-        report = solve_hybrid(inst, _sa_config(args), _hopfield_params(args))
+        hp = _hopfield_params(args, c_pen=args.C, d_pen=args.D)
+        report = solve_hybrid(inst, _sa_config(args), hp)
         extras["sa_start_length"] = report.sa_start_length
         extras["sa_length"] = report.sa_length
         extras["hnn_valid"] = report.hnn_valid
@@ -164,15 +165,15 @@ def _sa_config(args) -> SaConfig:
     )
 
 
-def _hopfield_params(args) -> HopfieldParams:
+def _hopfield_params(args, **penalties) -> HopfieldParams:
+    """The shared flags' network parameters, plus the command's ``penalties``."""
     return HopfieldParams(
         a_pen=args.A,
         b_pen=args.B,
-        c_pen=args.C,
-        d_pen=args.D,
         threshold=args.threshold,
         max_sweeps=args.max_sweeps,
         seed=args.seed,
+        **penalties,
     )
 
 
@@ -189,19 +190,12 @@ def _parse_grid_list(text: str, flag: str):
 def cmd_sweep(args) -> int:
     inst = _resolve_instance(args.instance)
     _distances(inst)  # refuses an instance whose tour lengths overflow
-    base = HopfieldParams(
-        a_pen=args.A,
-        b_pen=args.B,
-        threshold=args.threshold,
-        max_sweeps=args.max_sweeps,
-        seed=args.seed,
-    )
     report = sweep(
         inst,
         _parse_grid_list(args.c_grid, "--c-grid"),
         _parse_grid_list(args.d_grid, "--d-grid"),
         trials=args.trials,
-        base=base,
+        base=_hopfield_params(args),
         seed=args.seed,
         success_metric=args.success_metric,
         workers=args.workers,
@@ -243,6 +237,25 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _add_shared_flags(p) -> None:
+    """The flags of ``solve`` and ``sweep``: the instance, the seed and the
+    network's settings, with :class:`HopfieldParams`'s defaults."""
+    p.add_argument(
+        "--instance",
+        required=True,
+        help=f"instance path or builtin name {sorted(BUILTIN_INSTANCES)}",
+    )
+    p.add_argument("--seed", type=int, default=HopfieldParams.seed, help="master seed")
+    p.add_argument("--A", type=float, default=HopfieldParams.a_pen, help="row penalty")
+    p.add_argument("--B", type=float, default=HopfieldParams.b_pen, help="column penalty")
+    p.add_argument(
+        "--threshold", type=float, default=HopfieldParams.threshold, help="unit threshold"
+    )
+    p.add_argument(
+        "--max-sweeps", type=int, default=HopfieldParams.max_sweeps, help="network sweep budget"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsphnn",
@@ -265,23 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser(
         "solve", help="solve an instance with one method", formatter_class=fmt
     )
-    solve.add_argument(
-        "--instance",
-        required=True,
-        help=f"instance path or builtin name {sorted(BUILTIN_INSTANCES)}",
-    )
+    _add_shared_flags(solve)
     solve.add_argument("--method", required=True, choices=METHODS)
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--t0", type=float, default=1.0, help="SA initial temperature")
     solve.add_argument("--cooling", type=float, default=0.999, help="SA cooling rate")
     solve.add_argument("--iters", type=int, default=20000, help="SA iteration budget")
     solve.add_argument("--swaps", type=int, default=1, help="SA pairs swapped per move")
-    solve.add_argument("--A", type=float, default=100.0, help="row penalty")
-    solve.add_argument("--B", type=float, default=100.0, help="column penalty")
-    solve.add_argument("--C", type=float, default=90.0, help="count penalty")
-    solve.add_argument("--D", type=float, default=100.0, help="distance penalty")
-    solve.add_argument("--threshold", type=float, default=0.0, help="unit threshold")
-    solve.add_argument("--max-sweeps", type=int, default=200)
+    solve.add_argument("--C", type=float, default=HopfieldParams.c_pen, help="count penalty")
+    solve.add_argument("--D", type=float, default=HopfieldParams.d_pen, help="distance penalty")
     solve.add_argument("--out", default=None, help="write the tour as JSON here")
     solve.add_argument(
         "--grid-out", default=None, help="write the final activation grid here (hnn)"
@@ -291,17 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep", help="benchmark a (C, D) penalty grid", formatter_class=fmt
     )
-    sweep_p.add_argument("--instance", required=True)
+    _add_shared_flags(sweep_p)
     sweep_p.add_argument("--c-grid", required=True, help="comma-separated C values")
     sweep_p.add_argument("--d-grid", required=True, help="comma-separated D values")
-    sweep_p.add_argument("--trials", type=int, default=100)
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--A", type=float, default=100.0)
-    sweep_p.add_argument("--B", type=float, default=100.0)
-    sweep_p.add_argument("--threshold", type=float, default=0.0)
-    sweep_p.add_argument("--max-sweeps", type=int, default=200)
+    sweep_p.add_argument("--trials", type=int, default=100, help="network trials per cell")
     sweep_p.add_argument(
-        "--success-metric", choices=("valid", "optimal"), default="valid"
+        "--success-metric", choices=("valid", "optimal"), default="valid", help="trial success"
     )
     sweep_p.add_argument(
         "--workers",

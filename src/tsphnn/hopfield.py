@@ -370,8 +370,11 @@ def run_lockstep(
     unit, from the trial's scan position in its own sweep order, whose
     threshold decision differs from its state.  A trial whose scan finds
     none ends its sweep, packs its grid into its record of sweep ends, and
-    either stops or draws its next order from its own generator.  The
-    trials that stop are decoded together once the stack has run out.
+    either stops or draws its next order from its own generator.  Only the
+    running rows' grids, order ranks and scan positions shrink as trials
+    stop; each trial's change flag, sweep count and largest update delta E
+    stay at its trial number.  The trials that stop are decoded together
+    once the stack has run out.
 
     The stacked product may sum the distance field in another order than
     the 2-D one.  So when a trial's scan, from its position through its
@@ -393,13 +396,11 @@ def run_lockstep(
     trial = np.arange(count)  # the trial that each row of the state runs
     rank = np.empty((count, n2), dtype=np.int64)  # each unit's place in its order
     pos = np.zeros(count, dtype=np.int64)  # the place the scan has reached
-    changed = np.zeros(count, dtype=bool)
+    # each trial's facts, by trial number; a stopped trial's are its outcome
+    final = g.copy()
+    changed = np.zeros(count, dtype=bool)  # in the current sweep
     sweeps = np.zeros(count, dtype=np.int64)
     max_de = np.full(count, -np.inf)
-    # each trial's outcome, filled in as it stops
-    final = np.empty((count, n, n))
-    converged = np.zeros(count, dtype=bool)
-    final_de = np.full(count, -np.inf)
     # the grids at sweep ends, packed row by row, and the trials they are of
     ends = [np.zeros((0, (n2 + 7) // 8), dtype=np.uint8)]
     owners = [np.zeros(0, dtype=np.int64)]
@@ -411,7 +412,7 @@ def run_lockstep(
             orders = np.array([rngs[t].permutation(n2) for t in trial[rows].tolist()])
             rank[rows[:, None], orders] = units
         pos[rows] = 0
-        changed[rows] = False
+        changed[trial[rows]] = False
 
     def next_flips(net):
         # each row's next flip at or after its scan position: the unit and
@@ -421,7 +422,6 @@ def run_lockstep(
         return u, key.ravel()[offset + u]
 
     if p.max_sweeps == 0:
-        final[:] = g
         trial = trial[:0]
     else:
         start_sweeps(trial)
@@ -443,48 +443,43 @@ def run_lockstep(
         at = offset + u
         dv = flip * (1.0 - 2.0 * g.ravel()[at])
         de = -dv * net.ravel()[at]
-        max_de = np.where(flip & (de > max_de), de, max_de)
+        max_de[trial] = np.where(flip & (de > max_de[trial]), de, max_de[trial])
         g.ravel()[at] += dv
         pos = k + 1
-        changed |= flip
+        changed[trial] |= flip
 
         ended = rows[~flip]
         if ended.size:
+            who = trial[ended]
             ends.append(np.packbits(flat[ended] > 0, axis=1))
-            owners.append(trial[ended])
-            sweeps[ended] += 1
+            owners.append(who)
+            sweeps[who] += 1
             stop = np.zeros(trial.size, dtype=bool)
-            stop[ended] = ~changed[ended] | (sweeps[ended] == p.max_sweeps)
+            stop[ended] = ~changed[who] | (sweeps[who] == p.max_sweeps)
             start_sweeps(ended[~stop[ended]])
             if stop.any():
-                done = trial[stop]
-                final[done] = g[stop]
-                converged[done] = ~changed[stop]
-                final_de[done] = max_de[stop]
-                keep = ~stop
-                g, rank, pos, changed, sweeps, max_de, trial = (
-                    a[keep] for a in (g, rank, pos, changed, sweeps, max_de, trial)
-                )
+                final[trial[stop]] = g[stop]
+                g, rank, pos, trial = (a[~stop] for a in (g, rank, pos, trial))
                 rows = np.arange(trial.size)
                 offset = rows * n2
-    return _results(m, p, final, converged, final_de, ends, owners)
+    return _results(m, p, final, (sweeps > 0) & ~changed, max_de, sweeps, ends, owners)
 
 
-def _results(m, p, final, converged, max_de, ends, owners) -> List[HopfieldResult]:
-    """One result per trial, from its final grid and its sweep ends.
+def _results(m, p, final, converged, max_de, sweeps, ends, owners) -> List[HopfieldResult]:
+    """One result per trial, from its final grid, convergence, largest update
+    delta E, sweep count and sweep ends.
 
     ``ends`` holds the sweep ends packed row by row, in the order they
-    happened, and ``owners`` their trials.  They are repacked trial by trial
-    into one bit string, n^2 bits a sweep end, and each result keeps the
-    bytes that hold its own.
+    happened, and ``owners`` their trials; trial t has ``sweeps[t]`` of them.
+    They are repacked trial by trial into one bit string, n^2 bits a sweep
+    end, and each result keeps the bytes that hold its own.
     """
     final.flags.writeable = False
-    trials, n = final.shape[:2]
-    n2 = n * n
+    n2 = final.shape[1] ** 2
     who = np.concatenate(owners)
     records = np.concatenate(ends)[np.argsort(who, kind="stable")]
     packed = np.packbits(np.unpackbits(records, axis=1, count=n2))
-    starts = np.cumsum(np.bincount(who, minlength=trials)).tolist()
+    starts = np.cumsum(sweeps).tolist()
     return [
         HopfieldResult(
             grid=final[t],
@@ -514,9 +509,11 @@ def grid_to_text(g: np.ndarray) -> str:
 
 
 def text_to_grid(text: str, n: int = None) -> np.ndarray:
-    """Inverse of :func:`grid_to_text`, spaces between cells allowed; n x n if given."""
+    """Inverse of :func:`grid_to_text`, spaces between cells allowed; n x n if given.
+    A bad row is quoted up to its first 40 characters."""
     rows = [line.replace(" ", "") for line in text.strip().splitlines() if line.strip()]
     for number, row in enumerate(rows, 1):
         if len(row) != len(rows) or set(row) - {"0", "1"}:
-            raise TsphnnError(f"grid row {number} is not {len(rows)} cells of 0 or 1: {row!r}")
+            quote = repr(row[:40]) + ("..." if len(row) > 40 else "")
+            raise TsphnnError(f"grid row {number} is not {len(rows)} cells of 0 or 1: {quote}")
     return _check_grids([[[float(ch) for ch in row] for row in rows]], n)[0]

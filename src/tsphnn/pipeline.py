@@ -132,23 +132,23 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
 def _outcome(
     result: HopfieldResult,
     m_raw: DistanceMatrix,
-    params: HopfieldParams,
     success_metric: str,
     optimum: Optional[float],
 ):
-    """Score one network trial: (valid_length_or_None, success_flag, sweeps_charged).
+    """Score one network trial: (valid_length_or_None, success_flag, sweeps_used).
 
     A valid trial's tour is measured once, on the raw distances; the
-    network-scale ``result.length`` is never read.
+    network-scale ``result.length`` is never read.  ``optimum`` is set when
+    the metric is "optimal".  The dynamics stop only on convergence or at
+    the sweep budget, so an unconverged trial has used the whole budget.
     """
     length = None
     if result.valid:
         length = tour_length(m_raw, result.tour)
     success = result.converged and result.valid
     if success_metric == "optimal":
-        success = success and optimum is not None and length <= optimum + 1e-9
-    sweeps = result.sweeps_used if result.converged else params.max_sweeps
-    return length, success, sweeps
+        success = success and length <= optimum + 1e-9
+    return length, success, result.sweeps_used
 
 
 def sweep(
@@ -207,7 +207,7 @@ def sweep(
             ]
             grids = [random_grid(n, rng) for rng in rngs]
             results += [
-                _outcome(r, m_raw, params, success_metric, optimum)
+                _outcome(r, m_raw, success_metric, optimum)
                 for r in run_lockstep(m_scaled, params, grids, rngs)
             ]
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -245,6 +246,36 @@ def test_help_documents_defaults(capsys):
     assert "default: 90.0" in out  # --C
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_help_shows_every_default(capsys, command):
+    """Every option with a default shows it, and the network flags show
+    :class:`HopfieldParams`'s own defaults."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    entries = {}  # each option's help entry, its lines joined
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            option = line.split()[0].rstrip(",")
+            entries[option] = ""
+        if entries:
+            entries[option] += " " + line.strip()
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = subparsers.choices[command]._actions
+    defaulted = [a for a in actions if a.default not in (None, argparse.SUPPRESS)]
+    assert defaulted
+    for action in defaulted:
+        assert f"(default: {action.default})" in entries[action.option_strings[0]]
+    network = {"--A": "a_pen", "--B": "b_pen", "--C": "c_pen", "--D": "d_pen",
+               "--threshold": "threshold", "--max-sweeps": "max_sweeps", "--seed": "seed"}
+    shown = {a.option_strings[0]: a.default for a in defaulted if a.option_strings[0] in network}
+    assert len(shown) == (7 if command == "solve" else 5)
+    for option, default in shown.items():
+        assert default == getattr(T.HopfieldParams(), network[option])
+
+
 def test_sweep_deterministic_bytes_across_workers(tmp_path, capsys):
     csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = (
@@ -308,6 +339,19 @@ def test_plot_bad_grid_file_exits_2(tmp_path, capsys, text, message):
         "--out", str(tmp_path / "x.svg"),
     )
     assert code == 2 and message in err
+
+
+def test_plot_long_bad_grid_row_is_quoted_short(tmp_path, capsys):
+    grid_path = tmp_path / "grid.txt"
+    grid_path.write_text("[" * 100_000)
+    code, _, err = run_cli(
+        capsys,
+        "plot", "--instance", "paper8", "--grid", str(grid_path),
+        "--out", str(tmp_path / "x.svg"),
+    )
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2 and len(errors) == 1
+    assert "grid row 1" in errors[0] and len(errors[0]) < 200
 
 
 def test_plot_size_mismatch_exits_2(tmp_path, capsys):

@@ -4,10 +4,12 @@ Each workload of ``perfbench/workloads.py`` is built for seed 0 under a
 temporary directory and run through ``cli.main``; the digest of every
 command's stdout and sweep CSV (``perfbench/checks.py``) must equal the one
 recorded in ``perfbench/golden/<workload>.json``.  An answer change then
-fails here, not only in the benchmark.  The benchmark's files are only read.
+fails here, not only in the benchmark.  The names the benchmark reaches into
+the package by must resolve too.  The benchmark's files are only read.
 """
 
 import contextlib
+import importlib
 import importlib.util
 import io
 import json
@@ -29,6 +31,7 @@ def _load(name):
 
 workloads = _load("workloads")
 checks = _load("checks")
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -42,3 +45,16 @@ def test_golden_seed_0(workload, tmp_path):
         csv_text = Path(cmd.csv_path).read_text(encoding="utf-8") if cmd.csv_path else ""
         digests.append(checks.digest(out.getvalue(), csv_text))
     assert digests == golden
+
+
+@pytest.mark.parametrize("module, attr", [t[1:] for t in tracing.TARGETS])
+def test_traced_function_exists(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_setup_hooks_exist():
+    from tsphnn import _kernels, builtin
+
+    assert isinstance(_kernels.NUMBA_ENABLED, bool)
+    assert callable(cli.build_parser) and callable(cli.main)
+    assert builtin.BUILTIN_INSTANCES and callable(builtin.get_builtin)

@@ -60,6 +60,21 @@ def test_hybrid_zero_sweeps_falls_back_to_sa(paper8):
     assert rep.final_tour.order == rep.sa_tour.order
 
 
+def test_hybrid_keeps_a_shorter_network_tour(cityset1):
+    """A run whose network, started from the annealed tour, settles on a
+    shorter valid tour answers with the network's tour."""
+    rep = T.solve_hybrid(
+        cityset1,
+        T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=2, seed=6),
+        T.HopfieldParams(a_pen=70, b_pen=30, c_pen=90, d_pen=30, seed=11),
+    )
+    assert rep.sa_length == pytest.approx(4.1826, abs=1e-4)
+    assert rep.hnn_length == pytest.approx(3.2134, abs=1e-4)
+    assert rep.final_tour == rep.hnn_result.tour
+    assert rep.final_length == rep.hnn_length < rep.sa_length
+    assert rep.final_length <= rep.sa_length <= rep.sa_start_length
+
+
 def test_hybrid_best_of_20_reaches_optimum(paper8, paper8_m):
     _, opt = T.brute_force_optimum(paper8_m)
     best = math.inf
