@@ -42,7 +42,6 @@ from .instance import (
     load_instance,
     normalize_distances,
     save_instance,
-    tour_length,
 )
 from .pipeline import (
     BenchmarkReport,
@@ -58,6 +57,7 @@ from .tour import (
     canonicalize,
     is_valid_permutation_matrix,
     matrix_to_tour,
+    tour_length,
     tour_to_matrix,
 )
 

@@ -252,10 +252,12 @@ def anneal(
     lists, takes its in-order length and asks
     :func:`acceptance_probability`.  An acceptance ends the window.  As the
     screen only rejects where the exact step would, the walk, its answers
-    and its trace are those of the exact step alone.  The trace's lengths
-    are filled run by run at the end of each chunk; besides the trace's 32
-    bytes per step, memory is O(CHUNK * n) narrow integers, one byte each
-    while n < 128.
+    and its trace are those of the exact step alone.  The trace's current
+    lengths are filled run by run at the end of each chunk.  Its best
+    lengths are derived at the end as the running minimum of the start and
+    current lengths, since the best length only ever takes the start length
+    or an accepted one.  Besides the trace's 32 bytes per step, memory is
+    O(CHUNK * n) narrow integers, one byte each while n < 128.
     """
     n = m.n
     if start.n != n:
@@ -268,9 +270,9 @@ def anneal(
     iters = cfg.iterations
     d = m.d.tolist()
     cur = list(start.order)
-    cur_len = _kernels.closed_tour_length(d, cur)
+    start_len = cur_len = _kernels.closed_tour_length(d, cur)
     best, best_len = cur, cur_len
-    temps, cur_lens, best_lens = np.empty(iters), np.empty(iters), np.empty(iters)
+    temps, cur_lens = np.empty(iters), np.empty(iters)
     band = _screen_band(m, k)
     screened = band < np.inf
     tour = None  # ``cur`` as an array, made when a screen needs it
@@ -287,7 +289,7 @@ def anneal(
         pairs = picks.reshape(count, k, 2)
         temp_at, accept_at = chunk_temps.tolist(), u[:, 2 * k].tolist()
         # The chunk's steps from which the walk holds each length: a run.
-        run_from, run_cur, run_best = [0], [cur_len], [best_len]
+        run_from, run_cur = [0], [cur_len]
         i = 0
         while i < count:
             gap = first + i - last
@@ -308,7 +310,6 @@ def anneal(
                         best, best_len = cur, cur_len
                     run_from.append(j)
                     run_cur.append(cur_len)
-                    run_best.append(best_len)
                     # The window ends here: its later steps were screened
                     # against the old tour.
                     last, tour, end = first + j, None, j + 1
@@ -316,12 +317,11 @@ def anneal(
             i = end
         runs = np.diff(run_from + [count])
         cur_lens[first : first + count] = np.repeat(run_cur, runs)
-        best_lens[first : first + count] = np.repeat(run_best, runs)
     trace = SaTrace(
         iteration=np.arange(iters),
         temperature=temps,
         current_length=cur_lens,
-        best_length=best_lens,
+        best_length=np.minimum(np.minimum.accumulate(cur_lens), start_len),
         final_tour=Tour(tuple(cur)),
         final_length=float(cur_lens[-1]),
     )

@@ -28,11 +28,10 @@ from .instance import (
     read_json,
     read_text,
     save_instance,
-    tour_length,
 )
 from .pipeline import render_report, solve_hybrid, sweep
 from .svg import render_grid_svg, render_tour_svg
-from .tour import Tour, brute_force_optimum
+from .tour import Tour, brute_force_optimum, tour_length
 
 METHODS = ("exact", "greedy", "2opt", "3opt", "sa", "hnn", "hybrid")
 

@@ -38,16 +38,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, TsphnnError
-from .instance import DistanceMatrix, tour_length
-from .tour import Tour, decode_grid, decode_grids
+from .instance import DistanceMatrix
+from .tour import Tour, decode_grid, decode_grids, tour_length
 
 
 @dataclass(frozen=True)
 class HopfieldParams:
     """Penalty constants, activation threshold, sweep budget, and seed.
 
-    Defaults (A=B=100, C=90, D=100, threshold 0) are the best-behaved
-    combination observed on the bundled 10-city set.
+    The defaults (A=B=100, C=90, D=100, threshold 0) weigh tour length
+    heavily against validity: a 200-trial ``sweep`` at seed 0 finds a valid
+    tour in none of its trials on the bundled cityset1 and paper8 sets,
+    and with D=10 in every one.
     """
 
     a_pen: float = 100.0
@@ -211,45 +213,39 @@ def _net_inputs(g: np.ndarray, m: DistanceMatrix, p: HopfieldParams) -> np.ndarr
     )
 
 
-def _terms(v: np.ndarray, field: np.ndarray):
-    """The four energy sums of a 0/1 grid or a stack of them, given its field.
+def _terms(v: np.ndarray, field: np.ndarray) -> Tuple[float, float, float, float]:
+    """The four energy sums of a 0/1 grid, given its distance field.
 
-    The first three are exact integer counts.  The distance term sums each
-    grid's n^2 products as one contiguous row, in the order of a 2-D ``sum()``.
+    The first three are exact integer counts.  The distance term sums the
+    n^2 products of the contiguous grid in the order of a 2-D ``sum()``.
     """
-    n = v.shape[-1]
-    rows = v.sum(axis=-1)
-    cols = v.sum(axis=-2)
-    row = (rows * rows - rows).sum(axis=-1)
-    col = (cols * cols - cols).sum(axis=-1)
-    count = (rows.sum(axis=-1) - n) ** 2
-    dist = (v * field).reshape(v.shape[:-2] + (n * n,)).sum(axis=-1)
-    return row, col, count, dist
-
-
-def _weighted(terms, p: HopfieldParams):
-    row, col, count, dist = terms
+    rows = v.sum(axis=1)
+    cols = v.sum(axis=0)
     return (
-        p.a_pen / 2 * row + p.b_pen / 2 * col + p.c_pen / 2 * count + p.d_pen / 2 * dist
+        float((rows * rows - rows).sum()),
+        float((cols * cols - cols).sum()),
+        float((rows.sum() - v.shape[0]) ** 2),
+        float((v * field).sum()),
     )
 
 
 def energy_terms(
     g: np.ndarray, m: DistanceMatrix
 ) -> Tuple[float, float, float, float]:
-    """The four unweighted sums of the energy function.
+    """The four unweighted sums of the energy function, from :func:`_terms`.
 
     The first three vanish simultaneously exactly when the grid is a
     permutation matrix; the fourth equals twice the closed tour length on
     such grids.
     """
     v = _check_grids([g], m.n)[0]
-    return tuple(float(t) for t in _terms(v, _distance_field(v, m.d)))
+    return _terms(v, _distance_field(v, m.d))
 
 
 def energy(g: np.ndarray, m: DistanceMatrix, p: HopfieldParams) -> float:
     """Weighted energy A/2*row + B/2*col + C/2*count + D/2*dist."""
-    return _weighted(energy_terms(g, m), p)
+    row, col, count, dist = energy_terms(g, m)
+    return p.a_pen / 2 * row + p.b_pen / 2 * col + p.c_pen / 2 * count + p.d_pen / 2 * dist
 
 
 def unit_update(

@@ -13,12 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DegenerateInstanceError,
     InstanceSizeError,
     InvalidArgumentError,
-    InvalidTourError,
     ParseError,
     TsphnnError,
 )
@@ -69,15 +67,12 @@ class Instance:
         if len(set(labels)) != len(labels):
             raise TsphnnError(f"duplicate city labels in instance {self.id!r}")
         if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=np.float64)
-            _validate_distance_array(m)
-            if m.shape[0] != len(self.cities):
+            m = DistanceMatrix(self.matrix)
+            if m.n != len(self.cities):
                 raise TsphnnError(
-                    f"matrix is {m.shape[0]}x{m.shape[0]} but instance has "
-                    f"{len(self.cities)} cities"
+                    f"matrix is {m.n}x{m.n} but instance has {len(self.cities)} cities"
                 )
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", m.d)
 
     @property
     def n(self) -> int:
@@ -88,36 +83,34 @@ class Instance:
         return np.array([[c.x, c.y] for c in self.cities], dtype=np.float64)
 
 
-def _validate_distance_array(d: np.ndarray) -> None:
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise TsphnnError(f"distance matrix must be square, got shape {d.shape}")
-    if d.shape[0] < 3:
-        raise InstanceSizeError("distance matrix needs at least 3 cities")
-    if not np.all(np.isfinite(d)):
-        raise TsphnnError("distance matrix has non-finite entries")
-    if np.any(d < 0):
-        raise TsphnnError("distance matrix has negative entries")
-    if np.any(np.diagonal(d) != 0):
-        raise TsphnnError("distance matrix diagonal must be zero")
-    if not np.array_equal(d, d.T):
-        raise TsphnnError("distance matrix must be symmetric")
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix with a zero diagonal.
+    """Square, symmetric, finite, nonnegative matrix with a zero diagonal,
+    on at least 3 cities.
 
-    Validated on construction; the underlying array is frozen, so a matrix
-    can be shared by every caller without being copied or checked again.
+    The one check of every distance matrix, an :class:`Instance`'s
+    explicit one included.  The array is frozen, so a matrix can be shared
+    by every caller without being copied or checked again.
     """
 
     d: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.d, dtype=np.float64))
-        _validate_distance_array(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "d", arr)
+        d = np.ascontiguousarray(np.asarray(self.d, dtype=np.float64))
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise TsphnnError(f"distance matrix must be square, got shape {d.shape}")
+        if d.shape[0] < 3:
+            raise InstanceSizeError("distance matrix needs at least 3 cities")
+        if not np.all(np.isfinite(d)):
+            raise TsphnnError("distance matrix has non-finite entries")
+        if np.any(d < 0):
+            raise TsphnnError("distance matrix has negative entries")
+        if np.any(np.diagonal(d) != 0):
+            raise TsphnnError("distance matrix diagonal must be zero")
+        if not np.array_equal(d, d.T):
+            raise TsphnnError("distance matrix must be symmetric")
+        d.flags.writeable = False
+        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:
@@ -159,10 +152,9 @@ def distance_matrix(inst: Instance) -> DistanceMatrix:
     """Pairwise Euclidean distances, or the instance's explicit matrix if set."""
     if inst.matrix is not None:
         return DistanceMatrix(inst.matrix)
-    pts = inst.coords()
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(d, 0.0)
+    x, y = inst.coords().T
+    d = np.subtract.outer(x, x)
+    np.hypot(d, np.subtract.outer(y, y), out=d)  # at most two n x n arrays at once
     return DistanceMatrix(d)
 
 
@@ -172,22 +164,6 @@ def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
     if peak == 0.0:
         raise DegenerateInstanceError("all distances are zero; cannot normalize")
     return DistanceMatrix(m.d / peak)
-
-
-def tour_length(m: DistanceMatrix, tour) -> float:
-    """Closed-tour length: consecutive edges plus the edge back to the start.
-
-    ``tour`` is a :class:`tsphnn.tour.Tour`, used as it is, or any sequence
-    of city indices, checked by building a ``Tour`` from it.  Either way it
-    must visit the matrix's n cities, or :class:`InvalidTourError` is raised.
-    """
-    from .tour import Tour  # imported here: tour imports DistanceMatrix from this module
-
-    if not isinstance(tour, Tour):
-        tour = Tour(tour)
-    if tour.n != m.n:
-        raise InvalidTourError(f"tour {list(tour.order)} is not a permutation of 0..{m.n - 1}")
-    return float(_kernels.closed_tour_length(m.d, tour.order))
 
 
 def save_instance(inst: Instance, path) -> None:

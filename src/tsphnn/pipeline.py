@@ -36,9 +36,8 @@ from .instance import (
     Instance,
     distance_matrix,
     normalize_distances,
-    tour_length,
 )
-from .tour import Tour, brute_force_optimum, tour_to_matrix
+from .tour import Tour, brute_force_optimum, tour_length, tour_to_matrix
 
 REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 # A sweep cell's trials run in lockstep in blocks of at most this many grid

@@ -1,4 +1,4 @@
-"""Tour representation, permutation-matrix codec, and the exact solver.
+"""Tour representation and length, permutation-matrix codec, and the exact solver.
 
 A tour is a closed, undirected visiting order: rotations and reversals of
 the same cycle are the same tour, and :func:`canonicalize` picks one
@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError
 from .instance import DistanceMatrix
 
@@ -46,6 +47,20 @@ class Tour:
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Tour":
         return Tour(tuple(int(v) for v in rng.permutation(n)))
+
+
+def tour_length(m: DistanceMatrix, tour) -> float:
+    """Closed-tour length: consecutive edges plus the edge back to the start.
+
+    ``tour`` is a :class:`Tour`, used as it is, or any sequence of city
+    indices, checked by building a ``Tour`` from it.  Either way it must
+    visit the matrix's n cities, or :class:`InvalidTourError` is raised.
+    """
+    if not isinstance(tour, Tour):
+        tour = Tour(tour)
+    if tour.n != m.n:
+        raise InvalidTourError(f"tour {list(tour.order)} is not a permutation of 0..{m.n - 1}")
+    return float(_kernels.closed_tour_length(m.d, tour.order))
 
 
 def _permutation_checks(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

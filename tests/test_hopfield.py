@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import hopfield
 from tsphnn.hopfield import (
+    _field_bound,
     _net_inputs,
     build_weights,
     grid_to_text,
@@ -195,6 +196,47 @@ def test_run_reconverges_on_fixed_point(cityset1_m):
     assert again.converged
     assert again.sweeps_used == 1
     assert np.array_equal(again.grid, res.grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+    penalties=st.tuples(*[st.floats(0, 300)] * 4),
+    threshold=st.floats(-100, 100),
+)
+def test_tour_is_a_fixed_point_exactly_when_its_closed_forms_hold(
+    n, seed, penalties, threshold
+):
+    """The stability analysis of a tour's grid.  With every row, column and
+    the count on target, an on-unit (x, i) has net input
+    C/2 - D*(d[x, prev] + d[x, next]) and an off-unit (x, j) has
+    -C/2 - A - B - D*field[x, j].  One sweep from the grid converges, with
+    the grid unchanged, exactly when every on-unit reaches the threshold and
+    every off-unit stays below it.
+
+    The network's net input and the closed form each round at most n + 5
+    terms whose magnitudes sum to at most the |net| bound N of
+    ``_check_finite``, so each is within (n + 5)*u*N/(1 - (n + 5)*u) of the
+    exact value, u = 2^-53.  Examples with a closed form within
+    4*(n + 5)*u*N of the threshold are skipped.
+    """
+    a, b, c, d = penalties
+    m = T.normalize_distances(T.distance_matrix(T.generate_random_instance(n, seed=seed)))
+    t = T.Tour.random(n, np.random.default_rng(seed))
+    grid = T.tour_to_matrix(t)
+    # field[x, j] = d[x, city before position j] + d[x, city after it]
+    field = m.d[:, np.roll(t.order, 1)] + m.d[:, np.roll(t.order, -1)]
+    on = c / 2 - d * field[grid == 1]
+    off = -c / 2 - a - b - d * field[grid == 0]
+    bound = c * (n - 0.5) + (a + b) * (n - 1) + c * (n * n - 1) + d * _field_bound(m)
+    margin = 4 * (n + 5) * 2.0**-53 * bound
+    assume(np.abs(np.concatenate([on, off]) - threshold).min() > margin)
+    fixed = bool((on >= threshold).all() and (off < threshold).all())
+    p = T.HopfieldParams(a, b, c, d, threshold=threshold, max_sweeps=1)
+    res = T.run_hopfield(m, p, init=grid)
+    assert res.converged == fixed
+    assert np.array_equal(res.grid, grid) == fixed
 
 
 def test_energy_trace_non_increasing_and_updates_descend():

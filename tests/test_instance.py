@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,32 @@ def test_explicit_matrix_is_validated_not_recomputed():
             cities=(T.City("A", 0, 0), T.City("B", 1, 0), T.City("C", 0, 1)),
             matrix=bad,
         )
+
+
+def test_instance_equality_covers_every_field():
+    cities = (T.City("A", 0, 0), T.City("B", 3, 0), T.City("C", 0, 4))
+    matrix = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
+    inst = T.Instance(id="t", cities=cities, seed=1, matrix=matrix)
+    assert inst.__eq__("t") is NotImplemented
+    assert not inst == "t" and inst != "t"
+    assert inst != T.Instance(id="t", cities=cities, seed=2, matrix=matrix)
+    assert inst != T.Instance(id="t", cities=cities, seed=1)
+    assert T.Instance(id="t", cities=cities, seed=1) != inst
+    same = T.Instance(id="t", cities=cities, seed=1, matrix=matrix.copy())
+    assert same.matrix is not inst.matrix and same == inst
+
+
+def test_distance_matrix_peak_memory_is_two_n_by_n_arrays():
+    """Built from two n x n coordinate differences, not an (n, n, 2) array."""
+    n = 400
+    inst = T.generate_random_instance(n, seed=0)
+    tracemalloc.start()
+    try:
+        T.distance_matrix(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n * n
 
 
 def test_city_rejects_non_finite():

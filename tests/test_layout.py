@@ -1,0 +1,39 @@
+"""The package's layout: modules import each other at the top only, and the
+public names are listed once and resolve."""
+
+import ast
+from pathlib import Path
+
+import tsphnn as T
+
+PACKAGE = Path(T.__file__).parent
+
+
+def _imports_tsphnn(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "tsphnn"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "tsphnn" for alias in node.names)
+    return False
+
+
+def test_no_function_imports_a_package_module():
+    """A function-level import of a package module hides an import cycle;
+    each module's dependencies are its top-level imports."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if _imports_tsphnn(node)
+                }
+    assert sorted(found) == []
+
+
+def test_public_names_resolve_and_are_listed_once():
+    missing = [name for name in T.__all__ if not hasattr(T, name)]
+    repeated = sorted({name for name in T.__all__ if T.__all__.count(name) > 1})
+    assert missing == [] and repeated == []
