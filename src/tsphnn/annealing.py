@@ -8,10 +8,11 @@ The solver reports the best tour seen rather than the final walker state
 A step is decided exactly: the candidate's in-order length and
 :func:`acceptance_probability`.  To spare that work on the many steps that
 fail, :func:`anneal` first screens windows of upcoming steps in NumPy from
-the O(k) edges each swap changes, and rejects a step without touching the
-tour only where a written error bound proves the exact step would reject
-it too; every other step, ties included, takes the exact step.  So the
-answers are the exact step's, bit for bit.
+the O(k) edges each swap changes, or from a table of the tour's swap
+deltas while the tour stands still, and rejects a step without touching
+the tour only where a written error bound proves the exact step would
+reject it too; every other step, ties included, takes the exact step.  So
+the answers are the exact step's, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,9 @@ CHUNK = 2048  # steps whose uniforms `anneal` draws at once
 # acceptance: while acceptances come closer together, the exact step alone
 # is cheaper than a screen whose window an acceptance cuts short.
 SCREEN_GAP = 16
-WINDOW = 512  # the most steps screened against one tour
+# The most steps whose changed edges one window gathers: per step, gathers
+# of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
+WINDOW = 512
 # The trace keeps four 8-byte records per step, so this caps it at 160 MB;
 # 250 times the CLI's default of 20,000 iterations.
 MAX_ITERATIONS = 5_000_000
@@ -139,9 +142,13 @@ def _screen_band(m: DistanceMatrix, k: int) -> float:
     sum of n terms in [0, M], so it lies within gamma_n * n * M of the exact
     sum.  A k-pair swap changes only the (at most 4k) edges at positions
     p - 1 and p of its picks p, so the exact difference of the two sums is
-    the exact sum of those edges' differences.  The edge delta sums the 4k
-    rounded differences (zero for repeated edges), each of two terms in
-    [0, M], so it lies within gamma_{4k+1} * 8k * M of that exact sum.  So
+    the exact sum of those edges' differences.  The edge delta
+    (:func:`_edge_deltas`) adds up the 4k rounded differences (zero for
+    repeated edges), each of two terms in [0, M], in one sum whose order
+    does not matter: a swap-delta table's entry sums a one-pair swap's
+    four in the order of its pair (a, b), a < b, not of the step's picks.
+    Each difference passes through at most 4k - 1 rounded additions, so
+    the delta lies within gamma_{4k+1} * 8k * M of the exact sum.  So
 
         |(cand_len - cur_len) - delta| <= 2*gamma_n*n*M + gamma_{4k+1}*8k*M
                                        <= 4*u*(n^2 + 4k*(4k + 1))*M.
@@ -185,6 +192,22 @@ def _changed_edges(picks: np.ndarray, n: int) -> np.ndarray:
     return np.stack([head, tail, new_head, new_tail])
 
 
+def _edge_deltas(d: np.ndarray, tour: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """For each row of ``edges`` from :func:`_changed_edges`, the lengths
+    of its new edges less those of its old ones on ``tour``, in one sum."""
+    cities = tour[edges]
+    return (d[cities[2], cities[3]] - d[cities[0], cities[1]]).sum(axis=1)
+
+
+def _position_pairs(n: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """The P = n(n-1)/2 position pairs (a, b), a < b, as swaps: an (n, n)
+    array giving pair {a, b}'s row, and the rows' :func:`_changed_edges`."""
+    a, b = np.triu_indices(n, 1)
+    row = np.zeros((n, n), dtype=np.intp)
+    row[a, b] = row[b, a] = np.arange(len(a))
+    return row, _changed_edges(np.stack([a, b], axis=1).astype(dtype), n)
+
+
 def _rejection_cuts(temps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """For each step, a length increase that proves Metropolis rejects it.
 
@@ -207,11 +230,9 @@ def _rejection_cuts(temps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         return x * temps * (1 + e) + 2.0**-1022
 
 
-def _screen(
-    d: np.ndarray, tour: np.ndarray, edges: np.ndarray, band: float, cuts: np.ndarray
-) -> np.ndarray:
-    """Offsets of the window's steps that the screen cannot reject from
-    ``tour``: undecided, not accepted.
+def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
+    """Offsets of the steps that the screen cannot reject: undecided, not
+    accepted.
 
     A step is rejected when fl(delta - band) is at least its cut.  By
     :func:`_screen_band`, delta - band <= cand_len - cur_len exactly, and
@@ -219,9 +240,15 @@ def _screen(
     :func:`_rejection_cuts` proves that the exact step would reject it.  A
     NaN delta is never rejected.
     """
-    cities = tour[edges]
-    delta = (d[cities[2], cities[3]] - d[cities[0], cities[1]]).sum(axis=1)
     return np.flatnonzero(~(delta - band >= cuts))
+
+
+def _screen(
+    d: np.ndarray, tour: np.ndarray, edges: np.ndarray, band: float, cuts: np.ndarray
+) -> np.ndarray:
+    """Offsets of the window's steps that the screen cannot reject from
+    ``tour``, by the edge deltas of ``edges`` (see :func:`_undecided`)."""
+    return _undecided(_edge_deltas(d, tour, edges), band, cuts)
 
 
 def anneal(
@@ -239,25 +266,37 @@ def anneal(
     Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, the
     same values and generator state as one draw of them all.  For each
     chunk the steps' swap positions (one :func:`_kernels.pick_positions`
-    call), the edges each swap changes, the temperatures and the rejection
-    cuts are computed at once, since none depends on the tour.
+    call) and temperatures are computed at once, since neither depends on
+    the tour; the rejection cuts of :func:`_rejection_cuts` are computed
+    with the chunk's first screen.
 
-    Once ``SCREEN_GAP`` steps have passed since the last acceptance, a
-    window of upcoming steps (as many as have passed, at most ``WINDOW``)
-    is screened against the current tour: a step whose O(k) edge delta,
-    less the error band of :func:`_screen_band`, reaches its cut from
-    :func:`_rejection_cuts` is one the exact step would reject, and is
-    rejected without touching the tour.  Every other step is the exact
-    step: it builds the candidate from the chunk's positions on Python
-    lists, takes its in-order length and asks
-    :func:`acceptance_probability`.  An acceptance ends the window.  As the
-    screen only rejects where the exact step would, the walk, its answers
-    and its trace are those of the exact step alone.  The trace's current
-    lengths are filled run by run at the end of each chunk.  Its best
-    lengths are derived at the end as the running minimum of the start and
-    current lengths, since the best length only ever takes the start length
-    or an accepted one.  Besides the trace's 32 bytes per step, memory is
-    O(CHUNK * n) narrow integers, one byte each while n < 128.
+    The exact step builds the candidate from the chunk's positions on
+    Python lists, takes its in-order length and asks
+    :func:`acceptance_probability`.  Steps run exactly, back to back, until
+    ``SCREEN_GAP`` steps have passed since the last acceptance.  From then
+    on, a window of upcoming steps, as many as have passed, at most
+    ``WINDOW`` and at most the rest of the chunk, is screened against the
+    current tour: a step whose edge delta, less the error band of
+    :func:`_screen_band`, reaches its cut is one the exact step would
+    reject, and is rejected without touching the tour.  A window sums its
+    steps' changed edges (:func:`_changed_edges`, made for the rest of the
+    chunk by its first such window).  With one pair per swap, the first
+    screen after an acceptance with at least P = n(n-1)/2 steps both passed
+    and left in the chunk gathers instead a table of the tour's swap deltas
+    for every position pair (:func:`_position_pairs`).  The table is kept
+    across windows and chunks until the next acceptance, and a window that
+    has it runs to the end of the chunk, one lookup per step.  Every step
+    the screen leaves undecided is the exact step, and an acceptance ends
+    the window.  As the screen only rejects where the exact step would, the
+    walk, its answers and its trace are those of the exact step alone.
+
+    The trace's current lengths are filled run by run at the end of each
+    chunk.  Its best lengths are derived at the end as the running minimum
+    of the start and current lengths, since the best length only ever takes
+    the start length or an accepted one.  Besides the trace's 32 bytes per
+    step, memory is O(CHUNK * n) narrow integers, one byte each while
+    n < 128.  A table needs P steps left in a chunk, so it is made only
+    while P <= CHUNK, for n <= 64, and its P entries add O(CHUNK).
     """
     n = m.n
     if start.n != n:
@@ -269,13 +308,22 @@ def anneal(
         rng = np.random.default_rng(cfg.seed)
     iters = cfg.iterations
     d = m.d.tolist()
+    length = _kernels.closed_tour_length
     cur = list(start.order)
-    start_len = cur_len = _kernels.closed_tour_length(d, cur)
+    start_len = cur_len = length(d, cur)
     best, best_len = cur, cur_len
     temps, cur_lens = np.empty(iters), np.empty(iters)
     band = _screen_band(m, k)
-    screened = band < np.inf
-    tour = None  # ``cur`` as an array, made when a screen needs it
+    # Steps after an acceptance that run exactly before a screen; with an
+    # infinite band, every step.
+    hold = SCREEN_GAP if band < np.inf else iters + 1
+    # The fewest steps, passed and left, for which a screen gathers a table.
+    # Only one-pair swaps use one: a k-pair step could sum its pairs'
+    # entries only where no two picks are adjacent, and that timed no
+    # faster than its edges.
+    table_at = n * (n - 1) // 2 if k == 1 else np.inf
+    pair_row = pair_edges = None  # made with the first table
+    tour = table = None  # ``cur`` as an array, and its table, made when needed
     last = -1  # the last accepted step; the start counts as one
     for first in range(0, iters, CHUNK):
         u = rng.random((min(CHUNK, iters - first), 2 * k + 1))
@@ -283,38 +331,63 @@ def anneal(
         chunk_temps = _temperatures(cfg, first, count)
         temps[first : first + count] = chunk_temps
         picks = _kernels.pick_positions(n, k, u)
-        if screened:
-            edges = _changed_edges(picks, n)
-            cuts = _rejection_cuts(chunk_temps, u[:, 2 * k])
-        pairs = picks.reshape(count, k, 2)
-        temp_at, accept_at = chunk_temps.tolist(), u[:, 2 * k].tolist()
+        cuts = edges = None  # made with the chunk's first screen that needs them
+        swaps = None  # made at the chunk's first exact step; most cold chunks have none
         # The chunk's steps from which the walk holds each length: a run.
         run_from, run_cur = [0], [cur_len]
         i = 0
         while i < count:
             gap = first + i - last
-            if not screened or gap < SCREEN_GAP:
-                end, undecided = i + 1, (i,)
+            if gap < hold:
+                # Exact steps until the gap reaches ``hold``; an acceptance
+                # restarts the count.
+                steps, stop, after = range(i, count), i + hold - gap, hold
             else:
-                end = min(i + gap, i + WINDOW, count)
+                if cuts is None:
+                    cuts = _rejection_cuts(chunk_temps, u[:, 2 * k])
                 if tour is None:
                     tour = np.array(cur, dtype=picks.dtype)
-                offsets = _screen(m.d, tour, edges[:, i:end], band, cuts[i:end])
-                undecided = (i + offsets).tolist()
-            for j in undecided:
-                cand = _kernels.swap_pairs(cur, pairs[j].tolist())
-                cand_len = _kernels.closed_tour_length(d, cand)
+                end = min(i + gap, count)
+                if table is None and end - i >= table_at:
+                    if pair_row is None:
+                        pair_row, pair_edges = _position_pairs(n, picks.dtype)
+                    table = _edge_deltas(m.d, tour, pair_edges)
+                if table is not None:
+                    end = count
+                    delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
+                    offsets = _undecided(delta, band, cuts[i:])
+                else:
+                    end = min(end, i + WINDOW)
+                    if edges is None:
+                        edges_from, edges = i, _changed_edges(picks[i:], n)
+                    window = edges[:, i - edges_from : end - edges_from]
+                    offsets = _screen(m.d, tour, window, band, cuts[i:end])
+                steps = (i + offsets).tolist()
+                # An acceptance ends the window: its later steps were
+                # screened against the old tour.
+                stop, after = end, 1
+            if swaps is None and steps:
+                # Each pair's two position columns: a per-step ``tolist``
+                # costs more.
+                cols = picks.T.tolist()
+                swaps = list(zip(cols[0::2], cols[1::2]))
+                temp_at, accept_at = chunk_temps.tolist(), u[:, 2 * k].tolist()
+            for j in steps:
+                if j >= stop:
+                    break
+                cand = cur.copy()
+                for a, b in swaps:
+                    x, y = a[j], b[j]
+                    cand[x], cand[y] = cand[y], cand[x]
+                cand_len = length(d, cand)
                 if acceptance_probability(cur_len, cand_len, temp_at[j]) >= accept_at[j]:
                     cur, cur_len = cand, cand_len
                     if cur_len < best_len:
                         best, best_len = cur, cur_len
                     run_from.append(j)
                     run_cur.append(cur_len)
-                    # The window ends here: its later steps were screened
-                    # against the old tour.
-                    last, tour, end = first + j, None, j + 1
-                    break
-            i = end
+                    last, stop, tour, table = first + j, j + after, None, None
+            i = min(stop, count)
         runs = np.diff(run_from + [count])
         cur_lens[first : first + count] = np.repeat(run_cur, runs)
     trace = SaTrace(

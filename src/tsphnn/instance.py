@@ -8,7 +8,7 @@ used as-is instead of being recomputed from coordinates.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,14 +40,17 @@ class Instance:
     """An ordered set of at least three uniquely labelled cities.
 
     ``matrix``, when present, is an explicit distance matrix that overrides
-    coordinate-derived distances.  ``seed`` records how the instance was
-    generated, when it was generated at all.
+    coordinate-derived distances; it is checked once, and kept frozen with
+    the :class:`DistanceMatrix` that :func:`distance_matrix` returns.
+    ``seed`` records how the instance was generated, when it was generated
+    at all.
     """
 
     id: str
     cities: tuple
     seed: Optional[int] = None
     matrix: Optional[np.ndarray] = None
+    _distances: Optional["DistanceMatrix"] = field(default=None, init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -73,6 +76,7 @@ class Instance:
                     f"matrix is {m.n}x{m.n} but instance has {len(self.cities)} cities"
                 )
             object.__setattr__(self, "matrix", m.d)
+            object.__setattr__(self, "_distances", m)
 
     @property
     def n(self) -> int:
@@ -90,13 +94,22 @@ class DistanceMatrix:
 
     The one check of every distance matrix, an :class:`Instance`'s
     explicit one included.  The array is frozen, so a matrix can be shared
-    by every caller without being copied or checked again.
+    by every caller without being copied or checked again.  A read-only
+    C-contiguous float64 array is shared as it is; any other input is
+    copied, so the caller's own array stays writeable.
     """
 
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.d, dtype=np.float64))
+        d = self.d
+        if not (
+            type(d) is np.ndarray
+            and d.dtype == np.float64
+            and d.flags.c_contiguous
+            and not d.flags.writeable
+        ):
+            d = np.array(d, dtype=np.float64, order="C")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise TsphnnError(f"distance matrix must be square, got shape {d.shape}")
         if d.shape[0] < 3:
@@ -151,10 +164,11 @@ def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
 def distance_matrix(inst: Instance) -> DistanceMatrix:
     """Pairwise Euclidean distances, or the instance's explicit matrix if set."""
     if inst.matrix is not None:
-        return DistanceMatrix(inst.matrix)
+        return inst._distances
     x, y = inst.coords().T
     d = np.subtract.outer(x, x)
     np.hypot(d, np.subtract.outer(y, y), out=d)  # at most two n x n arrays at once
+    d.flags.writeable = False  # shared, not copied
     return DistanceMatrix(d)
 
 
@@ -163,7 +177,9 @@ def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
     peak = float(m.d.max())
     if peak == 0.0:
         raise DegenerateInstanceError("all distances are zero; cannot normalize")
-    return DistanceMatrix(m.d / peak)
+    scaled = m.d / peak
+    scaled.flags.writeable = False  # shared, not copied
+    return DistanceMatrix(scaled)
 
 
 def save_instance(inst: Instance, path) -> None:

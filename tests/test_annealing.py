@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import _kernels, annealing
-from tsphnn.annealing import CHUNK, TEMPERATURE_FLOOR
+from tsphnn.annealing import CHUNK, MAX_ITERATIONS, TEMPERATURE_FLOOR
 from tsphnn.errors import InvalidArgumentError, InvalidTemperatureError
 
 
@@ -444,3 +445,131 @@ def test_screen_never_rejects_an_accepted_step(n, bound, seed, data):
         assert abs(excess) <= Fraction(band)
         if j not in undecided:
             assert probs[j] < u[j, 2 * k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 14),
+    bound=st.one_of(st.just("grid"), st.floats(1.0, 1e5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_screen_never_rejects_an_accepted_step(n, bound, seed):
+    """Screening one-pair steps from the table of every position pair's
+    swap delta, no rejected step is one ``acceptance_probability``
+    accepts, and every looked-up delta is within the band of the exact
+    length difference.  Uniforms include the step's own acceptance
+    probability and its float neighbours; temperatures run from the floor
+    to 1e300."""
+    rng = np.random.default_rng(seed)
+    if bound == "grid":
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed, bound=bound))
+    steps = 64
+    cur = rng.permutation(n).tolist()
+    d = m.d.tolist()
+    cur_len = _kernels.closed_tour_length(d, cur)
+    temps = np.maximum(10.0 ** rng.uniform(-12, 300, steps), TEMPERATURE_FLOOR)
+    temps[: steps // 3] = TEMPERATURE_FLOOR  # where a rounding tie could be rejected
+    u = rng.random((steps, 3))
+    picks = _kernels.pick_positions(n, 1, u)
+    probs = []
+    for j, (a, b) in enumerate(picks.tolist()):
+        cand_len = _kernels.closed_tour_length(d, _kernels.swap_pairs(cur, [(a, b)]))
+        p = annealing.acceptance_probability(cur_len, cand_len, temps[j])
+        u[j, 2] = (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), u[j, 2])[j % 4]
+        probs.append((cand_len, p))
+    band = annealing._screen_band(m, 1)
+    row, pair_edges = annealing._position_pairs(n, picks.dtype)
+    table = annealing._edge_deltas(m.d, np.array(cur, dtype=picks.dtype), pair_edges)
+    assert table.shape == (n * (n - 1) // 2,)
+    deltas = table[row[picks[:, 0], picks[:, 1]]]
+    cuts = annealing._rejection_cuts(temps, u[:, 2])
+    undecided = set(annealing._undecided(deltas, band, cuts).tolist())
+    for j, (cand_len, p) in enumerate(probs):
+        excess = Fraction(cand_len) - Fraction(cur_len) - Fraction(float(deltas[j]))
+        assert abs(excess) <= Fraction(band)
+        if j not in undecided:
+            assert p < u[j, 2]
+
+
+def _pin_configs():
+    """About 100 ``anneal`` configs: n = 4 (matrix4) to 50, k in {1, 2,
+    n // 2}, a hot short schedule, one that crosses a chunk boundary and a
+    cold one whose long gaps build swap-delta tables."""
+    schedules = ((1.0, 0.99, 300), (0.05, 0.999, CHUNK + 1), (1e-4, 0.995, 3000))
+    builtins = {4: "matrix4", 8: "paper8", 10: "cityset1"}
+    for n in (4, 5, 6, 7, 8, 10, 12, 16, 20, 30, 40, 50):
+        if n in builtins:
+            m = T.distance_matrix(T.get_builtin(builtins[n]))
+        else:
+            m = T.distance_matrix(T.generate_random_instance(n, seed=n))
+        for k in sorted({1, 2, n // 2}):
+            for t0, cooling, iters in schedules:
+                yield m, T.SaConfig(t0=t0, cooling_rate=cooling, iterations=iters, swap_count=k)
+
+
+def _walk_digest():
+    """sha256 over each pinned config's answer, final state, trace arrays
+    and the generator's state after the walk."""
+    h = hashlib.sha256()
+    for idx, (m, cfg) in enumerate(_pin_configs()):
+        rng = np.random.default_rng(idx)
+        start = T.Tour.random(m.n, rng)
+        tour, length, trace = T.anneal(m, start, cfg, rng=rng)
+        h.update(repr((tour.order, length, trace.final_tour.order, trace.final_length)).encode())
+        for arr in (trace.temperature, trace.current_length, trace.best_length):
+            h.update(arr.tobytes())
+        h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+# The walk over ``_pin_configs``, recorded when every window gathered its
+# steps' changed edges and no swap-delta table existed.
+WALK_DIGEST = "a54ef1009a28c7703f5d80f617f6a06f64983c31d50384df92f7852d6563d046"
+
+
+def test_walk_matches_its_pinned_digest(monkeypatch):
+    """The screen, table included, leaves every answer, trace and
+    generator state as it was; the table served some windows and the
+    screen rejected some steps."""
+    exact, tables = [], []
+    real_accept, real_pairs = annealing.acceptance_probability, annealing._position_pairs
+    monkeypatch.setattr(
+        annealing, "acceptance_probability", lambda *a: exact.append(1) or real_accept(*a)
+    )
+    monkeypatch.setattr(annealing, "_position_pairs", lambda *a: tables.append(1) or real_pairs(*a))
+    assert _walk_digest() == WALK_DIGEST
+    assert tables
+    assert len(exact) < sum(cfg.iterations for _, cfg in _pin_configs())
+
+
+@pytest.mark.parametrize("gap", (1, MAX_ITERATIONS + 1))
+def test_walk_is_the_same_with_the_screen_at_every_step_or_none(monkeypatch, gap):
+    """Screening from the first step after each acceptance, or never,
+    gives the pinned walk."""
+    monkeypatch.setattr(annealing, "SCREEN_GAP", gap)
+    assert _walk_digest() == WALK_DIGEST
+
+
+@pytest.mark.parametrize("n", (64, 65))
+def test_table_is_built_only_while_p_fits_in_a_chunk(monkeypatch, n):
+    """On a circle the convex order is the one shortest tour, so at the
+    floor temperature no step is accepted and the gap since the start
+    outgrows a chunk.  A whole chunk holds P = 2016 position pairs' worth of
+    steps at n = 64 but not P = 2080 at n = 65, whose windows gather their
+    steps' edges instead."""
+    built = []
+    real = annealing._position_pairs
+    monkeypatch.setattr(annealing, "_position_pairs", lambda *a: built.append(a) or real(*a))
+    angles = 2 * np.pi * np.arange(n) / n
+    circle = T.Instance(
+        id="circle",
+        cities=tuple(T.City(f"c{i}", math.cos(a), math.sin(a)) for i, a in enumerate(angles)),
+    )
+    m = T.distance_matrix(circle)
+    cfg = T.SaConfig(t0=TEMPERATURE_FLOOR, cooling_rate=0.5, iterations=3 * CHUNK, seed=2)
+    exact = _anneal_counting_exact_steps(monkeypatch, m, T.Tour(tuple(range(n))), cfg)
+    assert not any(e_new <= e for e, e_new in exact)
+    assert len(exact) < cfg.iterations
+    assert len(built) == (n == 64)

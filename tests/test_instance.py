@@ -254,6 +254,28 @@ def test_distance_matrix_peak_memory_is_two_n_by_n_arrays():
     assert peak < 20 * n * n
 
 
+def test_distance_matrix_leaves_the_callers_array_writeable():
+    """Checking a matrix copies a writeable array instead of freezing it,
+    bare or as an instance's explicit matrix, and shares a frozen one."""
+    a = np.zeros((3, 3))
+    m = T.DistanceMatrix(a)
+    a[0, 1] = 1.0
+    assert m.d[0, 1] == 0.0 and not m.d.flags.writeable
+    b = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
+    cities = (T.City("A", 0, 0), T.City("B", 3, 0), T.City("C", 0, 4))
+    inst = T.Instance(id="t", cities=cities, matrix=b)
+    b[0, 1] = 1.0
+    assert inst.matrix[0, 1] == 3.0 and not inst.matrix.flags.writeable
+    assert T.DistanceMatrix(inst.matrix).d is inst.matrix
+
+
+def test_distance_matrix_returns_the_instances_checked_matrix(matrix4):
+    """An explicit matrix is checked once, when the instance is built."""
+    m = T.distance_matrix(matrix4)
+    assert T.distance_matrix(matrix4) is m
+    assert m.d is matrix4.matrix
+
+
 def test_city_rejects_non_finite():
     with pytest.raises(T.TsphnnError):
         T.City("A", math.inf, 0.0)
