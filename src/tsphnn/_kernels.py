@@ -34,17 +34,19 @@ def pick_positions(n, k, uniforms):
     (clamped to n - 1).  Returns a (rows, 2k) array of the shuffle's first
     2k entries; consecutive picks are paired.  They have the narrowest
     signed dtype that holds -n - 1 to n, which keeps the (rows, n) shuffle
-    buffer small.
+    buffer small.  The buffer is indexed flat, which costs less than
+    indexing it by (row, position) pairs.
     """
     u = np.asarray(uniforms, dtype=np.float64)
     dtype = np.min_scalar_type(-n - 1)
     pos = np.empty((len(u), n), dtype=dtype)
     pos[:] = np.arange(n, dtype=dtype)
-    rows = np.arange(len(u))
+    flat = pos.reshape(-1)  # a view: row i's position r is entry i * n + r
+    row_start = np.arange(0, len(u) * n, n)
     for j in range(2 * k):
-        r = np.minimum(j + (u[:, j] * (n - j)).astype(np.int64), n - 1)
-        picked = pos[rows, r]
-        pos[rows, r] = pos[:, j]
+        at = row_start + np.minimum(j + (u[:, j] * (n - j)).astype(np.intp), n - 1)
+        picked = flat[at]
+        flat[at] = pos[:, j]
         pos[:, j] = picked
     return pos[:, : 2 * k].copy()
 

@@ -6,16 +6,22 @@ The solver reports the best tour seen rather than the final walker state
 (the final state is kept on the trace).
 
 A step is decided exactly: the candidate's in-order length and
-:func:`acceptance_probability`.  To spare that work on the many steps that
-fail, :func:`anneal` first screens windows of upcoming steps in NumPy from
-the O(k) edges each swap changes, or from a table of the tour's swap
-deltas while the tour stands still, and rejects a step without touching
-the tour only where a written error bound proves the exact step would
-reject it too; every other step, ties included, takes the exact step.  So
+:func:`acceptance_probability` at the step's :func:`temperature_at`.  To
+spare that work on the many steps that fail, :func:`anneal` first screens
+windows of upcoming steps in NumPy from the O(k) edges each swap changes,
+or from a table of the tour's swap deltas while the tour stands still, and
+rejects a step without touching the tour only where a written error bound
+proves the exact step would reject it too; every other step, ties
+included, takes the exact step.  The screen's rejection cuts are computed
+from an upper bound on each step's temperature, so the exact schedule is
+evaluated only for the steps that reach :func:`acceptance_probability` and
+for a trace whose temperatures are read.  An exact step whose length
+difference already reaches its cut is rejected before the exponential.  So
 the answers are the exact step's, bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Tuple
 
@@ -35,8 +41,9 @@ SCREEN_GAP = 16
 # The most steps whose changed edges one window gathers: per step, gathers
 # of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
 WINDOW = 512
-# The trace keeps four 8-byte records per step, so this caps it at 160 MB;
-# 250 times the CLI's default of 20,000 iterations.
+# The trace keeps three 8-byte records per step, and a fourth once its
+# temperatures are read, so this caps it at 160 MB; 250 times the CLI's
+# default of 20,000 iterations.
 MAX_ITERATIONS = 5_000_000
 
 
@@ -75,16 +82,38 @@ class SaConfig:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+def temperature_at(step: int, cfg: SaConfig) -> float:
+    """The geometric schedule t0 * rate^step, floored to avoid division by
+    zero: max(t0 * pow(rate, step), TEMPERATURE_FLOOR).
+
+    The one definition of the schedule, and the temperature every exact
+    step and every trace uses."""
+    temp = cfg.t0 * cfg.cooling_rate**step
+    return temp if temp >= TEMPERATURE_FLOOR else TEMPERATURE_FLOOR
+
+
+@dataclass(frozen=True, eq=False)
 class SaTrace:
-    """Per-iteration schedule and length records plus the final walker state."""
+    """Per-iteration schedule and length records plus the final walker state.
+
+    ``temperature``, each step's :func:`temperature_at` under ``config``,
+    is computed on first read and then kept; a caller that never reads it,
+    such as the CLI, never pays for it.  Two traces compare equal only when
+    they are the same object.
+    """
 
     iteration: np.ndarray
-    temperature: np.ndarray
     current_length: np.ndarray
     best_length: np.ndarray
     final_tour: Tour
     final_length: float
+    config: SaConfig = field(repr=False)
+
+    @cached_property
+    def temperature(self) -> np.ndarray:
+        count = len(self.iteration)
+        temps = map(temperature_at, range(count), repeat(self.config))
+        return np.fromiter(temps, dtype=np.float64, count=count)
 
     def to_csv(self) -> str:
         lines = ["iteration,temperature,current,best"]
@@ -120,17 +149,27 @@ def acceptance_probability(e: float, e_new: float, t: float) -> float:
     return float(np.exp(-(e_new - e) / t))
 
 
-def _temperatures(cfg: SaConfig, first: int, count: int) -> np.ndarray:
-    """Temperatures of steps ``first`` .. ``first + count - 1``: the geometric
-    schedule t0 * rate^step, floored to avoid division by zero.  The powers
-    are Python's, not ``np.power``'s, whose last bits may differ."""
-    powers = map(pow, repeat(cfg.cooling_rate, count), range(first, first + count))
-    return np.maximum(cfg.t0 * np.array(list(powers)), TEMPERATURE_FLOOR)
+def _temperature_bounds(cfg: SaConfig, first: int, count: int) -> np.ndarray:
+    """Upper bounds T' >= T = :func:`temperature_at` for steps ``first``
+    .. ``first + count - 1``, from ``np.power``, whose last bits may differ
+    from ``pow``'s.
 
-
-def temperature_at(step: int, cfg: SaConfig) -> float:
-    """Geometric schedule t0 * rate^step, floored to avoid division by zero."""
-    return float(_temperatures(cfg, step, 1)[0])
+    Let R = rate^step exactly and u = 2^-53.  Assume ``pow`` and
+    ``np.power`` each within 2^9 ulp of R, far above their few ulp: within
+    2^-43 * R + 2^-1065 of R, the last term covering subnormal powers.
+    Then pow's P and np.power's P' satisfy P <= (P' + a) * (1 + 2^-41),
+    with a = 2^-1060.  The bound is T' = max(fl(fl(t0 * fl(P' + a)) * (1 +
+    e)), TEMPERATURE_FLOOR) with e = 2^-40.  If fl(t0 * P) is below the
+    floor, T is the floor, and T' >= T.  Otherwise fl(t0 * P) <= t0 * P *
+    (1 + u), and t0 * fl(P' + a) >= t0 * P * (1 - u) / (1 + 2^-41) is
+    normal too, so each of the three roundings in T' loses a factor of at
+    most 1 - u, or overflows to an infinite bound.  As (1 + e) * (1 - u)^3
+    >= (1 + 2^-41) * (1 + u), T' >= T.
+    """
+    steps = np.arange(first, first + count, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        bounds = cfg.t0 * (np.power(cfg.cooling_rate, steps) + 2.0**-1060) * (1 + 2.0**-40)
+    return np.maximum(bounds, TEMPERATURE_FLOOR)
 
 
 def _screen_band(m: DistanceMatrix, k: int) -> float:
@@ -208,8 +247,10 @@ def _position_pairs(n: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
     return row, _changed_edges(np.stack([a, b], axis=1).astype(dtype), n)
 
 
-def _rejection_cuts(temps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """For each step, a length increase that proves Metropolis rejects it.
+def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """For each step, a length increase that proves Metropolis rejects it,
+    from an upper bound T' >= T on the step's temperature
+    (:func:`_temperature_bounds`).
 
     The walk rejects a step when p = np.exp(-(D / T)) < u, with D =
     fl(cand_len - cur_len), T the step's temperature and u its uniform.  Let
@@ -218,16 +259,20 @@ def _rejection_cuts(temps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     so for any float q >= x, np.exp(-q) <= u * exp(-e/2) * (1 + 2^-50) +
     2^-1074 < u, the last term bounding the error of a subnormal result
     (u >= 2^-53 when not 0).  Rounding is monotone and x is a float, so
-    fl(D / T) >= x whenever D >= x * T, which holds for D >= cut =
-    x * T * (1 + e) + 2^-1022: the factor covers the product's rounding and
-    the term its underflow.  As cut > 0, D >= cut also means the candidate
-    is longer, so :func:`acceptance_probability` takes the exponential.  A
-    uniform of 0.0, or a product that overflows, gives an infinite cut.
+    fl(D / T) >= x whenever D >= x * T, which holds for D >= x * T * (1 +
+    e) + 2^-1022 computed in floats: the factor covers the product's
+    rounding and the term its underflow.  The cut is that expression with
+    T' for T.  As x >= 0, T' >= T and every rounded operation is monotone,
+    it is at least the one computed from T, so D >= cut proves the
+    rejection for any such bound.  As cut > 0, D >= cut also means the
+    candidate is longer, so :func:`acceptance_probability` takes the
+    exponential.  A uniform of 0.0, or a bound or product that overflows,
+    gives an infinite cut, which no finite D reaches.
     """
     e = 2.0**-40
     with np.errstate(divide="ignore", over="ignore"):
         x = -np.log(uniforms) * (1 + e) + e
-        return x * temps * (1 + e) + 2.0**-1022
+        return x * bounds * (1 + e) + 2.0**-1022
 
 
 def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
@@ -266,16 +311,20 @@ def anneal(
     Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, the
     same values and generator state as one draw of them all.  For each
     chunk the steps' swap positions (one :func:`_kernels.pick_positions`
-    call) and temperatures are computed at once, since neither depends on
-    the tour; the rejection cuts of :func:`_rejection_cuts` are computed
-    with the chunk's first screen.
+    call) and, while the band of :func:`_screen_band` is finite, the
+    rejection cuts of :func:`_rejection_cuts` are computed at once, since
+    neither depends on the tour.  The cuts come from
+    :func:`_temperature_bounds`, not from the schedule itself.
 
     The exact step builds the candidate from the chunk's positions on
-    Python lists, takes its in-order length and asks
-    :func:`acceptance_probability`.  Steps run exactly, back to back, until
-    ``SCREEN_GAP`` steps have passed since the last acceptance.  From then
-    on, a window of upcoming steps, as many as have passed, at most
-    ``WINDOW`` and at most the rest of the chunk, is screened against the
+    Python lists and takes its in-order length.  While the band is finite
+    the length difference is finite, and a step whose difference reaches
+    its cut is rejected there; any other step asks
+    :func:`acceptance_probability` at its :func:`temperature_at`, the only
+    place the walk evaluates the schedule.  Steps run exactly, back to
+    back, until ``SCREEN_GAP`` steps have passed since the last acceptance.
+    From then on, a window of upcoming steps, as many as have passed, at
+    most ``WINDOW`` and at most the rest of the chunk, is screened against the
     current tour: a step whose edge delta, less the error band of
     :func:`_screen_band`, reaches its cut is one the exact step would
     reject, and is rejected without touching the tour.  A window sums its
@@ -293,7 +342,8 @@ def anneal(
     The trace's current lengths are filled run by run at the end of each
     chunk.  Its best lengths are derived at the end as the running minimum
     of the start and current lengths, since the best length only ever takes
-    the start length or an accepted one.  Besides the trace's 32 bytes per
+    the start length or an accepted one.  Its temperatures are computed
+    only when read (:class:`SaTrace`).  Besides the trace's 24 bytes per
     step, memory is O(CHUNK * n) narrow integers, one byte each while
     n < 128.  A table needs P steps left in a chunk, so it is made only
     while P <= CHUNK, for n <= 64, and its P entries add O(CHUNK).
@@ -312,7 +362,7 @@ def anneal(
     cur = list(start.order)
     start_len = cur_len = length(d, cur)
     best, best_len = cur, cur_len
-    temps, cur_lens = np.empty(iters), np.empty(iters)
+    cur_lens = np.empty(iters)
     band = _screen_band(m, k)
     # Steps after an acceptance that run exactly before a screen; with an
     # infinite band, every step.
@@ -328,11 +378,13 @@ def anneal(
     for first in range(0, iters, CHUNK):
         u = rng.random((min(CHUNK, iters - first), 2 * k + 1))
         count = len(u)
-        chunk_temps = _temperatures(cfg, first, count)
-        temps[first : first + count] = chunk_temps
         picks = _kernels.pick_positions(n, k, u)
-        cuts = edges = None  # made with the chunk's first screen that needs them
-        swaps = None  # made at the chunk's first exact step; most cold chunks have none
+        cuts = None  # the chunk's rejection cuts, while the band is finite
+        if band < np.inf:
+            cuts = _rejection_cuts(_temperature_bounds(cfg, first, count), u[:, 2 * k])
+        edges = None  # made with the chunk's first window that gathers edges
+        # Made at the chunk's first exact step; most cold chunks have none.
+        swaps = cut_at = None
         # The chunk's steps from which the walk holds each length: a run.
         run_from, run_cur = [0], [cur_len]
         i = 0
@@ -343,8 +395,6 @@ def anneal(
                 # restarts the count.
                 steps, stop, after = range(i, count), i + hold - gap, hold
             else:
-                if cuts is None:
-                    cuts = _rejection_cuts(chunk_temps, u[:, 2 * k])
                 if tour is None:
                     tour = np.array(cur, dtype=picks.dtype)
                 end = min(i + gap, count)
@@ -371,7 +421,9 @@ def anneal(
                 # costs more.
                 cols = picks.T.tolist()
                 swaps = list(zip(cols[0::2], cols[1::2]))
-                temp_at, accept_at = chunk_temps.tolist(), u[:, 2 * k].tolist()
+                accept_at = u[:, 2 * k].tolist()
+                if cuts is not None:
+                    cut_at = cuts.tolist()
             for j in steps:
                 if j >= stop:
                     break
@@ -380,7 +432,10 @@ def anneal(
                     x, y = a[j], b[j]
                     cand[x], cand[y] = cand[y], cand[x]
                 cand_len = length(d, cand)
-                if acceptance_probability(cur_len, cand_len, temp_at[j]) >= accept_at[j]:
+                if cut_at is not None and cand_len - cur_len >= cut_at[j]:
+                    continue
+                temp = temperature_at(first + j, cfg)
+                if acceptance_probability(cur_len, cand_len, temp) >= accept_at[j]:
                     cur, cur_len = cand, cand_len
                     if cur_len < best_len:
                         best, best_len = cur, cur_len
@@ -392,10 +447,10 @@ def anneal(
         cur_lens[first : first + count] = np.repeat(run_cur, runs)
     trace = SaTrace(
         iteration=np.arange(iters),
-        temperature=temps,
         current_length=cur_lens,
         best_length=np.minimum(np.minimum.accumulate(cur_lens), start_len),
         final_tour=Tour(tuple(cur)),
         final_length=float(cur_lens[-1]),
+        config=cfg,
     )
     return Tour(tuple(best)), float(best_len), trace

@@ -73,17 +73,18 @@ class HopfieldParams:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Symmetric n^2 x n^2 connection weights with zero diagonal, plus the
-    per-unit bias.  Unit (x, i) flattens to index x*n + i."""
+    per-unit bias.  Unit (x, i) flattens to index x*n + i.  Two weight
+    matrices compare equal only when they are the same object."""
 
     n: int
     w: np.ndarray
     bias: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopfieldResult:
     """The outcome of one network run.
 
@@ -92,7 +93,8 @@ class HopfieldResult:
     computed on first read and then kept.  The trace is computed from a
     record of the grid at each sweep end, n^2 bits a sweep, so at most
     ``max_sweeps * n^2`` bits.  A caller that reads neither, such as the
-    sweep, never pays for them.
+    sweep, never pays for them.  Two results compare equal only when they
+    are the same object.
     """
 
     grid: np.ndarray
@@ -101,11 +103,11 @@ class HopfieldResult:
     tour: Optional[Tour]
     sweeps_used: int
     max_update_delta_e: float
-    m: DistanceMatrix = field(repr=False, compare=False)
-    p: HopfieldParams = field(repr=False, compare=False)
+    m: DistanceMatrix = field(repr=False)
+    p: HopfieldParams = field(repr=False)
     # the sweep ends' grids, row-major and packed, from bit ``ends_at`` of ``ends``
-    ends: np.ndarray = field(repr=False, compare=False)
-    ends_at: int = field(repr=False, compare=False)
+    ends: np.ndarray = field(repr=False)
+    ends_at: int = field(repr=False)
 
     @cached_property
     def energy_trace(self) -> np.ndarray:

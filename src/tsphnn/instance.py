@@ -87,7 +87,7 @@ class Instance:
         return np.array([[c.x, c.y] for c in self.cities], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Square, symmetric, finite, nonnegative matrix with a zero diagonal,
     on at least 3 cities.
@@ -96,10 +96,20 @@ class DistanceMatrix:
     explicit one included.  The array is frozen, so a matrix can be shared
     by every caller without being copied or checked again.  A read-only
     C-contiguous float64 array is shared as it is; any other input is
-    copied, so the caller's own array stays writeable.
+    copied, so the caller's own array stays writeable.  Two matrices are
+    equal when their arrays are, and equal matrices hash alike.
     """
 
     d: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, DistanceMatrix):
+            return NotImplemented
+        return np.array_equal(self.d, other.d)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0, which equals 0.0, into 0.0.
+        return hash((self.d + 0.0).tobytes())
 
     def __post_init__(self):
         d = self.d

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -573,3 +574,184 @@ def test_table_is_built_only_while_p_fits_in_a_chunk(monkeypatch, n):
     assert not any(e_new <= e for e, e_new in exact)
     assert len(exact) < cfg.iterations
     assert len(built) == (n == 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t0=st.floats(0.0, 1.7976931348623157e308, exclude_min=True),
+    cooling=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    first=st.integers(0, MAX_ITERATIONS - 16),
+    at_floor=st.booleans(),
+)
+def test_temperature_bounds_are_at_least_the_schedule(t0, cooling, first, at_floor):
+    """``_temperature_bounds`` from ``np.power`` is never below
+    ``temperature_at``: for any t0 up to the largest float, any rate, and
+    steps up to ``MAX_ITERATIONS``, around where the schedule meets its
+    floor or anywhere.  An overflowing bound is infinite, as is its cut,
+    and nothing warns.  Away from the floor and from subnormal powers, the
+    bound is within 2^-38 of the schedule."""
+    cfg = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=1)
+    if at_floor:
+        crossing = (math.log(TEMPERATURE_FLOOR) - math.log(t0)) / math.log(cooling)
+        first = int(min(max(crossing - 8, 0), MAX_ITERATIONS - 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = annealing._temperature_bounds(cfg, first, 16)
+        cuts = annealing._rejection_cuts(bounds, np.full(16, 0.5))
+    for j, bound in enumerate(bounds.tolist()):
+        temp = T.temperature_at(first + j, cfg)
+        assert bound >= temp
+        if bound == math.inf:
+            assert cuts[j] == math.inf
+        elif t0 < 1e250 and temp > TEMPERATURE_FLOOR:
+            assert bound <= temp * (1 + 2.0**-38)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 14),
+    bound=st.sampled_from([1.0, 100.0, 1e5, "grid"]),
+    seed=st.integers(0, 2**32 - 1),
+    log_ratio=st.floats(-6.0, 6.0),
+    first=st.one_of(st.integers(0, 2000), st.integers(0, MAX_ITERATIONS - 64)),
+    data=st.data(),
+)
+def test_exact_step_cut_never_rejects_an_accepted_step(n, bound, seed, log_ratio, first, data):
+    """An exact step whose length difference D reaches its cut, made from
+    ``_temperature_bounds``, is one ``acceptance_probability`` rejects at
+    the step's own ``temperature_at``.  Temperatures run from about 1e-6 to
+    1e6 times the instance's scale and down to the floor; uniforms include
+    0.0, the step's acceptance probability and its float neighbours."""
+    rng = np.random.default_rng(seed)
+    if bound == "grid":
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed, bound=bound))
+    assert annealing._screen_band(m, 1) < math.inf
+    k = data.draw(st.integers(1, n // 2), label="swap_count")
+    steps = 64
+    scale = float(m.d.max()) / n
+    cfg = T.SaConfig(t0=scale * 10.0**log_ratio, cooling_rate=0.999, iterations=1, swap_count=k)
+    cur = rng.permutation(n).tolist()
+    d = m.d.tolist()
+    cur_len = _kernels.closed_tour_length(d, cur)
+    u = rng.random((steps, 2 * k + 1))
+    picks = _kernels.pick_positions(n, k, u)
+    cases = []
+    for j in range(steps):
+        cand = _kernels.swap_pairs(cur, picks[j].reshape(k, 2).tolist())
+        cand_len = _kernels.closed_tour_length(d, cand)
+        temp = T.temperature_at(first + j, cfg)
+        p = annealing.acceptance_probability(cur_len, cand_len, temp)
+        above = min(np.nextafter(p, 1.0), np.nextafter(1.0, 0.0))  # a uniform is < 1
+        u[j, 2 * k] = (0.0, p, np.nextafter(p, 0.0), above, u[j, 2 * k])[j % 5]
+        cases.append((cand_len, p))
+    cuts = annealing._rejection_cuts(annealing._temperature_bounds(cfg, first, steps), u[:, 2 * k])
+    for j, (cand_len, p) in enumerate(cases):
+        if cand_len - cur_len >= cuts[j]:
+            assert p < u[j, 2 * k]
+        if u[j, 2 * k] == 0.0:
+            assert cuts[j] == math.inf
+
+
+class _FixedDraws:
+    """A generator stand-in that hands out the rows of ``draws`` in turn."""
+
+    def __init__(self, draws):
+        self.draws, self.at = draws, 0
+
+    def random(self, size):
+        rows, _ = size
+        self.at += rows
+        return self.draws[self.at - rows : self.at]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exact_step_cut_is_not_applied_where_the_band_is_infinite(monkeypatch):
+    """Where a tour length can overflow the band is infinite.  A candidate
+    whose length overflowed has D = inf, which the infinite cut of a
+    uniform of 0.0 would reject, yet ``acceptance_probability`` accepts it
+    (exp(-inf) = 0.0 >= 0.0).  The walk leaves such steps to the exact
+    step, so it matches the hand replay."""
+    m = T.distance_matrix(T.generate_random_instance(10, seed=3, bound=4e307))
+    assert annealing._screen_band(m, 1) == math.inf
+    start = T.greedy_nearest_neighbor(m)
+    assert T.tour_length(m, start) < math.inf
+    cfg = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=400, seed=0)
+    draws = np.random.default_rng(1).random((cfg.iterations, 3))
+    draws[::2, 2] = 0.0
+    exact = []
+    real = annealing.acceptance_probability
+
+    def counted(e, e_new, t):
+        exact.append(e_new - e)
+        return real(e, e_new, t)
+
+    monkeypatch.setattr(annealing, "acceptance_probability", counted)
+    tour, length, trace = T.anneal(m, start, cfg, rng=_FixedDraws(draws))
+    assert math.inf in exact  # some finite tour proposed an overflowing one
+    assert len(exact) == cfg.iterations
+    _, current, bests, best, final = _replay(m, start, cfg, draws)
+    assert trace.current_length.tolist() == current
+    assert trace.best_length.tolist() == bests
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+
+
+def test_cold_walk_evaluates_the_schedule_only_where_a_step_reads_it(monkeypatch):
+    """``anneal`` calls ``temperature_at`` only for a step about to reach
+    ``acceptance_probability``, and builds no schedule array until the
+    trace's temperatures are read.  On a circle at the floor temperature
+    every proposal is longer: the first exact steps are all cut before the
+    exponential, and later chunks have no exact step, so the walk never
+    evaluates the schedule.  A warmer walk evaluates it once per exact
+    step that is not cut."""
+    called, passed = [], []
+    real_temperature, real_accept = annealing.temperature_at, annealing.acceptance_probability
+
+    def temperature_at(step, cfg):
+        called.append(step)
+        return real_temperature(step, cfg)
+
+    def acceptance_probability(e, e_new, t):
+        passed.append(t)
+        return real_accept(e, e_new, t)
+
+    monkeypatch.setattr(annealing, "temperature_at", temperature_at)
+    monkeypatch.setattr(annealing, "acceptance_probability", acceptance_probability)
+    n = 20
+    angles = 2 * np.pi * np.arange(n) / n
+    circle = T.Instance(
+        id="circle",
+        cities=tuple(T.City(f"c{i}", math.cos(a), math.sin(a)) for i, a in enumerate(angles)),
+    )
+    cold = T.SaConfig(t0=TEMPERATURE_FLOOR, cooling_rate=0.5, iterations=3 * CHUNK, seed=2)
+    _, _, trace = T.anneal(T.distance_matrix(circle), T.Tour(tuple(range(n))), cold)
+    assert called == [] and passed == []
+    assert "temperature" not in vars(trace)
+    assert trace.temperature.tolist() == [TEMPERATURE_FLOOR] * cold.iterations
+    assert called == list(range(cold.iterations))
+
+    called.clear()
+    warm = T.SaConfig(t0=0.05, cooling_rate=0.999, iterations=3 * CHUNK + 7, seed=4)
+    m = T.distance_matrix(T.get_builtin("cityset1"))
+    _, _, trace = T.anneal(m, T.Tour(tuple(range(10))), warm)
+    assert 0 < len(called) < warm.iterations
+    assert [real_temperature(step, warm) for step in called] == passed
+    assert called == sorted(set(called))
+    assert "temperature" not in vars(trace)
+    called.clear()
+    assert trace.temperature is trace.temperature
+    assert called == list(range(warm.iterations))
+
+
+def test_traces_compare_by_identity(paper8_m):
+    """A trace holds arrays: == answers by identity instead of raising on
+    an ambiguous truth value."""
+    cfg = T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=20, seed=1)
+    start = T.Tour(tuple(range(8)))
+    _, _, first = T.anneal(paper8_m, start, cfg)
+    _, _, second = T.anneal(paper8_m, start, cfg)
+    assert np.array_equal(first.current_length, second.current_length)
+    assert first == first and first != second
+

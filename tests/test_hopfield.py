@@ -567,3 +567,15 @@ def test_network_accepts_large_penalties_that_cannot_overflow(paper8):
         warnings.simplefilter("error")
         res = T.run_hopfield(m, T.HopfieldParams(a_pen=1e300, b_pen=1e300, max_sweeps=3))
         assert np.isfinite(res.energy_trace).all()
+
+
+def test_network_records_compare_by_identity(m5):
+    """A run's result and a weight matrix hold arrays: == answers by
+    identity instead of raising on an ambiguous truth value."""
+    p = T.HopfieldParams(max_sweeps=5, seed=1)
+    first, second = hopfield.run(m5, p), hopfield.run(m5, p)
+    assert np.array_equal(first.grid, second.grid)
+    assert first == first and first != second
+    w = build_weights(m5, p)
+    assert w == w and w != build_weights(m5, p)
+

@@ -276,6 +276,21 @@ def test_distance_matrix_returns_the_instances_checked_matrix(matrix4):
     assert m.d is matrix4.matrix
 
 
+def test_distance_matrices_compare_by_their_arrays(paper8, cityset1):
+    """Two matrices of one size compare and hash by their entries, with
+    -0.0 equal to 0.0, instead of raising on an ambiguous truth value."""
+    a, b = T.distance_matrix(paper8), T.distance_matrix(T.get_builtin("paper8"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    other = T.distance_matrix(T.generate_random_instance(8, seed=1))
+    assert a != other and a != T.distance_matrix(cityset1) and a != "paper8"
+    zeros = np.zeros((3, 3))
+    negative_zeros = np.zeros((3, 3))
+    negative_zeros[0, 0] = -0.0
+    assert T.DistanceMatrix(zeros) == T.DistanceMatrix(negative_zeros)
+    assert hash(T.DistanceMatrix(zeros)) == hash(T.DistanceMatrix(negative_zeros))
+
+
 def test_city_rejects_non_finite():
     with pytest.raises(T.TsphnnError):
         T.City("A", math.inf, 0.0)
