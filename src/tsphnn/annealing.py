@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidArgumentError, InvalidTemperatureError, TsphnnError
+from .errors import InvalidTemperatureError, TsphnnError, check_int
 from .instance import DistanceMatrix
 from .tour import Tour
 
@@ -41,9 +41,9 @@ SCREEN_GAP = 16
 # The most steps whose changed edges one window gathers: per step, gathers
 # of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
 WINDOW = 512
-# The trace keeps three 8-byte records per step, and a fourth once its
-# temperatures are read, so this caps it at 160 MB; 250 times the CLI's
-# default of 20,000 iterations.
+# The most iterations `SaConfig` accepts.  The trace keeps three 8-byte
+# records per step, and a fourth once its temperatures are read, so this caps
+# it at 160 MB; 250 times the CLI's default of 20,000 iterations.
 MAX_ITERATIONS = 5_000_000
 
 
@@ -67,19 +67,9 @@ class SaConfig:
             raise TsphnnError(
                 f"cooling_rate must be in (0, 1), got {self.cooling_rate}"
             )
-        if self.iterations < 1:
-            raise TsphnnError(f"iterations must be >= 1, got {self.iterations}")
-        if self.iterations > MAX_ITERATIONS:
-            raise InvalidArgumentError(
-                f"iterations must be <= {MAX_ITERATIONS} (the trace takes 32 bytes "
-                f"per step), got {self.iterations}"
-            )
-        if self.swap_count < 1:
-            raise InvalidArgumentError(
-                f"swap_count must be >= 1, got {self.swap_count}"
-            )
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        limits = {"iterations": (1, MAX_ITERATIONS), "swap_count": (1, None), "seed": (0, None)}
+        for name, (low, high) in limits.items():
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
 
 
 def temperature_at(step: int, cfg: SaConfig) -> float:
@@ -130,9 +120,7 @@ def swap_cities(t: Tour, k: int, rng: np.random.Generator) -> Tour:
 
     Returns a new tour; applying the same pairs again restores the input.
     """
-    n = t.n
-    if k < 1 or 2 * k > n:
-        raise InvalidArgumentError(f"k={k} out of range 1..{n // 2} for n={n}")
+    k = check_int("k", k, 1, t.n // 2)
     out = _kernels.swap_positions(t.as_array(), k, rng.random(2 * k))
     return Tour(tuple(int(v) for v in out))
 
@@ -257,22 +245,22 @@ def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     e = 2^-40, far above the relative error of ``np.exp`` and ``np.log`` (a
     few ulp), and L = -ln u.  Then x = -np.log(u) * (1 + e) + e >= L + e/2,
     so for any float q >= x, np.exp(-q) <= u * exp(-e/2) * (1 + 2^-50) +
-    2^-1074 < u, the last term bounding the error of a subnormal result
-    (u >= 2^-53 when not 0).  Rounding is monotone and x is a float, so
-    fl(D / T) >= x whenever D >= x * T, which holds for D >= x * T * (1 +
-    e) + 2^-1022 computed in floats: the factor covers the product's
-    rounding and the term its underflow.  The cut is that expression with
-    T' for T.  As x >= 0, T' >= T and every rounded operation is monotone,
-    it is at least the one computed from T, so D >= cut proves the
-    rejection for any such bound.  As cut > 0, D >= cut also means the
-    candidate is longer, so :func:`acceptance_probability` takes the
-    exponential.  A uniform of 0.0, or a bound or product that overflows,
-    gives an infinite cut, which no finite D reaches.
+    2^-1074 < u, the last term bounding the error of a subnormal result,
+    for u >= 2^-53.  Rounding is monotone and x is a float, so fl(D / T) >= x
+    whenever D >= x * T, which holds for D >= x * T * (1 + e) + 2^-1022
+    computed in floats: the factor covers the product's rounding and the term
+    its underflow.  The cut is that expression with T' for T.  As x >= 0,
+    T' >= T and every rounded operation is monotone, it is at least the one
+    computed from T, so D >= cut proves the rejection for any such bound.  As
+    cut > 0, D >= cut also means the candidate is longer, so
+    :func:`acceptance_probability` takes the exponential.  A uniform below
+    2^-53 (0.0, or a stand-in generator's), or a bound or product that
+    overflows, gives an infinite cut, which no finite D reaches.
     """
     e = 2.0**-40
     with np.errstate(divide="ignore", over="ignore"):
         x = -np.log(uniforms) * (1 + e) + e
-        return x * bounds * (1 + e) + 2.0**-1022
+        return np.where(uniforms < 2.0**-53, np.inf, x * bounds * (1 + e) + 2.0**-1022)
 
 
 def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
@@ -351,9 +339,7 @@ def anneal(
     n = m.n
     if start.n != n:
         raise TsphnnError(f"start tour has {start.n} cities, matrix has {n}")
-    k = cfg.swap_count
-    if 2 * k > n:
-        raise InvalidArgumentError(f"swap_count={k} too large for n={n}")
+    k = check_int("swap_count", cfg.swap_count, 1, n // 2)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     iters = cfg.iterations

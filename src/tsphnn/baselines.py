@@ -10,7 +10,7 @@ strictly smaller deltas picks.
 
 import numpy as np
 
-from .errors import TsphnnError
+from .errors import TsphnnError, check_int
 from .instance import DistanceMatrix
 from .tour import Tour
 
@@ -27,7 +27,8 @@ def greedy_nearest_neighbor(m: DistanceMatrix, start: int = 0) -> Tour:
     """From each city go to the nearest unvisited one, ties to the lowest
     index, closing back to the start."""
     n = m.n
-    if not 0 <= start < n:
+    start = check_int("start", start, 0)
+    if start >= n:
         raise TsphnnError(f"start city {start} out of range 0..{n - 1}")
     visited = np.zeros(n, dtype=bool)
     order = [start]

@@ -1,8 +1,11 @@
-"""Exception types raised by the public API.
+"""Exception types raised by the public API, and its one integer check.
 
 All inherit from ValueError so generic callers can catch one base class;
 the specific subclasses exist because callers (and tests) branch on them.
+Each integer argument (a count, seed or position) passes :func:`check_int`.
 """
+
+import operator
 
 
 class TsphnnError(ValueError):
@@ -46,4 +49,18 @@ class InvalidTemperatureError(TsphnnError):
 
 
 class InvalidArgumentError(TsphnnError):
-    """Argument outside its documented range."""
+    """Argument of the wrong type or outside its documented range."""
+
+
+def check_int(name: str, value, low: int, high: int = None) -> int:
+    """``value`` as an ``int`` in [low, high], a None end being open.  Python
+    and NumPy integers pass, through ``operator.index``; floats do not."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and number < low:
+        raise InvalidArgumentError(f"{name} must be >= {low}, got {number}")
+    if high is not None and number > high:
+        raise InvalidArgumentError(f"{name} must be <= {high}, got {number}")
+    return number

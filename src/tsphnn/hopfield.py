@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TsphnnError
+from .errors import TsphnnError, check_int
 from .instance import DistanceMatrix
 from .tour import Tour, decode_grid, decode_grids, tour_length
 
@@ -67,10 +67,8 @@ class HopfieldParams:
                 raise TsphnnError(f"{name} must be finite and nonnegative, got {value}")
         if not np.isfinite(self.threshold):
             raise TsphnnError(f"threshold must be finite, got {self.threshold}")
-        if self.max_sweeps < 0:
-            raise TsphnnError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        for name in ("max_sweeps", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 0))
 
 
 @dataclass(frozen=True, eq=False)

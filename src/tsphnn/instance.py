@@ -16,9 +16,9 @@ import numpy as np
 from .errors import (
     DegenerateInstanceError,
     InstanceSizeError,
-    InvalidArgumentError,
     ParseError,
     TsphnnError,
+    check_int,
 )
 
 
@@ -157,12 +157,12 @@ def _labels(n: int):
 
 def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
     """n cities drawn uniformly from [0, bound]^2, reproducible from the seed."""
+    n = check_int("n", n, None)
     if n < 3:
         raise InstanceSizeError(f"instance needs at least 3 cities, got {n}")
-    if not bound > 0:
-        raise TsphnnError(f"bound must be positive, got {bound}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    if not 0 < bound < np.inf:
+        raise TsphnnError(f"bound must be positive and finite, got {bound}")
+    seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, bound, size=(n, 2))
     cities = tuple(

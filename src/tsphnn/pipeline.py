@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .annealing import SaConfig, SaTrace, anneal
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int
 from .hopfield import (
     HopfieldParams,
     HopfieldResult,
@@ -87,7 +87,6 @@ class BenchmarkReport:
     trials: int
     master_seed: int
     success_metric: str
-    seed_scheme: str = "default_rng([master_seed, cell_index, trial_index])"
 
 
 def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridReport:
@@ -176,12 +175,9 @@ def sweep(
     """
     if len(c_values) == 0 or len(d_values) == 0:
         raise InvalidArgumentError("c_values and d_values must be non-empty")
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    trials = check_int("trials", trials, 1)
+    check_int("workers", workers, 1)
+    seed = check_int("seed", seed, 0)
     if success_metric not in ("valid", "optimal"):
         raise InvalidArgumentError(f"unknown success metric {success_metric!r}")
 

@@ -16,8 +16,9 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def render_tour_svg(inst: Instance, tour: Tour = None, size: int = 480, margin: int = 40) -> str:
+def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
     """City markers with labels, plus the closed tour polygon when given."""
+    size, margin = 480, 40
     pts = inst.coords()
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
@@ -56,8 +57,9 @@ def render_tour_svg(inst: Instance, tour: Tour = None, size: int = 480, margin: 
     return "".join(parts)
 
 
-def render_grid_svg(grid: np.ndarray, cell: int = 32, margin: int = 20) -> str:
+def render_grid_svg(grid: np.ndarray) -> str:
     """n x n cell lattice; active units are filled."""
+    cell, margin = 32, 20
     g = np.asarray(grid)
     n = g.shape[0]
     size = 2 * margin + n * cell

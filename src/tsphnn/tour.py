@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError
+from .errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError, check_int
 from .instance import DistanceMatrix
 
 BRUTE_FORCE_MAX_N = 12
@@ -46,7 +46,7 @@ class Tour:
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Tour":
-        return Tour(tuple(int(v) for v in rng.permutation(n)))
+        return Tour(tuple(int(v) for v in rng.permutation(check_int("n", n, 0))))
 
 
 def tour_length(m: DistanceMatrix, tour) -> float:

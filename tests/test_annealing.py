@@ -654,6 +654,17 @@ def test_exact_step_cut_never_rejects_an_accepted_step(n, bound, seed, log_ratio
             assert cuts[j] == math.inf
 
 
+def test_uniforms_below_the_generator_grid_get_infinite_cuts():
+    """The cut's proof needs u >= 2^-53, the smallest nonzero uniform
+    ``Generator.random()`` draws.  A smaller one, such as the subnormal
+    p = u of a cold step (2.07282e-318 at n = 10, seed 3), gets an infinite
+    cut, as 0.0 does."""
+    uniforms = np.array([0.0, 5e-324, 2.07282e-318, 2.0**-54, 2.0**-53, 0.5])
+    cuts = annealing._rejection_cuts(np.full(len(uniforms), 0.2), uniforms)
+    assert cuts[:4].tolist() == [math.inf] * 4
+    assert np.isfinite(cuts[4:]).all()
+
+
 class _FixedDraws:
     """A generator stand-in that hands out the rows of ``draws`` in turn."""
 

@@ -1,10 +1,13 @@
 """Every refusal of the public API is a typed ``TsphnnError`` (or, for an
 unknown builtin name, a ``KeyError``) that says what was wrong."""
 
+import math
+
 import numpy as np
 import pytest
 
 import tsphnn as T
+from tsphnn.annealing import MAX_ITERATIONS
 from tsphnn.hopfield import run_lockstep
 
 PAPER8 = T.get_builtin("paper8")
@@ -44,6 +47,10 @@ REFUSALS = {
     "gen-bound-zero": (
         lambda: T.generate_random_instance(5, 0, bound=0),
         T.TsphnnError, "bound must be positive",
+    ),
+    "gen-bound-inf": (
+        lambda: T.generate_random_instance(5, 0, bound=math.inf),
+        T.TsphnnError, "bound must be positive and finite, got inf",
     ),
     "anneal-tour-size": (
         lambda: T.anneal(M8, SHORT, T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=1)),
@@ -100,3 +107,88 @@ def test_refusal_is_typed(call, error, message):
 
 def test_lockstep_of_no_trials_is_empty():
     assert run_lockstep(M8, T.HopfieldParams(), [], []) == []
+
+
+# Each integer argument of the public API: a call taking it, and a value in range.
+INTEGER_ARGUMENTS = {
+    "sa-iterations": (lambda v: T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=v), 10),
+    "sa-swap-count": (
+        lambda v: T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=1, swap_count=v), 2,
+    ),
+    "sa-seed": (lambda v: T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=1, seed=v), 3),
+    "hnn-max-sweeps": (lambda v: T.HopfieldParams(max_sweeps=v), 7),
+    "hnn-seed": (lambda v: T.HopfieldParams(seed=v), 3),
+    "sweep-trials": (lambda v: T.sweep(PAPER8, [90.0], [10.0], v, T.HopfieldParams(), 0), 2),
+    "sweep-workers": (
+        lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, T.HopfieldParams(), 0, workers=v), 2,
+    ),
+    "sweep-seed": (lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, T.HopfieldParams(), v), 3),
+    "gen-n": (lambda v: T.generate_random_instance(v, 0), 5),
+    "gen-seed": (lambda v: T.generate_random_instance(5, v), 3),
+    "swap-k": (lambda v: T.swap_cities(T.Tour(tuple(range(8))), v, np.random.default_rng(0)), 3),
+    "greedy-start": (lambda v: T.greedy_nearest_neighbor(M8, v), 3),
+    "random-tour-n": (lambda v: T.Tour.random(v, np.random.default_rng(0)), 6),
+}
+NOT_INTEGERS = [2.5, 3.0, math.nan, math.inf, "3", None]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("call, _", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_argument_refuses_a_non_integer(call, _, value):
+    """A float, even a whole or non-finite one, a string or None is not an
+    integer argument, whatever the range check would say of it."""
+    with pytest.raises(T.InvalidArgumentError, match="must be an integer") as excinfo:
+        call(value)
+    assert type(excinfo.value) is T.InvalidArgumentError
+
+
+@pytest.mark.parametrize("call, value", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_argument_takes_a_numpy_integer(call, value):
+    assert call(np.int64(value)) == call(value)
+
+
+@pytest.mark.parametrize(
+    "call, low, high, message",
+    [
+        (lambda v: T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=v), 1, MAX_ITERATIONS,
+         "iterations must be"),
+        (lambda v: T.swap_cities(T.Tour(tuple(range(7))), v, np.random.default_rng(0)), 1, 3,
+         "k must be"),
+        (lambda v: T.anneal(M8, T.Tour(tuple(range(8))), T.SaConfig(
+            t0=1.0, cooling_rate=0.9, iterations=1, swap_count=v)), 1, 4, "swap_count must be"),
+    ],
+    ids=["sa-iterations", "swap-k", "anneal-swap-count"],
+)
+def test_integer_argument_range_is_inclusive(call, low, high, message):
+    """Both ends of a range are in it, and a refusal names the end passed."""
+    call(np.int64(low))
+    call(high)
+    with pytest.raises(T.InvalidArgumentError, match=f"{message} >= {low}, got {low - 1}"):
+        call(low - 1)
+    with pytest.raises(T.InvalidArgumentError, match=f"{message} <= {high}, got {high + 1}"):
+        call(high + 1)
+
+
+def test_numpy_integer_configs_give_the_same_runs():
+    """SA and the network given NumPy integers for every count and seed
+    take the walks they take with Python ints, and their records hold ints."""
+    start = T.Tour(tuple(range(8)))
+    runs = []
+    for kind in (int, np.int64):
+        cfg = T.SaConfig(
+            t0=1.0, cooling_rate=0.99, iterations=kind(300), swap_count=kind(2), seed=kind(5)
+        )
+        hp = T.HopfieldParams(d_pen=10.0, max_sweeps=kind(7), seed=kind(3))
+        assert {type(v) for v in (cfg.iterations, cfg.swap_count, cfg.seed)} == {int}
+        assert {type(v) for v in (hp.max_sweeps, hp.seed)} == {int}
+        tour, length, trace = T.anneal(M8, start, cfg)
+        result = T.run_hopfield(T.normalize_distances(M8), hp)
+        runs.append(
+            (
+                tour, length, trace.current_length.tolist(), trace.best_length.tolist(),
+                trace.temperature.tolist(), trace.final_tour, trace.final_length,
+                result.grid.tolist(), result.converged, result.tour, result.sweeps_used,
+                result.energy_trace.tolist(),
+            )
+        )
+    assert runs[0] == runs[1]

@@ -47,6 +47,13 @@ def test_params_reject_negative_or_non_finite_values():
         T.HopfieldParams(max_sweeps=-1)
 
 
+def test_fractional_sweep_budget_is_refused():
+    """A sweep count never equals 1.5, so such a budget would never stop a
+    run; it is refused with the other non-integers."""
+    with pytest.raises(T.InvalidArgumentError, match="max_sweeps must be an integer, got 1.5"):
+        T.HopfieldParams(max_sweeps=1.5)
+
+
 def test_zero_penalties_give_zero_weights(m5):
     w = build_weights(m5, T.HopfieldParams(a_pen=0, b_pen=0, c_pen=0, d_pen=0))
     assert np.all(w.w == 0)

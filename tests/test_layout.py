@@ -1,5 +1,6 @@
-"""The package's layout: modules import each other at the top only, and the
-public names are listed once and resolve."""
+"""The package's layout: modules import each other at the top only, the
+public names are listed once and resolve, and the integer-argument rule
+has one home."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,26 @@ def test_public_names_resolve_and_are_listed_once():
     missing = [name for name in T.__all__ if not hasattr(T, name)]
     repeated = sorted({name for name in T.__all__ if T.__all__.count(name) > 1})
     assert missing == [] and repeated == []
+
+
+RANGE_WORDS = ("must be >=", "must be <=", "must be an integer")
+
+
+def test_integer_rule_is_worded_only_by_check_int():
+    """Outside ``errors.py``, no raise words an integer argument's type or
+    range refusal itself: every such check calls ``errors.check_int``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                texts = [
+                    part.value
+                    for part in ast.walk(node.exc)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                ]
+                if any(word in text for text in texts for word in RANGE_WORDS):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
