@@ -43,18 +43,19 @@ SCREEN_GAP = 16
 WINDOW = 512
 # The most iterations `SaConfig` accepts.  The trace keeps three 8-byte
 # records per step, and a fourth once its temperatures are read, so this caps
-# it at 160 MB; 250 times the CLI's default of 20,000 iterations.
+# it at 160 MB; 250 times `SaConfig`'s default of 20,000 iterations.
 MAX_ITERATIONS = 5_000_000
 
 
 @dataclass(frozen=True)
 class SaConfig:
     """Annealing schedule: start temperature, geometric cooling rate,
-    iteration budget, pairs swapped per move, and RNG seed."""
+    iteration budget, pairs swapped per move, and RNG seed.  ``tsphnn
+    solve``'s SA flags default to these."""
 
-    t0: float
-    cooling_rate: float
-    iterations: int
+    t0: float = 1.0
+    cooling_rate: float = 0.999
+    iterations: int = 20000
     swap_count: int = 1
     seed: int = 0
 

@@ -12,49 +12,27 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .annealing import SaConfig, anneal
-from .baselines import greedy_nearest_neighbor, three_opt, two_opt
+from .annealing import SaConfig
 from .builtin import BUILTIN_INSTANCES, get_builtin
 from .errors import InvalidArgumentError, InvalidTourError, TsphnnError
-from .hopfield import HopfieldParams, grid_to_text, run, text_to_grid
+from .hopfield import HopfieldParams, grid_to_text, text_to_grid
 from .instance import (
-    distance_matrix,
     generate_random_instance,
     load_instance,
-    normalize_distances,
     read_json,
     read_text,
     save_instance,
 )
-from .pipeline import render_report, solve_hybrid, sweep
+from .pipeline import METHODS, render_report, solve, sweep
 from .svg import render_grid_svg, render_tour_svg
-from .tour import Tour, brute_force_optimum, tour_length
-
-METHODS = ("exact", "greedy", "2opt", "3opt", "sa", "hnn", "hybrid")
+from .tour import Tour
 
 
 def _resolve_instance(ref: str):
     if ref in BUILTIN_INSTANCES:
         return get_builtin(ref)
     return load_instance(ref)
-
-
-def _distances(inst):
-    """The instance's distance matrix, refused when a tour length can
-    overflow: a distance that is already infinite, or n times the largest
-    distance past the largest float."""
-    with np.errstate(over="ignore"):  # DistanceMatrix refuses an infinite distance
-        m = distance_matrix(inst)
-    longest = float(m.d.max())
-    if math.isinf(m.n * longest):
-        raise TsphnnError(
-            f"instance {inst.id!r}: tour lengths overflow "
-            f"({m.n} cities, largest distance {longest:g})"
-        )
-    return m
 
 
 def _emit(record: dict) -> None:
@@ -69,11 +47,12 @@ def _emit(record: dict) -> None:
 
 
 def cmd_gen(args) -> int:
+    # Generation checks n first, so n is small enough to multiply as a float.
+    inst = generate_random_instance(args.n, args.seed, args.bound)
     if math.isinf(args.n * math.hypot(args.bound, args.bound)):
         raise InvalidArgumentError(
             f"--bound {args.bound:g} lets tour lengths of {args.n} cities overflow"
         )
-    inst = generate_random_instance(args.n, args.seed, args.bound)
     save_instance(inst, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -81,87 +60,30 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _resolve_instance(args.instance)
-    m = _distances(inst)
     started = time.perf_counter()
+    sa = SaConfig(args.t0, args.cooling, args.iters, args.swaps, args.seed)
+    report = solve(inst, args.method, sa, _hopfield_params(args, c_pen=args.C, d_pen=args.D))
+    if report.hnn_result is not None and args.grid_out:
+        with open(args.grid_out, "w", encoding="utf-8") as fh:
+            fh.write(grid_to_text(report.hnn_result.grid))
 
-    record = {
-        "method": args.method,
-        "instance": inst.id,
-        "n": m.n,
-        "seed": args.seed,
-    }
-    tour = None
-    extras = {}
-
-    if args.method == "exact":
-        tour, _ = brute_force_optimum(m)
-    elif args.method == "greedy":
-        tour = greedy_nearest_neighbor(m, 0)
-    elif args.method == "2opt":
-        tour = two_opt(m, greedy_nearest_neighbor(m, 0))
-    elif args.method == "3opt":
-        tour = three_opt(m, greedy_nearest_neighbor(m, 0))
-    elif args.method == "sa":
-        cfg = _sa_config(args)
-        rng = np.random.default_rng(cfg.seed)
-        start = Tour.random(m.n, rng)
-        extras["start_length"] = tour_length(m, start)
-        tour, _, _ = anneal(m, start, cfg, rng=rng)
-    elif args.method == "hnn":
-        hp = _hopfield_params(args, c_pen=args.C, d_pen=args.D)
-        result = run(normalize_distances(m), hp)
-        extras["converged"] = result.converged
-        extras["sweeps"] = result.sweeps_used
-        tour = result.tour
-        if args.grid_out:
-            with open(args.grid_out, "w", encoding="utf-8") as fh:
-                fh.write(grid_to_text(result.grid))
-    elif args.method == "hybrid":
-        hp = _hopfield_params(args, c_pen=args.C, d_pen=args.D)
-        report = solve_hybrid(inst, _sa_config(args), hp)
-        extras["sa_start_length"] = report.sa_start_length
-        extras["sa_length"] = report.sa_length
-        extras["hnn_valid"] = report.hnn_valid
-        if report.hnn_length is not None:
-            extras["hnn_length"] = report.hnn_length
-        tour = report.final_tour
-
-    valid = tour is not None
-    record["valid"] = valid
+    tour = report.tour
+    record = {"method": args.method, "instance": inst.id, "n": inst.n, "seed": args.seed}
+    record["valid"] = valid = tour is not None
     if valid:
-        record["length"] = tour_length(m, tour)
+        record["length"] = report.length
         record["tour"] = tour.order
-    record.update(extras)
+    record.update(report.extras)
     _emit(record)
 
     elapsed_ms = 1000 * (time.perf_counter() - started)
     print(f"{args.method} on {inst.id}: elapsed {elapsed_ms:.2f} ms", file=sys.stderr)
     if valid and args.out:
+        saved = {key: record[key] for key in ("instance", "method", "seed", "length")}
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "instance": inst.id,
-                    "method": args.method,
-                    "seed": args.seed,
-                    "order": list(tour.order),
-                    "length": record["length"],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump({**saved, "order": list(tour.order)}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if valid else 1
-
-
-def _sa_config(args) -> SaConfig:
-    return SaConfig(
-        t0=args.t0,
-        cooling_rate=args.cooling,
-        iterations=args.iters,
-        swap_count=args.swaps,
-        seed=args.seed,
-    )
 
 
 def _hopfield_params(args, **penalties) -> HopfieldParams:
@@ -188,7 +110,6 @@ def _parse_grid_list(text: str, flag: str):
 
 def cmd_sweep(args) -> int:
     inst = _resolve_instance(args.instance)
-    _distances(inst)  # refuses an instance whose tour lengths overflow
     report = sweep(
         inst,
         _parse_grid_list(args.c_grid, "--c-grid"),
@@ -279,10 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shared_flags(solve)
     solve.add_argument("--method", required=True, choices=METHODS)
-    solve.add_argument("--t0", type=float, default=1.0, help="SA initial temperature")
-    solve.add_argument("--cooling", type=float, default=0.999, help="SA cooling rate")
-    solve.add_argument("--iters", type=int, default=20000, help="SA iteration budget")
-    solve.add_argument("--swaps", type=int, default=1, help="SA pairs swapped per move")
+    solve.add_argument("--t0", type=float, default=SaConfig.t0, help="SA initial temperature")
+    solve.add_argument(
+        "--cooling", type=float, default=SaConfig.cooling_rate, help="SA cooling rate"
+    )
+    solve.add_argument(
+        "--iters", type=int, default=SaConfig.iterations, help="SA iteration budget"
+    )
+    solve.add_argument(
+        "--swaps", type=int, default=SaConfig.swap_count, help="SA pairs swapped per move"
+    )
     solve.add_argument("--C", type=float, default=HopfieldParams.c_pen, help="count penalty")
     solve.add_argument("--D", type=float, default=HopfieldParams.d_pen, help="distance penalty")
     solve.add_argument("--out", default=None, help="write the tour as JSON here")

@@ -157,7 +157,8 @@ def _labels(n: int):
 
 def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
     """n cities drawn uniformly from [0, bound]^2, reproducible from the seed."""
-    n = check_int("n", n, None)
+    # Past this n, NumPy cannot size the (n, 2) coordinate array at all.
+    n = check_int("n", n, None, np.iinfo(np.intp).max // 16)
     if n < 3:
         raise InstanceSizeError(f"instance needs at least 3 cities, got {n}")
     if not 0 < bound < np.inf:

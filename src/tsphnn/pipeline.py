@@ -1,4 +1,6 @@
-"""Hybrid SA -> Hopfield solver and the parameter-sweep benchmark harness.
+"""One entry point per solve method, the hybrid SA -> Hopfield solver and
+the parameter-sweep benchmark harness; each refuses an instance whose tour
+lengths can overflow.
 
 The hybrid stage chain is: seeded random start, simulated annealing, then
 the Hopfield network initialized with the annealed tour's grid encoding.
@@ -17,13 +19,15 @@ constants keep the same meaning on every instance.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .annealing import SaConfig, SaTrace, anneal
-from .errors import InvalidArgumentError, check_int
+from .baselines import greedy_nearest_neighbor, three_opt, two_opt
+from .errors import InvalidArgumentError, TsphnnError, check_int
 from .hopfield import (
     HopfieldParams,
     HopfieldResult,
@@ -39,6 +43,7 @@ from .instance import (
 )
 from .tour import Tour, brute_force_optimum, tour_length, tour_to_matrix
 
+METHODS = ("exact", "greedy", "2opt", "3opt", "sa", "hnn", "hybrid")
 REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 # A sweep cell's trials run in lockstep in blocks of at most this many grid
 # units (trials x n^2, but at least one trial), which bounds the memory of
@@ -60,6 +65,18 @@ class HybridReport:
     hnn_result: HopfieldResult
     sa_seed: int
     hopfield_seed: int
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """One :func:`solve` run: the tour (None when the network ends invalid),
+    its length on the instance's own distances, the method's extra record
+    fields in print order, and the network's result for "hnn"."""
+
+    tour: Optional[Tour]
+    length: Optional[float]
+    extras: dict
+    hnn_result: Optional[HopfieldResult] = None
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,30 @@ class BenchmarkReport:
     success_metric: str
 
 
+def _distances(inst: Instance) -> DistanceMatrix:
+    """The instance's distance matrix, refused when a tour length can
+    overflow: a distance that is already infinite, or n times the largest
+    distance past the largest float."""
+    with np.errstate(over="ignore"):  # DistanceMatrix refuses an infinite distance
+        m = distance_matrix(inst)
+    longest = float(m.d.max())
+    if math.isinf(m.n * longest):
+        raise TsphnnError(
+            f"instance {inst.id!r}: tour lengths overflow "
+            f"({m.n} cities, largest distance {longest:g})"
+        )
+    return m
+
+
+def _anneal_from_random(m: DistanceMatrix, sa: SaConfig):
+    """The start length and ``anneal``'s (tour, length, trace) from a random
+    tour drawn by the generator seeded with ``sa.seed``, which the walk then
+    continues: the start rule of "sa" and of the hybrid."""
+    rng = np.random.default_rng(sa.seed)
+    start = Tour.random(m.n, rng)
+    return tour_length(m, start), anneal(m, start, sa, rng=rng)
+
+
 def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridReport:
     """Anneal from a seeded random tour, then refine with the network.
 
@@ -96,11 +137,8 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     final <= sa <= sa_start holds on every run.  Reported lengths are
     always measured on the instance's own (unscaled) distances.
     """
-    m = distance_matrix(inst)
-    rng = np.random.default_rng(sa.seed)
-    start = Tour.random(m.n, rng)
-    sa_start_length = tour_length(m, start)
-    sa_tour, sa_length, sa_trace = anneal(m, start, sa, rng=rng)
+    m = _distances(inst)
+    sa_start_length, (sa_tour, sa_length, sa_trace) = _anneal_from_random(m, sa)
 
     hnn = run(normalize_distances(m), hp, init=tour_to_matrix(sa_tour))
     hnn_length = None
@@ -125,6 +163,47 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
         sa_seed=sa.seed,
         hopfield_seed=hp.seed,
     )
+
+
+def solve(
+    inst: Instance, method: str, sa: SaConfig = SaConfig(), hp: HopfieldParams = HopfieldParams()
+) -> SolveReport:
+    """Solve ``inst`` with one of ``METHODS``, as ``tsphnn solve`` does.
+
+    "exact" is the oracle; "2opt" and "3opt" improve the greedy tour from
+    city 0; "sa" anneals under ``sa`` from a seeded random tour; "hnn" runs
+    the network under ``hp`` from a random grid, on the distances scaled to
+    max 1.0; "hybrid" is :func:`solve_hybrid`.
+    """
+    if method not in METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}; have {', '.join(METHODS)}")
+    if method == "hybrid":
+        r = solve_hybrid(inst, sa, hp)
+        extras = {
+            "sa_start_length": r.sa_start_length,
+            "sa_length": r.sa_length,
+            "hnn_valid": r.hnn_valid,
+        }
+        if r.hnn_length is not None:
+            extras["hnn_length"] = r.hnn_length
+        return SolveReport(r.final_tour, r.final_length, extras)
+    m = _distances(inst)
+    extras, hnn = {}, None
+    if method == "exact":
+        tour = brute_force_optimum(m)[0]
+    elif method == "greedy":
+        tour = greedy_nearest_neighbor(m, 0)
+    elif method in ("2opt", "3opt"):
+        improve = two_opt if method == "2opt" else three_opt
+        tour = improve(m, greedy_nearest_neighbor(m, 0))
+    elif method == "sa":
+        start_length, (tour, _, _) = _anneal_from_random(m, sa)
+        extras = {"start_length": start_length}
+    else:
+        hnn = run(normalize_distances(m), hp)
+        extras = {"converged": hnn.converged, "sweeps": hnn.sweeps_used}
+        tour = hnn.tour
+    return SolveReport(tour, None if tour is None else tour_length(m, tour), extras, hnn)
 
 
 def _outcome(
@@ -181,7 +260,7 @@ def sweep(
     if success_metric not in ("valid", "optimal"):
         raise InvalidArgumentError(f"unknown success metric {success_metric!r}")
 
-    m_raw = distance_matrix(inst)
+    m_raw = _distances(inst)
     m_scaled = normalize_distances(m_raw)
     optimum = None
     if success_metric == "optimal":

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -14,6 +15,7 @@ import tsphnn as T
 from tsphnn import cli
 from tsphnn.annealing import MAX_ITERATIONS
 from tsphnn.cli import main
+from tsphnn.pipeline import METHODS
 
 
 def run_cli(capsys, *argv):
@@ -132,10 +134,12 @@ def test_solve_missing_instance_exits_2(tmp_path, capsys):
 
 
 def test_solve_out_of_memory_exits_2(capsys, monkeypatch):
+    from tsphnn import pipeline
+
     def anneal(*args, **kwargs):
         raise MemoryError("Unable to allocate 21.8 TiB")
 
-    monkeypatch.setattr(cli, "anneal", anneal)
+    monkeypatch.setattr(pipeline, "anneal", anneal)
     code, out, err = run_cli(capsys, "solve", "--instance", "paper8", "--method", "sa")
     assert code == 2 and out == "" and "21.8 TiB" in err
 
@@ -149,7 +153,6 @@ def test_solve_oversized_sa_trace_exits_2(capsys, monkeypatch):
     def anneal(*args, **kwargs):
         raise AssertionError("anneal started")
 
-    monkeypatch.setattr(cli, "anneal", anneal)
     monkeypatch.setattr(pipeline, "anneal", anneal)
     for method in ("sa", "hybrid"):
         for iters in (MAX_ITERATIONS + 1, 300_000_000):
@@ -755,3 +758,76 @@ def test_instance_files_fuzz(tmp_path_factory, argv, data):
     path = folder / "instance.json"
     path.write_bytes(_instance_text(data))
     _fuzz_twice([*argv, f"--instance={path}"], folder)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--method", method, "--iters", "50") for method in METHODS]
+    + [("sweep", "--c-grid", "90", "--d-grid", "10,100", "--trials", "3")],
+    ids=[*METHODS, "sweep"],
+)
+def test_each_command_builds_one_distance_matrix(capsys, monkeypatch, argv):
+    """Counted under every name a package module holds it by, the distance
+    matrix is built once per command."""
+    calls = []
+    distance_matrix = T.distance_matrix
+
+    def counting(inst):
+        calls.append(inst.id)
+        return distance_matrix(inst)
+
+    for name, module in list(sys.modules.items()):
+        holds = vars(module).get("distance_matrix") is distance_matrix
+        if name.split(".")[0] == "tsphnn" and holds:
+            monkeypatch.setattr(module, "distance_matrix", counting)
+    code, _, _ = run_cli(capsys, *argv[:1], "--instance", "paper8", *argv[1:])
+    assert code in (0, 1) and calls == ["paper8"]
+
+
+def test_solve_sa_flag_defaults_are_sa_config_defaults():
+    args = cli.build_parser().parse_args(["solve", "--instance", "paper8", "--method", "sa"])
+    parsed = T.SaConfig(args.t0, args.cooling, args.iters, args.swaps, args.seed)
+    assert parsed == T.SaConfig()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "instance, flags",
+    [
+        ("paper8", ()),
+        ("cityset1", ("--seed", "5", "--D", "10", "--iters", "3000", "--swaps", "2")),
+        ("matrix4", ("--seed", "2", "--t0", "20", "--cooling", "0.99", "--max-sweeps", "3")),
+    ],
+    ids=["defaults", "gentle-D", "short"],
+)
+def test_library_solve_gives_the_cli_record(capsys, method, instance, flags):
+    """``pipeline.solve`` with the configs the flags name answers with the
+    record ``tsphnn solve`` prints: same tour, length and extra fields."""
+    code, out, _ = run_cli(capsys, "solve", "--instance", instance, "--method", method, *flags)
+    args = cli.build_parser().parse_args(
+        ["solve", "--instance", instance, "--method", method, *flags]
+    )
+    sa = T.SaConfig(args.t0, args.cooling, args.iters, args.swaps, args.seed)
+    hp = T.HopfieldParams(
+        a_pen=args.A, b_pen=args.B, c_pen=args.C, d_pen=args.D,
+        threshold=args.threshold, max_sweeps=args.max_sweeps, seed=args.seed,
+    )
+    inst = T.get_builtin(instance)
+    # With no flags, the library's own defaults must give the same record.
+    report = T.solve(inst, method, sa, hp) if flags else T.solve(inst, method)
+    record = {"method": method, "instance": inst.id, "n": inst.n, "seed": args.seed}
+    record["valid"] = report.tour is not None
+    if report.tour is not None:
+        record.update(length=report.length, tour=report.tour.order)
+    cli._emit({**record, **report.extras})
+    assert capsys.readouterr().out == out
+    assert code == (0 if report.tour is not None else 1)
+    assert (report.hnn_result is not None) == (method == "hnn")
+
+
+@pytest.mark.parametrize("n", [10**24, np.iinfo(np.intp).max // 16 + 1])
+def test_gen_refuses_a_count_numpy_cannot_size(tmp_path, capsys, n):
+    path = tmp_path / "huge.json"
+    code, out, err = run_cli(capsys, "gen", "--n", str(n), "--out", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("error: n must be <= ") and "Traceback" not in err

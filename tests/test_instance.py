@@ -9,6 +9,7 @@ import tsphnn as T
 from tsphnn.errors import (
     DegenerateInstanceError,
     InstanceSizeError,
+    InvalidArgumentError,
     InvalidTourError,
     ParseError,
 )
@@ -39,6 +40,14 @@ def test_generate_respects_bound():
 def test_generate_rejects_small_n():
     with pytest.raises(InstanceSizeError):
         T.generate_random_instance(2, seed=1)
+
+
+@pytest.mark.parametrize("n", [10**24, np.iinfo(np.intp).max // 16 + 1])
+def test_generate_refuses_a_count_numpy_cannot_size(n):
+    """Only counts past the bound are tried: one at or below it would
+    allocate the coordinates."""
+    with pytest.raises(InvalidArgumentError, match="n must be <= "):
+        T.generate_random_instance(n, seed=1)
 
 
 def test_generated_instance_runs_through_every_solver():

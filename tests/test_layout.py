@@ -1,6 +1,6 @@
 """The package's layout: modules import each other at the top only, the
-public names are listed once and resolve, and the integer-argument rule
-has one home."""
+public names are listed once and resolve, the integer-argument rule has
+one home, and the CLI runs no solver itself."""
 
 import ast
 from pathlib import Path
@@ -61,3 +61,29 @@ def test_integer_rule_is_worded_only_by_check_int():
                 if any(word in text for text in texts for word in RANGE_WORDS):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+SOLVERS = {
+    "anneal",
+    "run",
+    "run_lockstep",
+    "brute_force_optimum",
+    "greedy_nearest_neighbor",
+    "two_opt",
+    "three_opt",
+    "solve_hybrid",
+    "distance_matrix",
+}
+
+
+def test_cli_imports_no_solver():
+    """Each method's start rule lives in ``pipeline.solve``: a CLI that
+    imports a solver could fork one again."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert sorted(imported & SOLVERS) == []

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn.errors import InvalidArgumentError
-from tsphnn.pipeline import REPORT_COLUMNS
+from tsphnn.pipeline import METHODS, REPORT_COLUMNS
 
 
 def _sa(seed, iters=400):
@@ -315,3 +316,34 @@ def test_sweep_forms_no_energy(paper8, monkeypatch):
 
     monkeypatch.setattr(hopfield, "_terms", refuse)
     assert sweep() == expected
+
+
+@pytest.mark.parametrize(
+    "coords, words",
+    [
+        # differences overflow, so some distance is infinite
+        ([(-1e308, 1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, -1e308)], "non-finite"),
+        # every distance is finite, but n times the largest is not
+        ([(0.0, 9e307), (9e307, 0.0), (9e307, 9e307), (0.0, 0.0)], "tour lengths overflow"),
+    ],
+)
+def test_library_refuses_instances_whose_tour_lengths_overflow(coords, words):
+    """``solve``, ``solve_hybrid`` and ``sweep`` refuse what the CLI refuses,
+    with a typed error and no NumPy warning, rather than answer ``inf``."""
+    cities = tuple(T.City(f"c{i}", x, y) for i, (x, y) in enumerate(coords))
+    inst = T.Instance(id="huge", cities=cities)
+    sa = T.SaConfig(iterations=50)
+    calls = [
+        lambda: T.solve_hybrid(inst, sa, T.HopfieldParams()),
+        lambda: T.sweep(inst, [90.0], [10.0], trials=2, base=T.HopfieldParams(), seed=0),
+    ] + [lambda method=method: T.solve(inst, method, sa) for method in METHODS]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.TsphnnError, match=words):
+                call()
+
+
+def test_solve_refuses_an_unknown_method(paper8):
+    with pytest.raises(InvalidArgumentError, match="unknown method 'magic'"):
+        T.solve(paper8, "magic")
