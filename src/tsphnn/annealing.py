@@ -20,6 +20,7 @@ difference already reaches its cut is rejected before the exponential.  So
 the answers are the exact step's, bit for bit.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -28,11 +29,12 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidTemperatureError, TsphnnError, check_int
+from .errors import InvalidTemperatureError, TsphnnError, check_int, check_real
 from .instance import DistanceMatrix
 from .tour import Tour
 
 TEMPERATURE_FLOOR = 1e-12
+_INF = math.inf  # one global read, where np.inf is two
 CHUNK = 2048  # steps whose uniforms `anneal` draws at once
 # `anneal` screens steps only once this many have passed since the last
 # acceptance: while acceptances come closer together, the exact step alone
@@ -60,14 +62,10 @@ class SaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.t0 < np.inf:
-            raise InvalidTemperatureError(
-                f"t0 must be positive and finite, got {self.t0}"
-            )
-        if not 0 < self.cooling_rate < 1:
-            raise TsphnnError(
-                f"cooling_rate must be in (0, 1), got {self.cooling_rate}"
-            )
+        t0 = check_real("t0", self.t0, 0, error=InvalidTemperatureError)
+        rate = check_real("cooling_rate", self.cooling_rate, 0, 1)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "cooling_rate", rate)
         limits = {"iterations": (1, MAX_ITERATIONS), "swap_count": (1, None), "seed": (0, None)}
         for name, (low, high) in limits.items():
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
@@ -75,10 +73,14 @@ class SaConfig:
 
 def temperature_at(step: int, cfg: SaConfig) -> float:
     """The geometric schedule t0 * rate^step, floored to avoid division by
-    zero: max(t0 * pow(rate, step), TEMPERATURE_FLOOR).
+    zero: max(t0 * pow(rate, step), TEMPERATURE_FLOOR), for a step of a
+    walk, 0 <= step < ``MAX_ITERATIONS``.
 
     The one definition of the schedule, and the temperature every exact
     step and every trace uses."""
+    # The walk's own steps, Python ints in range, skip the call.
+    if type(step) is not int or not 0 <= step < MAX_ITERATIONS:
+        step = check_int("step", step, 0, MAX_ITERATIONS - 1)
     temp = cfg.t0 * cfg.cooling_rate**step
     return temp if temp >= TEMPERATURE_FLOOR else TEMPERATURE_FLOOR
 
@@ -130,9 +132,11 @@ def acceptance_probability(e: float, e_new: float, t: float) -> float:
     """1.0 for non-worsening candidates, else the Metropolis factor
     exp(-(e_new - e) / t).  ``np.exp``, not ``math.exp``: the two differ in
     the last bit on a few per cent of inputs, and the walk's answers are
-    defined by this one."""
-    if not t > 0:
-        raise InvalidTemperatureError(f"temperature must be positive, got {t}")
+    defined by this one.  ``t`` must be positive and finite."""
+    # The walk's own temperatures, positive finite floats, skip the call;
+    # 0.0, not 0, keeps both comparisons float-to-float, the faster kind.
+    if type(t) is not float or not 0.0 < t < _INF:
+        t = check_real("temperature", t, 0, error=InvalidTemperatureError)
     if e_new <= e:
         return 1.0
     return float(np.exp(-(e_new - e) / t))

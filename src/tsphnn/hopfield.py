@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import TsphnnError, check_int
+from .errors import TsphnnError, check_int, check_real
 from .instance import DistanceMatrix
 from .tour import Tour, decode_grid, decode_grids, tour_length
 
@@ -62,11 +62,8 @@ class HopfieldParams:
 
     def __post_init__(self):
         for name in ("a_pen", "b_pen", "c_pen", "d_pen"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise TsphnnError(f"{name} must be finite and nonnegative, got {value}")
-        if not np.isfinite(self.threshold):
-            raise TsphnnError(f"threshold must be finite, got {self.threshold}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, closed=True))
+        object.__setattr__(self, "threshold", check_real("threshold", self.threshold))
         for name in ("max_sweeps", "seed"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 0))
 
@@ -316,11 +313,11 @@ def _check_finite(m: DistanceMatrix, p: HopfieldParams) -> None:
     sums.  Python floats overflow to inf without a warning.
     """
     n = m.n
-    a, b, c, d = (float(v) for v in (p.a_pen, p.b_pen, p.c_pen, p.d_pen))
+    a, b, c, d = p.a_pen, p.b_pen, p.c_pen, p.d_pen
     f = _field_bound(m)
     net = c * (n - 0.5) + (a + b) * (n - 1) + c * (n * n - 1) + d * f
     e = (a + b) / 2 * n**3 + c / 2 * n**4 + d / 2 * n * n * f
-    if not math.isfinite(2 * (net + abs(float(p.threshold)))) or not math.isfinite(2 * e):
+    if not math.isfinite(2 * (net + abs(p.threshold))) or not math.isfinite(2 * e):
         raise TsphnnError(
             f"penalties A={a:g} B={b:g} C={c:g} D={d:g} with threshold "
             f"{p.threshold:g} let net inputs or energies on {n} cities overflow"

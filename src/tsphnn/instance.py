@@ -7,7 +7,6 @@ used as-is instead of being recomputed from coordinates.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .errors import (
     ParseError,
     TsphnnError,
     check_int,
+    check_real,
 )
 
 
@@ -31,8 +31,9 @@ class City:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise TsphnnError(f"city {self.label!r} has non-finite coordinates")
+        for axis in ("x", "y"):
+            value = check_real(f"city {self.label!r} {axis}", getattr(self, axis))
+            object.__setattr__(self, axis, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +162,8 @@ def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
     n = check_int("n", n, None, np.iinfo(np.intp).max // 16)
     if n < 3:
         raise InstanceSizeError(f"instance needs at least 3 cities, got {n}")
-    if not 0 < bound < np.inf:
-        raise TsphnnError(f"bound must be positive and finite, got {bound}")
+    # The plain base type, which callers of this refusal have matched.
+    bound = check_real("bound", bound, 0, error=TsphnnError)
     seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, bound, size=(n, 2))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .annealing import SaConfig, SaTrace, anneal
 from .baselines import greedy_nearest_neighbor, three_opt, two_opt
-from .errors import InvalidArgumentError, TsphnnError, check_int
+from .errors import InvalidArgumentError, TsphnnError, check_int, check_record
 from .hopfield import (
     HopfieldParams,
     HopfieldResult,
@@ -121,6 +121,13 @@ def _distances(inst: Instance) -> DistanceMatrix:
     return m
 
 
+def _check_configs(sa: SaConfig, hp: HopfieldParams) -> None:
+    """Refuse an ``sa`` or ``hp`` that is not a config record, whether or
+    not the method reads it, as the CLI builds both for every method."""
+    check_record("sa", sa, SaConfig)
+    check_record("hp", hp, HopfieldParams)
+
+
 def _anneal_from_random(m: DistanceMatrix, sa: SaConfig):
     """The start length and ``anneal``'s (tour, length, trace) from a random
     tour drawn by the generator seeded with ``sa.seed``, which the walk then
@@ -137,6 +144,7 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     final <= sa <= sa_start holds on every run.  Reported lengths are
     always measured on the instance's own (unscaled) distances.
     """
+    _check_configs(sa, hp)
     m = _distances(inst)
     sa_start_length, (sa_tour, sa_length, sa_trace) = _anneal_from_random(m, sa)
 
@@ -177,6 +185,7 @@ def solve(
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}; have {', '.join(METHODS)}")
+    _check_configs(sa, hp)
     if method == "hybrid":
         r = solve_hybrid(inst, sa, hp)
         extras = {
@@ -252,8 +261,17 @@ def sweep(
     ``BLOCK_ELEMENTS`` grid units; each block is scored as it ends.
     ``workers`` must be >= 1 and changes neither speed nor output.
     """
-    if len(c_values) == 0 or len(d_values) == 0:
+    check_record("base", base, HopfieldParams)
+    try:
+        grid = list(c_values), list(d_values)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"c_values and d_values must be iterables of real numbers, got "
+            f"{type(c_values).__name__} and {type(d_values).__name__}"
+        ) from None
+    if not all(grid):
         raise InvalidArgumentError("c_values and d_values must be non-empty")
+    cell_params = [replace(base, c_pen=c, d_pen=d) for c in grid[0] for d in grid[1]]
     trials = check_int("trials", trials, 1)
     check_int("workers", workers, 1)
     seed = check_int("seed", seed, 0)
@@ -269,9 +287,6 @@ def sweep(
     n = m_raw.n
     block = max(1, BLOCK_ELEMENTS // (n * n))
     cells = []
-    cell_params = [
-        replace(base, c_pen=float(c), d_pen=float(d)) for c in c_values for d in d_values
-    ]
     for cell_index, params in enumerate(cell_params):
         results = []
         for first in range(0, trials, block):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn.annealing import MAX_ITERATIONS
@@ -92,6 +94,30 @@ REFUSALS = {
     ),
     "unknown-builtin": (
         lambda: T.get_builtin("paper9"), KeyError, "unknown builtin instance 'paper9'",
+    ),
+    "hnn-penalty-huge-int": (
+        lambda: T.HopfieldParams(a_pen=10**400),
+        T.InvalidArgumentError, "a_pen must be nonnegative and finite, got a number past",
+    ),
+    "gen-bound-huge-int": (
+        lambda: T.generate_random_instance(5, 0, bound=10**400),
+        T.TsphnnError, "bound must be positive and finite, got a number past",
+    ),
+    "city-huge-int": (
+        lambda: T.City("a", 10**400, 0.0),
+        T.InvalidArgumentError, "city 'a' x must be finite, got a number past",
+    ),
+    "sa-cooling-array": (
+        lambda: T.SaConfig(cooling_rate=np.array([0.5])),
+        T.InvalidArgumentError, r"cooling_rate must be a real number, got array\(\[0\.5\]\)",
+    ),
+    "sweep-grid-none": (
+        lambda: T.sweep(PAPER8, None, [10.0], 1, T.HopfieldParams(), 0),
+        T.InvalidArgumentError, "c_values and d_values must be iterables of real numbers",
+    ),
+    "sweep-grid-string": (
+        lambda: T.sweep(PAPER8, ["a"], [10.0], 1, T.HopfieldParams(), 0),
+        T.InvalidArgumentError, "c_pen must be a real number, got 'a'",
     ),
 }
 
@@ -192,3 +218,89 @@ def test_numpy_integer_configs_give_the_same_runs():
             )
         )
     assert runs[0] == runs[1]
+
+
+TINY = math.nextafter(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, taken, refused, message",
+    [
+        (lambda v: T.SaConfig(cooling_rate=v), [TINY, math.nextafter(1.0, 0.0)],
+         [0.0, 1.0, -1.0], r"cooling_rate must be in \(0, 1\)"),
+        (lambda v: T.SaConfig(t0=v), [TINY, 1e308], [0.0, -TINY],
+         "t0 must be positive and finite"),
+        (lambda v: T.HopfieldParams(c_pen=v), [0.0, 1e308], [-TINY],
+         "c_pen must be nonnegative and finite"),
+        (lambda v: T.HopfieldParams(threshold=v), [-1e308, 1e308], [], "threshold must be finite"),
+    ],
+    ids=["sa-cooling-rate", "sa-t0", "hnn-c-pen", "hnn-threshold"],
+)
+def test_real_argument_range_ends(call, taken, refused, message):
+    """A real argument takes the floats just inside its range and refuses
+    its excluded ends, NaN and the infinities, naming the value passed."""
+    for value in taken:
+        call(value)
+    for value in refused + [math.nan, math.inf, -math.inf]:
+        with pytest.raises(T.InvalidArgumentError, match=f"{message}, got {value}"):
+            call(value)
+
+
+def test_real_arguments_are_stored_as_floats():
+    """A record keeps the Python float of each real argument, whatever real
+    type it was given, as it keeps the int of each integer argument."""
+    cfg = T.SaConfig(t0=np.float32(0.5), cooling_rate=np.float64(0.9))
+    hp = T.HopfieldParams(a_pen=100, b_pen=np.int64(90), d_pen=np.float32(10), threshold=True)
+    city = T.City("a", 1, np.float32(2.5))
+    values = [cfg.t0, cfg.cooling_rate, hp.a_pen, hp.b_pen, hp.c_pen, hp.d_pen, hp.threshold]
+    assert {type(v) for v in values + [city.x, city.y]} == {float}
+    assert values == [0.5, 0.9, 100.0, 90.0, 90.0, 10.0, 1.0] and (city.x, city.y) == (1.0, 2.5)
+    with pytest.raises(T.InvalidTemperatureError, match="t0 must be a real number, got '1'"):
+        T.SaConfig(t0="1")
+
+
+# Junk for any scalar argument: none is of the argument's record type, and
+# every count among them is refused or small, so no call runs for long.
+JUNK = [
+    None, "3", 1.5, math.nan, math.inf, -math.inf, -1, 0, 1e30, 10**400, [], [1, 2],
+    np.zeros((2, 2)), object(), True,
+]
+SHORT_SA = T.SaConfig(iterations=1)
+FEW_SWEEPS = T.HopfieldParams(max_sweeps=5)
+SCALAR_ARGUMENTS = {
+    **{
+        f"sa-{name}": lambda v, name=name: T.SaConfig(**{name: v})
+        for name in ("t0", "cooling_rate", "iterations", "swap_count", "seed")
+    },
+    **{
+        f"hnn-{name}": lambda v, name=name: T.HopfieldParams(**{name: v})
+        for name in ("a_pen", "b_pen", "c_pen", "d_pen", "threshold", "max_sweeps", "seed")
+    },
+    "city-label": lambda v: T.City(v, 0.0, 0.0),
+    "city-x": lambda v: T.City("a", v, 0.0),
+    "city-y": lambda v: T.City("a", 0.0, v),
+    "gen-n": lambda v: T.generate_random_instance(v, 0),
+    "gen-seed": lambda v: T.generate_random_instance(5, v),
+    "gen-bound": lambda v: T.generate_random_instance(5, 0, bound=v),
+    "accept-t": lambda v: T.acceptance_probability(1.0, 2.0, v),
+    "temperature-step": lambda v: T.temperature_at(v, SHORT_SA),
+    "solve-sa": lambda v: T.solve(PAPER8, "greedy", v),
+    "solve-hp": lambda v: T.solve(PAPER8, "greedy", SHORT_SA, v),
+    "hybrid-sa": lambda v: T.solve_hybrid(PAPER8, v, FEW_SWEEPS),
+    "hybrid-hp": lambda v: T.solve_hybrid(PAPER8, SHORT_SA, v),
+    "sweep-base": lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, v, 0),
+    "sweep-c-values": lambda v: T.sweep(PAPER8, v, [10.0], 1, FEW_SWEEPS, 0),
+    "sweep-d-values": lambda v: T.sweep(PAPER8, [90.0], v, 1, FEW_SWEEPS, 0),
+}
+
+
+@pytest.mark.parametrize("call", SCALAR_ARGUMENTS.values(), ids=SCALAR_ARGUMENTS.keys())
+@settings(max_examples=3 * len(JUNK), deadline=None)
+@given(value=st.sampled_from(JUNK))
+def test_junk_argument_returns_or_raises_a_typed_error(call, value):
+    """The public API's contract over generated junk: a call either returns
+    or refuses with a ``TsphnnError``; no bare exception escapes."""
+    try:
+        call(value)
+    except T.TsphnnError:
+        pass

@@ -1,6 +1,6 @@
 """The package's layout: modules import each other at the top only, the
-public names are listed once and resolve, the integer-argument rule has
-one home, and the CLI runs no solver itself."""
+public names are listed once and resolve, the integer- and real-argument
+rules each have one home, and the CLI runs no solver itself."""
 
 import ast
 from pathlib import Path
@@ -59,6 +59,41 @@ def test_integer_rule_is_worded_only_by_check_int():
                     if isinstance(part, ast.Constant) and isinstance(part.value, str)
                 ]
                 if any(word in text for text in texts for word in RANGE_WORDS):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# The words of a real argument's type, range or finiteness refusal; a
+# refusal of computed data, such as a distance matrix's "non-finite
+# entries" or an overflow, words none of them.
+REAL_WORDS = (
+    "a real number",
+    "must be finite",
+    "and finite",
+    "positive",
+    "nonnegative",
+    "must be in (",
+    "non-finite coordinates",
+)
+
+
+def test_real_rule_is_worded_only_by_check_real():
+    """Outside ``errors.py``, no raise words a real argument's type, range
+    or finiteness refusal itself: every such check calls
+    ``errors.check_real``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                texts = [
+                    part.value
+                    for part in ast.walk(node.exc)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                ]
+                if any(word in text for text in texts for word in REAL_WORDS):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -347,3 +347,30 @@ def test_library_refuses_instances_whose_tour_lengths_overflow(coords, words):
 def test_solve_refuses_an_unknown_method(paper8):
     with pytest.raises(InvalidArgumentError, match="unknown method 'magic'"):
         T.solve(paper8, "magic")
+
+
+def test_entry_points_refuse_a_config_of_the_wrong_type(paper8):
+    """``solve``, ``solve_hybrid`` and ``sweep`` take only config records,
+    with one typed refusal for every method, whether or not it reads the
+    record, as the CLI builds both records for every method."""
+    hp = T.HopfieldParams()
+    calls = [
+        (lambda: T.solve(paper8, "sa", None), "sa must be a SaConfig, got NoneType"),
+        (lambda: T.solve(paper8, "exact", "x"), "sa must be a SaConfig, got str"),
+        (
+            lambda: T.solve_hybrid(paper8, {"seed": 1}, hp),
+            "sa must be a SaConfig, got dict",
+        ),
+        (
+            lambda: T.sweep(paper8, [90.0], [10.0], 1, base=None, seed=0),
+            "base must be a HopfieldParams, got NoneType",
+        ),
+    ] + [
+        (lambda method=method: T.solve(paper8, method, hp=T.SaConfig()),
+         "hp must be a HopfieldParams, got SaConfig")
+        for method in METHODS
+    ]
+    for call, message in calls:
+        with pytest.raises(InvalidArgumentError, match=message) as excinfo:
+            call()
+        assert type(excinfo.value) is InvalidArgumentError
