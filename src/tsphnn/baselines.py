@@ -10,7 +10,7 @@ strictly smaller deltas picks.
 
 import numpy as np
 
-from .errors import TsphnnError, check_int
+from .errors import TsphnnError, check_int, quote
 from .instance import DistanceMatrix
 from .tour import Tour
 
@@ -29,7 +29,7 @@ def greedy_nearest_neighbor(m: DistanceMatrix, start: int = 0) -> Tour:
     n = m.n
     start = check_int("start", start, 0)
     if start >= n:
-        raise TsphnnError(f"start city {start} out of range 0..{n - 1}")
+        raise TsphnnError(f"start city {quote(start)} out of range 0..{n - 1}")
     visited = np.zeros(n, dtype=bool)
     order = [start]
     visited[start] = True

@@ -8,6 +8,7 @@ only for plotting).
 
 import numpy as np
 
+from .errors import quote
 from .instance import City, Instance
 
 _CITYSET1 = [
@@ -62,9 +63,7 @@ BUILTIN_INSTANCES = {
 
 
 def get_builtin(name: str) -> Instance:
-    try:
+    # Only a string is looked up, so an unhashable name is unknown too.
+    if isinstance(name, str) and name in BUILTIN_INSTANCES:
         return BUILTIN_INSTANCES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown builtin instance {name!r}; have {sorted(BUILTIN_INSTANCES)}"
-        ) from None
+    raise KeyError(f"unknown builtin instance {quote(name)}; have {sorted(BUILTIN_INSTANCES)}")

@@ -15,7 +15,7 @@ import time
 from . import __version__
 from .annealing import SaConfig
 from .builtin import BUILTIN_INSTANCES, get_builtin
-from .errors import InvalidArgumentError, InvalidTourError, TsphnnError
+from .errors import InvalidArgumentError, InvalidTourError, TsphnnError, quote
 from .hopfield import HopfieldParams, grid_to_text, text_to_grid
 from .instance import (
     generate_random_instance,
@@ -24,7 +24,7 @@ from .instance import (
     read_text,
     save_instance,
 )
-from .pipeline import METHODS, render_report, solve, sweep
+from .pipeline import METHODS, SUCCESS_METRICS, render_report, solve, sweep
 from .svg import render_grid_svg, render_tour_svg
 from .tour import Tour
 
@@ -102,7 +102,7 @@ def _parse_grid_list(text: str, flag: str):
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise TsphnnError(f"{flag} expects comma-separated numbers, got {text!r}")
+        raise TsphnnError(f"{flag} expects comma-separated numbers, got {quote(text)}")
     if not values:
         raise TsphnnError(f"{flag} must list at least one value")
     return values
@@ -128,7 +128,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_tour(path, n: int) -> Tour:
+def _load_tour(path) -> Tour:
     """Tour read from a JSON list or an object with an ``order`` list."""
     payload = read_json(path)
     if isinstance(payload, dict):
@@ -136,12 +136,9 @@ def _load_tour(path, n: int) -> Tour:
             raise TsphnnError(f"{path}: missing field 'order'")
         payload = payload["order"]
     try:
-        tour = Tour(payload)
+        return Tour(payload)
     except InvalidTourError as exc:
         raise InvalidTourError(f"{path}: order: {exc}") from exc
-    if tour.n != n:
-        raise TsphnnError(f"{path}: order has {tour.n} cities but instance has {n}")
-    return tour
 
 
 def cmd_plot(args) -> int:
@@ -149,7 +146,7 @@ def cmd_plot(args) -> int:
     if args.grid:
         svg = render_grid_svg(text_to_grid(read_text(args.grid), inst.n))
     else:
-        tour = _load_tour(args.tour, inst.n) if args.tour else None
+        tour = _load_tour(args.tour) if args.tour else None
         svg = render_tour_svg(inst, tour)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--d-grid", required=True, help="comma-separated D values")
     sweep_p.add_argument("--trials", type=int, default=100, help="network trials per cell")
     sweep_p.add_argument(
-        "--success-metric", choices=("valid", "optimal"), default="valid", help="trial success"
+        "--success-metric", choices=SUCCESS_METRICS, default="valid", help="trial success"
     )
     sweep_p.add_argument(
         "--workers",

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import TsphnnError, check_int, check_real
+from .errors import TsphnnError, check_int, check_real, quote
 from .instance import DistanceMatrix
 from .tour import Tour, decode_grid, decode_grids, tour_length
 
@@ -502,11 +502,11 @@ def grid_to_text(g: np.ndarray) -> str:
 
 
 def text_to_grid(text: str, n: int = None) -> np.ndarray:
-    """Inverse of :func:`grid_to_text`, spaces between cells allowed; n x n if given.
-    A bad row is quoted up to its first 40 characters."""
+    """Inverse of :func:`grid_to_text`, spaces between cells allowed; n x n if given."""
     rows = [line.replace(" ", "") for line in text.strip().splitlines() if line.strip()]
     for number, row in enumerate(rows, 1):
         if len(row) != len(rows) or set(row) - {"0", "1"}:
-            quote = repr(row[:40]) + ("..." if len(row) > 40 else "")
-            raise TsphnnError(f"grid row {number} is not {len(rows)} cells of 0 or 1: {quote}")
+            raise TsphnnError(
+                f"grid row {number} is not {len(rows)} cells of 0 or 1: {quote(row)}"
+            )
     return _check_grids([[[float(ch) for ch in row] for row in rows]], n)[0]

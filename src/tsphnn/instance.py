@@ -15,10 +15,12 @@ import numpy as np
 from .errors import (
     DegenerateInstanceError,
     InstanceSizeError,
+    InvalidArgumentError,
     ParseError,
     TsphnnError,
     check_int,
     check_real,
+    quote,
 )
 
 
@@ -32,7 +34,11 @@ class City:
 
     def __post_init__(self):
         for axis in ("x", "y"):
-            value = check_real(f"city {self.label!r} {axis}", getattr(self, axis))
+            try:
+                value = check_real(axis, getattr(self, axis))
+            except InvalidArgumentError as exc:
+                # The label is quoted only while refusing.
+                raise InvalidArgumentError(f"city {quote(self.label)} {exc}") from None
             object.__setattr__(self, axis, value)
 
 
@@ -69,7 +75,7 @@ class Instance:
             )
         labels = [c.label for c in self.cities]
         if len(set(labels)) != len(labels):
-            raise TsphnnError(f"duplicate city labels in instance {self.id!r}")
+            raise TsphnnError(f"duplicate city labels in instance {quote(self.id)}")
         if self.matrix is not None:
             m = DistanceMatrix(self.matrix)
             if m.n != len(self.cities):
@@ -161,7 +167,7 @@ def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
     # Past this n, NumPy cannot size the (n, 2) coordinate array at all.
     n = check_int("n", n, None, np.iinfo(np.intp).max // 16)
     if n < 3:
-        raise InstanceSizeError(f"instance needs at least 3 cities, got {n}")
+        raise InstanceSizeError(f"instance needs at least 3 cities, got {quote(n)}")
     # The plain base type, which callers of this refusal have matched.
     bound = check_real("bound", bound, 0, error=TsphnnError)
     seed = check_int("seed", seed, 0)

@@ -27,7 +27,14 @@ import numpy as np
 
 from .annealing import SaConfig, SaTrace, anneal
 from .baselines import greedy_nearest_neighbor, three_opt, two_opt
-from .errors import InvalidArgumentError, TsphnnError, check_int, check_record
+from .errors import (
+    InvalidArgumentError,
+    TsphnnError,
+    check_choice,
+    check_int,
+    check_record,
+    quote,
+)
 from .hopfield import (
     HopfieldParams,
     HopfieldResult,
@@ -44,6 +51,8 @@ from .instance import (
 from .tour import Tour, brute_force_optimum, tour_length, tour_to_matrix
 
 METHODS = ("exact", "greedy", "2opt", "3opt", "sa", "hnn", "hybrid")
+SUCCESS_METRICS = ("valid", "optimal")
+REPORT_FORMATS = ("table", "csv")
 REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 # A sweep cell's trials run in lockstep in blocks of at most this many grid
 # units (trials x n^2, but at least one trial), which bounds the memory of
@@ -115,7 +124,7 @@ def _distances(inst: Instance) -> DistanceMatrix:
     longest = float(m.d.max())
     if math.isinf(m.n * longest):
         raise TsphnnError(
-            f"instance {inst.id!r}: tour lengths overflow "
+            f"instance {quote(inst.id)}: tour lengths overflow "
             f"({m.n} cities, largest distance {longest:g})"
         )
     return m
@@ -183,8 +192,7 @@ def solve(
     the network under ``hp`` from a random grid, on the distances scaled to
     max 1.0; "hybrid" is :func:`solve_hybrid`.
     """
-    if method not in METHODS:
-        raise InvalidArgumentError(f"unknown method {method!r}; have {', '.join(METHODS)}")
+    check_choice("method", method, METHODS)
     _check_configs(sa, hp)
     if method == "hybrid":
         r = solve_hybrid(inst, sa, hp)
@@ -275,8 +283,7 @@ def sweep(
     trials = check_int("trials", trials, 1)
     check_int("workers", workers, 1)
     seed = check_int("seed", seed, 0)
-    if success_metric not in ("valid", "optimal"):
-        raise InvalidArgumentError(f"unknown success metric {success_metric!r}")
+    check_choice("success metric", success_metric, SUCCESS_METRICS)
 
     m_raw = _distances(inst)
     m_scaled = normalize_distances(m_raw)
@@ -327,7 +334,8 @@ def sweep(
 
 
 def render_report(r: BenchmarkReport, format: str = "table") -> str:
-    """Render as an aligned text table or as CSV.
+    """Render as an aligned text table or as CSV, a ``format`` of
+    ``REPORT_FORMATS``.
 
     Table columns are C, D and ``REPORT_COLUMNS``; cells with no valid run
     show an em dash.  CSV values are written at full precision, so they
@@ -335,6 +343,7 @@ def render_report(r: BenchmarkReport, format: str = "table") -> str:
     """
     if not r.cells:
         raise InvalidArgumentError("report has no cells")
+    check_choice("report format", format, REPORT_FORMATS)
     if format == "table":
         lines = [
             f"instance={r.instance_id} A={r.a_pen:g} B={r.b_pen:g} "
@@ -351,35 +360,33 @@ def render_report(r: BenchmarkReport, format: str = "table") -> str:
                 f"{num(c.worst):>9} {100 * c.success_rate:>9.1f} {c.mean_sweeps:>9.1f}"
             )
         return "\n".join(lines) + "\n"
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        [
+            "cell",
+            "C",
+            "D",
+            "best",
+            "mean",
+            "worst",
+            "success_rate",
+            "mean_sweeps",
+            "trials",
+        ]
+    )
+    for c in r.cells:
         writer.writerow(
             [
-                "cell",
-                "C",
-                "D",
-                "best",
-                "mean",
-                "worst",
-                "success_rate",
-                "mean_sweeps",
-                "trials",
+                c.cell_id,
+                repr(float(c.c_pen)),
+                repr(float(c.d_pen)),
+                "" if c.best is None else repr(c.best),
+                "" if c.mean is None else repr(c.mean),
+                "" if c.worst is None else repr(c.worst),
+                repr(c.success_rate),
+                repr(c.mean_sweeps),
+                c.trials,
             ]
         )
-        for c in r.cells:
-            writer.writerow(
-                [
-                    c.cell_id,
-                    repr(float(c.c_pen)),
-                    repr(float(c.d_pen)),
-                    "" if c.best is None else repr(c.best),
-                    "" if c.mean is None else repr(c.mean),
-                    "" if c.worst is None else repr(c.worst),
-                    repr(c.success_rate),
-                    repr(c.mean_sweeps),
-                    c.trials,
-                ]
-            )
-        return buf.getvalue()
-    raise InvalidArgumentError(f"unknown report format {format!r}")
+    return buf.getvalue()

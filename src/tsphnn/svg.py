@@ -6,6 +6,7 @@ produce identical bytes, making the images usable as golden files.
 
 import numpy as np
 
+from .errors import TsphnnError
 from .instance import Instance
 from .tour import Tour
 
@@ -17,7 +18,10 @@ def _fmt(v: float) -> str:
 
 
 def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
-    """City markers with labels, plus the closed tour polygon when given."""
+    """City markers with labels, plus the closed tour polygon when given;
+    the tour must visit the instance's n cities."""
+    if tour is not None and tour.n != inst.n:
+        raise TsphnnError(f"tour has {tour.n} cities, instance has {inst.n}")
     size, margin = 480, 40
     pts = inst.coords()
     lo = pts.min(axis=0)

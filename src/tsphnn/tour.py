@@ -15,7 +15,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError, check_int
+from .errors import (
+    EnumerationTooLargeError,
+    InvalidTourError,
+    InvalidTourMatrixError,
+    check_int,
+    quote,
+)
 from .instance import DistanceMatrix
 
 BRUTE_FORCE_MAX_N = 12
@@ -31,10 +37,10 @@ class Tour:
         try:
             order = tuple(operator.index(v) for v in self.order)
         except TypeError as exc:
-            raise InvalidTourError(f"{self.order!r} is not a list of integers") from exc
+            raise InvalidTourError(f"{quote(self.order)} is not a list of integers") from exc
         n = len(order)
         if sorted(order) != list(range(n)):
-            raise InvalidTourError(f"{order} is not a permutation of 0..{n - 1}")
+            raise InvalidTourError(f"{quote(order)} is not a permutation of 0..{n - 1}")
         object.__setattr__(self, "order", order)
 
     @property
@@ -46,7 +52,9 @@ class Tour:
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Tour":
-        return Tour(tuple(int(v) for v in rng.permutation(check_int("n", n, 0))))
+        # Past this n, NumPy cannot size the permutation's 8-byte array at all.
+        n = check_int("n", n, 0, np.iinfo(np.intp).max // 8)
+        return Tour(tuple(int(v) for v in rng.permutation(n)))
 
 
 def tour_length(m: DistanceMatrix, tour) -> float:
@@ -59,7 +67,9 @@ def tour_length(m: DistanceMatrix, tour) -> float:
     if not isinstance(tour, Tour):
         tour = Tour(tour)
     if tour.n != m.n:
-        raise InvalidTourError(f"tour {list(tour.order)} is not a permutation of 0..{m.n - 1}")
+        raise InvalidTourError(
+            f"tour {quote(list(tour.order))} is not a permutation of 0..{m.n - 1}"
+        )
     return float(_kernels.closed_tour_length(m.d, tour.order))
 
 

@@ -357,6 +357,19 @@ def test_plot_long_bad_grid_row_is_quoted_short(tmp_path, capsys):
     assert "grid row 1" in errors[0] and len(errors[0]) < 200
 
 
+def test_plot_long_bad_tour_is_quoted_short(tmp_path, capsys):
+    tour_path = tmp_path / "tour.json"
+    tour_path.write_text(json.dumps({"order": [0] * 100_000}))
+    code, _, err = run_cli(
+        capsys,
+        "plot", "--instance", "paper8", "--tour", str(tour_path),
+        "--out", str(tmp_path / "x.svg"),
+    )
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2 and len(errors) == 1
+    assert "is not a permutation" in errors[0] and len(errors[0]) < 200 + len(str(tour_path))
+
+
 def test_plot_size_mismatch_exits_2(tmp_path, capsys):
     tour_path = tmp_path / "tour.json"
     tour_path.write_text(json.dumps({"order": [0, 1, 2]}))

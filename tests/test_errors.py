@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn.annealing import MAX_ITERATIONS
+from tsphnn.errors import quote
 from tsphnn.hopfield import run_lockstep
+from tsphnn.svg import render_tour_svg
 
 PAPER8 = T.get_builtin("paper8")
 M8 = T.distance_matrix(PAPER8)
@@ -304,3 +306,127 @@ def test_junk_argument_returns_or_raises_a_typed_error(call, value):
         call(value)
     except T.TsphnnError:
         pass
+
+
+class _ReprRaises:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+# Values a refusal cannot show whole: 10**5000 is past Python's 4,300-digit
+# limit for integer strings, and the others are long or have no repr.
+HOSTILE = {
+    "huge-int": 10**5000,
+    "huge-negative-int": -(10**5000),
+    "long-string": "x" * 10**6,
+    "long-list": [0] * 100_000,
+    "tuple-of-huge-int": (0, 10**5000),
+    "repr-raises": _ReprRaises(),
+}
+SQUARE8 = T.Tour(tuple(range(8)))
+# A duplicate label, and tour lengths past the float range: each instance
+# is refused with its id quoted.
+TWINS = (T.City("a", 0.0, 0.0), T.City("a", 1.0, 0.0), T.City("b", 0.0, 1.0))
+OVERFLOWING = tuple(
+    T.City(label, x, y)
+    for label, (x, y) in zip("abcd", [(0.0, 9e307), (9e307, 0.0), (9e307, 9e307), (0.0, 0.0)])
+)
+ONE_CELL = T.BenchmarkReport(
+    instance_id="paper8", a_pen=100.0, b_pen=100.0,
+    cells=(T.CellStats(90.0, 10.0, None, None, None, 0.0, 5.0, 1),), trials=1,
+    master_seed=0, success_metric="valid",
+)
+# Each argument a refusal quotes: a call passing the value, and whether a
+# huge positive value is refused.  Where it is not, the argument has no
+# upper end and a huge count may run without end, so it is not drawn.
+QUOTED_ARGUMENTS = {
+    "sa-iterations": (lambda v: T.SaConfig(iterations=v), True),
+    "sa-swap-count": (lambda v: T.SaConfig(swap_count=v), False),
+    "sa-seed": (lambda v: T.SaConfig(seed=v), False),
+    "hnn-max-sweeps": (lambda v: T.HopfieldParams(max_sweeps=v), False),
+    "hnn-seed": (lambda v: T.HopfieldParams(seed=v), False),
+    "temperature-step": (lambda v: T.temperature_at(v, SHORT_SA), True),
+    "swap-k": (lambda v: T.swap_cities(SQUARE8, v, np.random.default_rng(0)), True),
+    "anneal-swap-count": (
+        lambda v: T.anneal(M8, SQUARE8, T.SaConfig(iterations=1, swap_count=v)), True,
+    ),
+    "greedy-start": (lambda v: T.greedy_nearest_neighbor(M8, v), True),
+    "gen-n": (lambda v: T.generate_random_instance(v, 0), True),
+    "gen-seed": (lambda v: T.generate_random_instance(5, v), False),
+    "random-tour-n": (lambda v: T.Tour.random(v, np.random.default_rng(0)), True),
+    "sweep-trials": (lambda v: T.sweep(PAPER8, [90.0], [10.0], v, FEW_SWEEPS, 0), False),
+    "sweep-workers": (
+        lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, FEW_SWEEPS, 0, workers=v), False,
+    ),
+    "sweep-seed": (lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, FEW_SWEEPS, v), False),
+    "tour-order": (T.Tour, True),
+    "tour-length-order": (lambda v: T.tour_length(M8, v), True),
+    "city-label": (lambda v: T.City(v, None, 0.0), True),
+    "instance-id": (lambda v: T.Instance(id=v, cities=TWINS), True),
+    "solve-instance-id": (
+        lambda v: T.solve(T.Instance(id=v, cities=OVERFLOWING), "greedy"), True,
+    ),
+    "solve-method": (lambda v: T.solve(PAPER8, v), True),
+    "sweep-success-metric": (
+        lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, FEW_SWEEPS, 0, success_metric=v), True,
+    ),
+    "report-format": (lambda v: T.render_report(ONE_CELL, v), True),
+    "builtin-name": (T.get_builtin, True),
+}
+
+
+@pytest.mark.parametrize(
+    "call, huge_is_refused", QUOTED_ARGUMENTS.values(), ids=QUOTED_ARGUMENTS.keys()
+)
+@settings(max_examples=3 * len(HOSTILE), deadline=None)
+@given(key=st.sampled_from(sorted(HOSTILE)))
+def test_hostile_value_is_refused_with_a_short_message(call, huge_is_refused, key):
+    """However large, long or unprintable the value, the refusal is typed
+    (a ``KeyError`` for a builtin name) and its message is short."""
+    assume(huge_is_refused or key != "huge-int")
+    with pytest.raises(KeyError if call is T.get_builtin else T.TsphnnError) as excinfo:
+        call(HOSTILE[key])
+    assert len(str(excinfo.value)) < 200
+
+
+def test_quote_shows_a_short_value_as_its_repr_and_cuts_the_rest():
+    short = [0, "grid", (1, 2.5), [], np.array([0.5]), True, None, 10**40 - 1]
+    assert [quote(v) for v in short] == [repr(v) for v in short]
+    assert quote("[" * 41) == repr("[" * 40) + "..."
+    assert quote(-(10**40)) == "<negative int of 133 bits>"
+    assert quote(list(range(13))) == repr(list(range(12)))[:-1] + ", ...]"
+    assert quote([_ReprRaises()]) == "<list>"
+    assert quote("\0" * 10**6) == repr("\0" * 40)[:100] + "..."
+
+
+@pytest.mark.parametrize("n", [10**24, np.iinfo(np.intp).max // 8 + 1], ids=["1e24", "past-intp"])
+def test_random_tour_refuses_an_n_numpy_cannot_size(n):
+    """Past ``intp.max // 8`` cities NumPy cannot size the permutation; no
+    count at or below that end is tried, as one may be allocated."""
+    with pytest.raises(T.InvalidArgumentError, match=f"n must be <= {np.iinfo(np.intp).max // 8}"):
+        T.Tour.random(n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: T.solve(PAPER8, v),
+        lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, FEW_SWEEPS, 0, success_metric=v),
+        lambda v: T.render_report(ONE_CELL, v),
+    ],
+    ids=["solve-method", "sweep-success-metric", "report-format"],
+)
+def test_name_argument_refuses_an_array(call):
+    """An array is not compared with each name, which would raise a bare
+    ``ValueError``: only a string can be one of the names."""
+    with pytest.raises(T.InvalidArgumentError, match=r"unknown .* array\(\[0\., 0\.\]\)"):
+        call(np.zeros(2))
+
+
+def test_a_tour_of_another_size_is_refused_briefly(matrix4):
+    long_tour = T.Tour(tuple(range(100_000)))
+    with pytest.raises(T.InvalidTourError, match=r"^tour \[0, 1, 2, .*, \.\.\.\] is not a perm"):
+        T.tour_length(M8, long_tour)
+    for tour in (T.Tour(tuple(range(5))), T.Tour((0, 1, 2)), long_tour):
+        with pytest.raises(T.TsphnnError, match=f"tour has {tour.n} cities, instance has 4"):
+            render_tour_svg(matrix4, tour)

@@ -1,6 +1,7 @@
 """The package's layout: modules import each other at the top only, the
 public names are listed once and resolve, the integer- and real-argument
-rules each have one home, and the CLI runs no solver itself."""
+rules, the name check and the way a refusal shows a value each have one
+home, and the CLI runs no solver itself."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,44 @@ def test_cli_imports_no_solver():
         for alias in node.names
     }
     assert sorted(imported & SOLVERS) == []
+
+
+def _raises_outside_errors():
+    """Each ``raise`` with an exception outside ``errors.py``, by place."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                yield f"{path.name}:{node.lineno}", node.exc
+
+
+def test_refusals_show_values_only_through_quote():
+    """No raise outside ``errors.py`` pastes a value's ``repr`` into its
+    message, which can be unbounded or fail: ``errors.quote`` shows it."""
+    found = [
+        place
+        for place, exc in _raises_outside_errors()
+        if any(
+            isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
+            for part in ast.walk(exc)
+        )
+    ]
+    assert found == []
+
+
+def test_names_are_refused_only_by_check_choice():
+    """Outside ``errors.py``, no raise words an unknown name itself: each
+    name from a fixed set passes ``errors.check_choice``.  ``get_builtin``'s
+    ``KeyError`` is the one exception."""
+    found = [
+        place
+        for place, exc in _raises_outside_errors()
+        if not (isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "KeyError")
+        and any(
+            isinstance(part, ast.Constant) and "unknown " in str(part.value)
+            for part in ast.walk(exc)
+        )
+    ]
+    assert found == []
