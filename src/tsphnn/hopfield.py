@@ -296,12 +296,12 @@ def _field_bound(m: DistanceMatrix) -> float:
         return 2.0 * float(np.abs(m.d).sum(axis=1).max())
 
 
-def _check_finite(m: DistanceMatrix, p: HopfieldParams) -> None:
+def _check_finite(m: DistanceMatrix, p: HopfieldParams, f: float) -> None:
     """Refuse penalties at which a net input, its distance to the threshold
     or an energy may overflow.
 
     On a 0/1 grid a unit's row and column hold at most n - 1 other active
-    units, the grid at most n^2 - 1, and its field is at most F
+    units, the grid at most n^2 - 1, and its field is at most F = ``f``
     (:func:`_field_bound`), so
 
         |net| <= C*(n - 1/2) + A*(n - 1) + B*(n - 1) + C*(n^2 - 1) + D*F.
@@ -314,7 +314,6 @@ def _check_finite(m: DistanceMatrix, p: HopfieldParams) -> None:
     """
     n = m.n
     a, b, c, d = p.a_pen, p.b_pen, p.c_pen, p.d_pen
-    f = _field_bound(m)
     net = c * (n - 0.5) + (a + b) * (n - 1) + c * (n * n - 1) + d * f
     e = (a + b) / 2 * n**3 + c / 2 * n**4 + d / 2 * n * n * f
     if not math.isfinite(2 * (net + abs(p.threshold))) or not math.isfinite(2 * e):
@@ -324,11 +323,11 @@ def _check_finite(m: DistanceMatrix, p: HopfieldParams) -> None:
         )
 
 
-def _guard_band(m: DistanceMatrix, p: HopfieldParams) -> float:
+def _guard_band(m: DistanceMatrix, p: HopfieldParams, f: float) -> float:
     """Half-width of the band around the threshold outside which a net input
     computed from a stacked matrix product decides as the 2-D one does.
 
-    Let u = 2^-53 and F = 2 * max_x sum_y |d[x, y]|.  A field entry sums the
+    Let u = 2^-53 and F = ``f`` (:func:`_field_bound`).  A field entry sums the
     n exact products d[x, y] * s[y, i], s in {0, 1, 2}.  Summed in any order
     it lies within gamma * F of the exact sum, with
     gamma = (n-1)*u / (1 - (n-1)*u) <= 2*(n-1)*u, so two orders differ by at
@@ -344,7 +343,7 @@ def _guard_band(m: DistanceMatrix, p: HopfieldParams) -> float:
 
         delta <= (E + 2*u'*|t|) / (1 - 2*u') <= 4*(n + 1)*u*(D*F + |t|).
     """
-    return 4 * (m.n + 1) * 2.0**-53 * (p.d_pen * _field_bound(m) + abs(p.threshold))
+    return 4 * (m.n + 1) * 2.0**-53 * (p.d_pen * f + abs(p.threshold))
 
 
 def run_lockstep(
@@ -385,7 +384,8 @@ def run_lockstep(
     if len(grids) != count:
         raise TsphnnError(f"{len(grids)} grids for {count} generators")
     g = _check_grids(grids, n)
-    _check_finite(m, p)
+    f = _field_bound(m)
+    _check_finite(m, p, f)
     trial = np.arange(count)  # the trial that each row of the state runs
     rank = np.empty((count, n2), dtype=np.int64)  # each unit's place in its order
     pos = np.zeros(count, dtype=np.int64)  # the place the scan has reached
@@ -398,7 +398,7 @@ def run_lockstep(
     ends = [np.zeros((0, (n2 + 7) // 8), dtype=np.uint8)]
     owners = [np.zeros(0, dtype=np.int64)]
     units = np.arange(n2)
-    band = _guard_band(m, p)
+    band = _guard_band(m, p, f)
 
     def start_sweeps(rows):
         if rows.size:

@@ -20,6 +20,7 @@ from .errors import (
     TsphnnError,
     check_int,
     check_real,
+    check_record,
     quote,
 )
 
@@ -33,6 +34,7 @@ class City:
     y: float
 
     def __post_init__(self):
+        check_record("label", self.label, str)
         for axis in ("x", "y"):
             try:
                 value = check_real(axis, getattr(self, axis))

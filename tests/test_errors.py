@@ -121,6 +121,22 @@ REFUSALS = {
         lambda: T.sweep(PAPER8, ["a"], [10.0], 1, T.HopfieldParams(), 0),
         T.InvalidArgumentError, "c_pen must be a real number, got 'a'",
     ),
+    "city-label-list": (
+        lambda: T.City([0] * 5, 0, 0), T.InvalidArgumentError, "label must be a str, got list",
+    ),
+    "city-label-none": (
+        lambda: T.City(None, 0, 0), T.InvalidArgumentError, "label must be a str, got NoneType",
+    ),
+    "city-label-object": (
+        lambda: T.City(object(), 0, 0),
+        T.InvalidArgumentError, "label must be a str, got object",
+    ),
+    "instance-unhashable-label": (
+        lambda: T.Instance(
+            id="x", cities=(T.City([0] * 5, 0, 0), T.City("b", 1, 0), T.City("c", 0, 1))
+        ),
+        T.InvalidArgumentError, "label must be a str, got list",
+    ),
 }
 
 

@@ -177,6 +177,42 @@ def test_sweep_optimal_metric_is_stricter(cityset1):
     assert optimal.cells[0].success_rate <= valid.cells[0].success_rate
 
 
+def _scaled(inst, factor):
+    """``inst`` with every coordinate multiplied by ``factor``."""
+    cities = tuple(T.City(c.label, c.x * factor, c.y * factor) for c in inst.cities)
+    return T.Instance(id=inst.id, cities=cities)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 7), instance_seed=st.integers(0, 2**32 - 1), k=st.integers(-30, 40))
+def test_optimal_sweep_is_independent_of_coordinate_scale(n, instance_seed, k):
+    """Scaling by 2^k keeps the network's distances bit-identical, so the
+    trials are the same: success rates and mean sweeps are equal, and every
+    length scales by exactly 2^k."""
+    inst = T.generate_random_instance(n, instance_seed)
+    kwargs = dict(trials=20, base=T.HopfieldParams(), seed=1, success_metric="optimal")
+    base = T.sweep(inst, [90.0], [2.0, 10.0], **kwargs)
+    scaled = T.sweep(_scaled(inst, 2.0**k), [90.0], [2.0, 10.0], **kwargs)
+    for a, b in zip(base.cells, scaled.cells):
+        assert (b.success_rate, b.mean_sweeps) == (a.success_rate, a.mean_sweeps)
+        for x, y in ((a.best, b.best), (a.mean, b.mean), (a.worst, b.worst)):
+            assert y == (None if x is None else x * 2.0**k)
+
+
+def test_optimal_counts_a_tour_one_ulp_above_the_oracle_at_every_scale():
+    """The D=10 cell's one optimal trial sums the oracle's cycle from
+    another start, 1 ulp above the oracle's length, and counts at every
+    scale; no D=2 trial counts at any, its best being 5 % above the
+    optimum."""
+    inst = T.generate_random_instance(6, 4)
+    for k in (0, 27, -30):
+        report = T.sweep(
+            _scaled(inst, 2.0**k), [90.0], [2.0, 10.0], 60, T.HopfieldParams(), 3,
+            success_metric="optimal",
+        )
+        assert [c.success_rate * 60 for c in report.cells] == [0, 1], k
+
+
 def test_sweep_deterministic_across_worker_counts(paper8):
     base = T.HopfieldParams(max_sweeps=100)
     kwargs = dict(trials=12, base=base, seed=9)
