@@ -12,8 +12,12 @@ windows of upcoming steps in NumPy from the O(k) edges each swap changes,
 or from a table of the tour's swap deltas while the tour stands still, and
 rejects a step without touching the tour only where a written error bound
 proves the exact step would reject it too; every other step, ties
-included, takes the exact step.  The screen's rejection cuts are computed
-from an upper bound on each step's temperature, so the exact schedule is
+included, takes the exact step.  With one pair per swap and at least
+``HOLD_SCREEN_MIN_N`` cities, the steps that run exactly after an
+acceptance are screened too, one at a time, by the scalar delta of the at
+most four edges each swap changes, before the candidate is built.  The
+screen's rejection cuts are computed from an upper bound on each step's
+temperature, so the exact schedule is
 evaluated only for the steps that reach :func:`acceptance_probability` and
 for a trace whose temperatures are read.  An exact step whose length
 difference already reaches its cut is rejected before the exponential.  So
@@ -24,12 +28,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Tuple
+from typing import Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidTemperatureError, TsphnnError, check_int, check_real
+from .errors import InvalidTemperatureError, TsphnnError, check_int, check_real, check_record
 from .instance import DistanceMatrix
 from .tour import Tour
 
@@ -40,6 +44,12 @@ CHUNK = 2048  # steps whose uniforms `anneal` draws at once
 # acceptance: while acceptances come closer together, the exact step alone
 # is cheaper than a screen whose window an acceptance cuts short.
 SCREEN_GAP = 16
+# From this many cities, the one-pair steps held exact after an acceptance
+# are screened one at a time by their scalar edge delta (`_pair_delta`).
+# Below it the in-order length that spares is short: with the screen, the
+# default schedule ran 2-11 % slower at n = 8 and 10 and under 6 % faster at
+# n = 12 to 15, against 5-7 % faster at n = 16 to 20 (2 cores, no numba).
+HOLD_SCREEN_MIN_N = 16
 # The most steps whose changed edges one window gathers: per step, gathers
 # of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
 WINDOW = 512
@@ -69,6 +79,14 @@ class SaConfig:
         limits = {"iterations": (1, MAX_ITERATIONS), "swap_count": (1, None), "seed": (0, None)}
         for name, (low, high) in limits.items():
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
+
+
+@runtime_checkable
+class RandomGenerator(Protocol):
+    """What :func:`anneal` draws its uniforms from: an object with a
+    ``random(size)`` method, such as ``np.random.Generator``."""
+
+    def random(self, size): ...
 
 
 def temperature_at(step: int, cfg: SaConfig) -> float:
@@ -169,6 +187,11 @@ def _screen_band(m: DistanceMatrix, k: int) -> float:
     """Half-width of the band around a step's edge delta outside which the
     delta decides the sign of the walk's own length difference.
 
+    One band serves every screen of :func:`anneal`: the windows, the
+    swap-delta table, and the hold screen, which checks the one-pair steps
+    held exact after an acceptance one at a time once n reaches
+    ``HOLD_SCREEN_MIN_N``.
+
     Let u = 2^-53, gamma_j = j*u / (1 - j*u) <= 2*j*u and M = max d.  While
     2*n*M is finite no partial sum overflows.  A tour length is the in-order
     sum of n terms in [0, M], so it lies within gamma_n * n * M of the exact
@@ -178,7 +201,10 @@ def _screen_band(m: DistanceMatrix, k: int) -> float:
     (:func:`_edge_deltas`) adds up the 4k rounded differences (zero for
     repeated edges), each of two terms in [0, M], in one sum whose order
     does not matter: a swap-delta table's entry sums a one-pair swap's
-    four in the order of its pair (a, b), a < b, not of the step's picks.
+    four in the order of its pair (a, b), a < b, not of the step's picks,
+    and the scalar :func:`_pair_delta` sums them in its own order.  It
+    leaves out the edge between two adjacent picks, which the swap only
+    reverses: as d is symmetric, that edge's difference is exactly 0.
     Each difference passes through at most 4k - 1 rounded additions, so
     the delta lies within gamma_{4k+1} * 8k * M of the exact sum.  So
 
@@ -229,6 +255,28 @@ def _edge_deltas(d: np.ndarray, tour: np.ndarray, edges: np.ndarray) -> np.ndarr
     of its new edges less those of its old ones on ``tour``, in one sum."""
     cities = tour[edges]
     return (d[cities[2], cities[3]] - d[cities[0], cities[1]]).sum(axis=1)
+
+
+def _pair_delta(d, cur, x, y, n):
+    """The edge delta of swapping the cities at positions x != y of the
+    tour ``cur``, from nested lists: the lengths of the edges the swap makes
+    less those of the edges it breaks, in one sum.
+
+    The scalar form of :func:`_edge_deltas` for one pair: four edges, or
+    three where y follows x on the tour (x + 1 = y, or the wrap-around pair
+    n - 1, 0), as the edge between them is only reversed and ``d`` is
+    symmetric.
+    """
+    if x > y:
+        x, y = y, x
+    if y - x == n - 1:
+        x, y = y, x  # position 0 follows n - 1
+    elif y - x != 1:
+        p, a, r, s, b = cur[x - 1], cur[x], cur[x + 1], cur[y - 1], cur[y]
+        q = cur[y + 1 - n]  # cur[y + 1], or cur[0] for y = n - 1
+        return d[p][b] - d[p][a] + (d[b][r] - d[a][r]) + (d[s][a] - d[s][b]) + (d[a][q] - d[b][q])
+    p, a, b, q = cur[x - 1], cur[x], cur[y], cur[y + 1 - n]
+    return d[p][b] - d[p][a] + (d[a][q] - d[b][q])
 
 
 def _position_pairs(n: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
@@ -309,17 +357,21 @@ def anneal(
     neither depends on the tour.  The cuts come from
     :func:`_temperature_bounds`, not from the schedule itself.
 
-    The exact step builds the candidate from the chunk's positions on
-    Python lists and takes its in-order length.  While the band is finite
-    the length difference is finite, and a step whose difference reaches
-    its cut is rejected there; any other step asks
-    :func:`acceptance_probability` at its :func:`temperature_at`, the only
-    place the walk evaluates the schedule.  Steps run exactly, back to
-    back, until ``SCREEN_GAP`` steps have passed since the last acceptance.
-    From then on, a window of upcoming steps, as many as have passed, at
-    most ``WINDOW`` and at most the rest of the chunk, is screened against the
-    current tour: a step whose edge delta, less the error band of
-    :func:`_screen_band`, reaches its cut is one the exact step would
+    The exact step builds the candidate from the chunk's positions on Python
+    lists and takes its in-order length.  While the band is finite the
+    length difference is finite, and a step whose difference reaches its cut
+    is rejected there; any other step asks :func:`acceptance_probability` at
+    its :func:`temperature_at`, the only place the walk evaluates the
+    schedule.  Steps run exactly, back to back, until ``SCREEN_GAP`` steps
+    have passed since the last acceptance.  With one pair per swap, at least
+    ``HOLD_SCREEN_MIN_N`` cities and a finite band, each of these steps is
+    first screened alone: a step whose scalar edge delta
+    (:func:`_pair_delta`), less the band, reaches its cut is rejected
+    without building the candidate; below that size the gain is small or a
+    loss.  From then on, a window of upcoming steps, as many as have passed,
+    at most ``WINDOW`` and at most the rest of the chunk, is screened
+    against the current tour: a step whose edge delta, less the error band
+    of :func:`_screen_band`, reaches its cut is one the exact step would
     reject, and is rejected without touching the tour.  A window sums its
     steps' changed edges (:func:`_changed_edges`, made for the rest of the
     chunk by its first such window).  With one pair per swap, the first
@@ -341,12 +393,16 @@ def anneal(
     n < 128.  A table needs P steps left in a chunk, so it is made only
     while P <= CHUNK, for n <= 64, and its P entries add O(CHUNK).
     """
+    check_record("m", m, DistanceMatrix)
+    check_record("start", start, Tour)
+    check_record("cfg", cfg, SaConfig)
     n = m.n
     if start.n != n:
         raise TsphnnError(f"start tour has {start.n} cities, matrix has {n}")
     k = check_int("swap_count", cfg.swap_count, 1, n // 2)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    check_record("rng", rng, RandomGenerator)
     iters = cfg.iterations
     d = m.d.tolist()
     length = _kernels.closed_tour_length
@@ -363,6 +419,7 @@ def anneal(
     # entries only where no two picks are adjacent, and that timed no
     # faster than its edges.
     table_at = n * (n - 1) // 2 if k == 1 else np.inf
+    hold_screen = k == 1 and n >= HOLD_SCREEN_MIN_N and band < np.inf
     pair_row = pair_edges = None  # made with the first table
     tour = table = None  # ``cur`` as an array, and its table, made when needed
     last = -1  # the last accepted step; the start counts as one
@@ -385,6 +442,7 @@ def anneal(
                 # Exact steps until the gap reaches ``hold``; an acceptance
                 # restarts the count.
                 steps, stop, after = range(i, count), i + hold - gap, hold
+                screened = hold_screen
             else:
                 if tour is None:
                     tour = np.array(cur, dtype=picks.dtype)
@@ -406,18 +464,21 @@ def anneal(
                 steps = (i + offsets).tolist()
                 # An acceptance ends the window: its later steps were
                 # screened against the old tour.
-                stop, after = end, 1
+                stop, after, screened = end, 1, False
             if swaps is None and steps:
                 # Each pair's two position columns: a per-step ``tolist``
                 # costs more.
                 cols = picks.T.tolist()
                 swaps = list(zip(cols[0::2], cols[1::2]))
+                xs, ys = swaps[0]
                 accept_at = u[:, 2 * k].tolist()
                 if cuts is not None:
                     cut_at = cuts.tolist()
             for j in steps:
                 if j >= stop:
                     break
+                if screened and _pair_delta(d, cur, xs[j], ys[j], n) - band >= cut_at[j]:
+                    continue
                 cand = cur.copy()
                 for a, b in swaps:
                     x, y = a[j], b[j]

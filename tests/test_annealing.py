@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsphnn as T
-from tsphnn import _kernels, annealing
+from tsphnn import _kernels, annealing, pipeline
 from tsphnn.annealing import CHUNK, MAX_ITERATIONS, TEMPERATURE_FLOOR
 from tsphnn.errors import InvalidArgumentError, InvalidTemperatureError
 
@@ -446,6 +446,87 @@ def test_screen_never_rejects_an_accepted_step(n, bound, seed, data):
         assert abs(excess) <= Fraction(band)
         if j not in undecided:
             assert probs[j] < u[j, 2 * k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bound=st.sampled_from([1.0, 100.0, 1e5, "grid"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_hold_screen_never_rejects_an_accepted_step(bound, seed, data):
+    """Screening one-pair steps one at a time by their scalar edge delta,
+    from the gate's n up to 40 (25 on the integer grid), every rejected
+    step is one ``acceptance_probability`` rejects, and every delta is
+    within the band of the exact length difference.  Pairs are adjacent,
+    the wrap-around (0, n - 1), or general, in either order; uniforms
+    include 0.0, the step's own acceptance probability and its float
+    neighbours; temperatures run from the floor to 1e300."""
+    n = data.draw(st.integers(annealing.HOLD_SCREEN_MIN_N, 25 if bound == "grid" else 40), label="n")
+    rng = np.random.default_rng(seed)
+    if bound == "grid":
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed, bound=bound))
+    steps = 64
+    cur = rng.permutation(n).tolist()
+    d = m.d.tolist()
+    cur_len = _kernels.closed_tour_length(d, cur)
+    temps = np.maximum(10.0 ** rng.uniform(-12, 300, steps), TEMPERATURE_FLOOR)
+    temps[: steps // 3] = TEMPERATURE_FLOOR  # where a rounding tie could be rejected
+    u = rng.random((steps, 3))
+    pairs = _kernels.pick_positions(n, 1, u).tolist()
+    for j in range(steps):
+        x = int(rng.integers(n - 1))
+        pairs[j] = (pairs[j], [x, x + 1], [0, n - 1])[j % 3][:: (-1) ** (j // 3)]
+    band = annealing._screen_band(m, 1)
+    assert band > 0
+    for j, (x, y) in enumerate(pairs):
+        cand_len = _kernels.closed_tour_length(d, _kernels.swap_pairs(cur, [(x, y)]))
+        p = annealing.acceptance_probability(cur_len, cand_len, temps[j])
+        u[j, 2] = (0.0, p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), u[j, 2])[j % 5]
+        delta = annealing._pair_delta(d, cur, x, y, n)
+        excess = Fraction(cand_len) - Fraction(cur_len) - Fraction(delta)
+        assert abs(excess) <= Fraction(band)
+        cut = annealing._rejection_cuts(temps[j : j + 1], u[j : j + 1, 2])[0]
+        if delta - band >= cut:
+            assert p < u[j, 2]
+
+
+@pytest.mark.parametrize("n, lengths, exact", [(15, 2920, 1129), (50, 1158, 1156)])
+def test_hold_screen_spares_the_lengths_of_held_steps(monkeypatch, n, lengths, exact):
+    """The in-order lengths summed by one default SA solve on
+    ``generate_random_instance(n, 3)``: two start lengths, one per exact
+    step, and one per step the exact step's cut rejects.  At n = 50 the
+    hold screen rejects those steps before their length, which took 3,678
+    lengths without it; n = 15 is below its gate.  The steps reaching
+    ``acceptance_probability`` and the walk are the same either way."""
+    counts = {"length": 0, "exact": 0}
+    real_length, real_accept = _kernels.closed_tour_length, annealing.acceptance_probability
+
+    def length(d, order):
+        counts["length"] += 1
+        return real_length(d, order)
+
+    def accept(e, e_new, t):
+        counts["exact"] += 1
+        return real_accept(e, e_new, t)
+
+    monkeypatch.setattr(_kernels, "closed_tour_length", length)
+    monkeypatch.setattr(annealing, "acceptance_probability", accept)
+    m = T.distance_matrix(T.generate_random_instance(n, 3))
+    cfg = T.SaConfig()
+    start_len, (tour, best_len, trace) = pipeline._anneal_from_random(m, cfg)
+    assert counts == {"length": lengths, "exact": exact}
+    monkeypatch.undo()
+    rng = np.random.default_rng(cfg.seed)
+    start = T.Tour.random(n, rng)
+    _, current, bests, best, final = _replay(m, start, cfg, rng.random((cfg.iterations, 3)))
+    assert start_len == T.tour_length(m, start)
+    assert trace.current_length.tolist() == current
+    assert trace.best_length.tolist() == bests
+    assert (tour, best_len) == best
+    assert (trace.final_tour, trace.final_length) == final
 
 
 @settings(max_examples=150, deadline=None)

@@ -405,6 +405,46 @@ def test_hostile_value_is_refused_with_a_short_message(call, huge_is_refused, ke
     assert len(str(excinfo.value)) < 200
 
 
+# ``anneal`` with one argument replaced: each must be of its record type.
+ANNEAL_ARGUMENTS = {
+    "m": lambda v: T.anneal(v, SQUARE8, SHORT_SA),
+    "start": lambda v: T.anneal(M8, v, SHORT_SA),
+    "cfg": lambda v: T.anneal(M8, SQUARE8, v),
+    "rng": lambda v: T.anneal(M8, SQUARE8, SHORT_SA, v),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("m", None, "m must be a DistanceMatrix, got NoneType"),
+        ("m", M8.d, "m must be a DistanceMatrix, got ndarray"),
+        ("start", list(range(8)), "start must be a Tour, got list"),
+        ("start", SQUARE8.order, "start must be a Tour, got tuple"),
+        ("cfg", None, "cfg must be a SaConfig, got NoneType"),
+        ("cfg", T.HopfieldParams(), "cfg must be a SaConfig, got HopfieldParams"),
+        ("rng", 5, "rng must be a RandomGenerator, got int"),
+        ("rng", np.random.SeedSequence(0), "rng must be a RandomGenerator, got SeedSequence"),
+    ],
+)
+def test_anneal_refuses_an_argument_of_another_type(name, value, message):
+    """Each of these raised a bare ``AttributeError`` from inside the walk
+    before."""
+    with pytest.raises(T.InvalidArgumentError, match=f"^{message}"):
+        ANNEAL_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("name", ANNEAL_ARGUMENTS)
+def test_anneal_refuses_junk_for_every_argument(name):
+    """No junk value is taken for any argument; ``rng=None``, the default,
+    draws from ``cfg.seed``."""
+    for value in JUNK:
+        if name == "rng" and value is None:
+            continue
+        with pytest.raises(T.InvalidArgumentError, match=f"^{name} must be a "):
+            ANNEAL_ARGUMENTS[name](value)
+
+
 def test_quote_shows_a_short_value_as_its_repr_and_cuts_the_rest():
     short = [0, "grid", (1, 2.5), [], np.array([0.5]), True, None, 10**40 - 1]
     assert [quote(v) for v in short] == [repr(v) for v in short]
