@@ -5,16 +5,23 @@ move gains more than a small threshold (:func:`_min_gain`), which prevents
 floating-point cycling.  A pass scores every move with NumPy, using the
 float expression a scalar loop over the cuts would use, and takes the
 first minimum in scan order (``np.argmin``): the move a loop keeping only
-strictly smaller deltas picks.
+strictly smaller deltas picks.  2-opt scores a pass as one n x n array;
+3-opt scores its C(n, 3) cut triples in blocks of consecutive first cuts,
+at most ``BLOCK_TRIPLES`` triples a block, so its working memory is
+O(n^2 + block).
 """
 
 import numpy as np
 
-from .errors import TsphnnError, check_int, quote
+from .errors import TsphnnError, check_int, check_record, quote
 from .instance import DistanceMatrix
 from .tour import Tour
 
 MIN_GAIN = 1e-12
+# Most triples (i, j, k) one 3-opt block scores at once, unless one first
+# cut has more.  Its temporaries stay under 0.5 MB; at n = 30-100, blocks
+# of 2^12 and 2^13 triples were no faster.
+BLOCK_TRIPLES = 2**11
 
 
 def _min_gain(d: np.ndarray) -> float:
@@ -23,9 +30,19 @@ def _min_gain(d: np.ndarray) -> float:
     return max(MIN_GAIN, 8 * np.finfo(np.float64).eps * float(d.max()))
 
 
+def _check_search(m, t) -> None:
+    """Refuse a local search's arguments: ``m`` a :class:`DistanceMatrix`
+    and ``t`` a :class:`Tour` on its cities."""
+    check_record("m", m, DistanceMatrix)
+    check_record("t", t, Tour)
+    if t.n != m.n:
+        raise TsphnnError(f"tour has {t.n} cities, matrix has {m.n}")
+
+
 def greedy_nearest_neighbor(m: DistanceMatrix, start: int = 0) -> Tour:
     """From each city go to the nearest unvisited one, ties to the lowest
     index, closing back to the start."""
+    check_record("m", m, DistanceMatrix)
     n = m.n
     start = check_int("start", start, 0)
     if start >= n:
@@ -47,8 +64,7 @@ def two_opt(m: DistanceMatrix, t: Tour) -> Tour:
 
     Move (i, j), 1 <= i < j <= n-1, reverses tour[i..j]; scanned i-major.
     """
-    if t.n != m.n:
-        raise TsphnnError(f"tour has {t.n} cities, matrix has {m.n}")
+    _check_search(m, t)
     d, n = m.d, m.n
     tour = t.as_array()
     movable = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -87,54 +103,101 @@ def _rebuild_three_opt(tour, i, j, k, combo):
     return np.concatenate((tour[: i + 1], s1, s2, tour[k + 1 :]))
 
 
+def _first_cut_blocks(n: int):
+    """Runs [i0, i1) of consecutive first cuts of 3-opt whose triples,
+    C(n-1-i, 2) for cut i, total at most ``BLOCK_TRIPLES``, or one cut."""
+    blocks, i0, size = [], 0, 0
+    for i in range(n - 2):
+        count = (n - 1 - i) * (n - 2 - i) // 2
+        if i > i0 and size + count > BLOCK_TRIPLES:
+            blocks.append((i0, i))
+            i0, size = i, 0
+        size += count
+    blocks.append((i0, n - 2))
+    return blocks
+
+
 def three_opt(m: DistanceMatrix, t: Tour) -> Tour:
     """Repeat the best of all 3-edge removals with their 7 reconnections.
 
     Move (i, j, k, combo), 0 <= i < j < k <= n-1, cuts the edges after
     positions i, j and k (see :func:`_rebuild_three_opt`); moves are
-    scanned in (i, j, k, combo) order.  The deltas are built for one first
-    cut i at a time, so working memory is O(n^2).
+    scanned in (i, j, k, combo) order.  A pass scores the triples of
+    consecutive first cuts i together, in blocks of at most
+    ``BLOCK_TRIPLES`` triples (one first cut at least).  A first cut's
+    pairs (j, k) are a suffix of the ``np.triu_indices(n, 1)`` pair list,
+    so each block's indices come from that list, and working memory is
+    O(n^2 + block): no array holds all C(n, 3) triples.  Each move's delta
+    is the same float expression as a scalar loop's; only the triples
+    whose smallest new-edge sum, less the cut edges, is below the best
+    delta so far have their seven deltas compared.
 
     Subsumes 2-opt moves; for n < 5 there are no proper 3-opt moves, so
     this falls back to :func:`two_opt`.
     """
-    if t.n != m.n:
-        raise TsphnnError(f"tour has {t.n} cities, matrix has {m.n}")
+    _check_search(m, t)
     if m.n < 5:
         return two_opt(m, t)
     d, n = m.d, m.n
     tour = t.as_array()
-    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    # pairs (j, k), j < k, j-major, at flat j*n + k; first cut i's pairs
+    # are those from suffix[i] on
+    rows, cols = np.triu_indices(n, 1)
+    flat = rows * n + cols
+    suffix = np.searchsorted(rows, np.arange(n - 2), side="right")
+    blocks = _first_cut_blocks(n)
     min_gain = _min_gain(d)
     while True:
         nxt = np.roll(tour, -1)
         # pairwise distances between cities at two positions p, q, taken at
-        # p or p+1 and q or q+1; d is exactly symmetric, so d[x, y] = d[y, x]
-        tt = d[tour[:, None], tour]
-        tn = d[tour[:, None], nxt]
-        nn = d[nxt[:, None], nxt]
-        cut = np.diagonal(tn)
+        # p or p+1 and q or q+1, flat at p*n + q; d is exactly symmetric,
+        # so d[x, y] = d[y, x]
+        tt = d[tour[:, None], tour].ravel()
+        tn = d[tour[:, None], nxt].ravel()
+        nt = d[nxt[:, None], tour].ravel()
+        nn = d[nxt[:, None], nxt].ravel()
+        cut = tn[:: n + 1]
         best, move = -min_gain, None
-        for i in range(n - 2):
-            # cut edges (a, b), (c, dd), (e, f) after positions i, j and k;
-            # rows are j = i+1..n-2, columns k = i+2..n-1
-            js, ks = slice(i + 1, n - 1), slice(i + 2, n)
-            ab, ac, ad = cut[i], tt[i, js, None], tn[i, js, None]
-            bd, cd = nn[i, js, None], cut[js, None]
-            ae, be, bf, ef = tt[i, ks], tn[ks, i], nn[i, ks], cut[ks]
-            ce, cf, df = tt[js, ks], tn[js, ks], nn[js, ks]
-            # new edge sums of combos 1..7, less the three cut edges
-            new = (ac + bd + ef, ab + ce + df, ac + be + df, ad + be + cf,
-                   ad + ce + bf, ae + bd + cf, ae + cd + bf)
-            delta = np.stack(new, axis=-1) - (ab + cd + ef)[..., None]
-            # k <= j is no move, nor is a delta that overflowed (see two_opt)
-            keep = later[js, ks, None] & np.isfinite(delta) & (delta < best)
-            delta = np.where(keep, delta, np.inf)
+        for i0, i1 in blocks:
+            # the block's triples in (i, j, k) order: cut i's run of them
+            # starts at starts[i - i0] and holds its pairs from suffix[i] on
+            counts = len(rows) - suffix[i0:i1]
+            starts = np.cumsum(counts) - counts
+            pair = np.arange(counts.sum()) + np.repeat(suffix[i0:i1] - starts, counts)
+            i_n = np.repeat(np.arange(i0 * n, i1 * n, n), counts)
+            j, k = rows[pair], cols[pair]
+            ij, ik, jk = i_n + j, i_n + k, flat[pair]
+            # cut edges (a, b), (c, dd), (e, f) after positions i, j and k
+            ab, cd, ef = np.repeat(cut[i0:i1], counts), cut[j], cut[k]
+            ac, ad, bd = tt[ij], tn[ij], nn[ij]
+            ae, be, bf = tt[ik], nt[ik], nn[ik]
+            ce, cf, df = tt[jk], tn[jk], nn[jk]
+            # new edge sums of combos 1..7, each added left to right
+            new = [ac + bd, ab + ce, ac + be, ad + be, ad + ce, ae + bd, ae + cd]
+            for total, last in zip(new, (ef, df, df, cf, bf, cf, bf)):
+                total += last
+            base = ab + cd
+            base += ef
+            # Rounding is monotone, so no delta of a triple is below its
+            # smallest sum less base: only triples where that is below best
+            # can hold the move.  Sums are never NaN; lo - base is NaN only
+            # where every sum and base overflowed, which is no move.
+            lo = np.minimum(new[0], new[1])
+            for total in new[2:]:
+                np.minimum(lo, total, out=lo)
+            lo -= base
+            hit = np.flatnonzero(lo < best)
+            if not hit.size:
+                continue
+            delta = np.stack([total[hit] for total in new], axis=-1) - base[hit, None]
+            # a delta that overflowed is no move (see two_opt)
+            delta[~np.isfinite(delta)] = np.inf
             pos = int(np.argmin(delta))
             if delta.flat[pos] < best:
                 best = delta.flat[pos]
-                j, k, combo = np.unravel_index(pos, delta.shape)
-                move = (i, i + 1 + int(j), i + 2 + int(k), int(combo) + 1)
+                at, combo = divmod(pos, 7)
+                at = hit[at]
+                move = (int(i_n[at]) // n, int(j[at]), int(k[at]), combo + 1)
         if move is None:
             return Tour(tuple(tour.tolist()))
         tour = _rebuild_three_opt(tour, *move)

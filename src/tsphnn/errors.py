@@ -5,7 +5,7 @@ the specific subclasses exist because callers (and tests) branch on them.
 Each integer argument (a count, seed or position) passes :func:`check_int`,
 each real one (a penalty, temperature, rate, bound or coordinate)
 :func:`check_real`, each name from a fixed set (a method, success metric
-or report format) :func:`check_choice`, and each config record that a
+or report format) :func:`check_choice`, and each record or path that a
 library entry point takes :func:`check_record`.  Each refuses with
 :class:`InvalidArgumentError`, a temperature with its subclass
 :class:`InvalidTemperatureError`, and the generator's ``bound`` with the
@@ -168,9 +168,9 @@ def check_choice(name: str, value, choices) -> None:
         raise InvalidArgumentError(f"unknown {name} {quote(value)}; have {', '.join(choices)}")
 
 
-def check_record(name: str, value, kind: type) -> None:
-    """Refuse ``value`` unless it is a ``kind`` record, such as a config."""
+def check_record(name: str, value, kind) -> None:
+    """Refuse ``value`` unless it is a ``kind`` record, such as a config, or
+    of one of the types in a tuple ``kind``."""
     if not isinstance(value, kind):
-        raise InvalidArgumentError(
-            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
-        )
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise InvalidArgumentError(f"{name} must be a {kinds}, got {type(value).__name__}")

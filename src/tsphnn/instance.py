@@ -7,6 +7,7 @@ used as-is instead of being recomputed from coordinates.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -203,7 +204,9 @@ def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
 
 
 def save_instance(inst: Instance, path) -> None:
-    """Write the instance as JSON; coordinates round-trip exactly."""
+    """Write the instance as JSON; coordinates round-trip exactly.  ``path``
+    is a ``str`` or ``os.PathLike``, never a file descriptor."""
+    check_record("path", path, (str, os.PathLike))
     payload = {
         "id": inst.id,
         "seed": inst.seed,
@@ -218,7 +221,9 @@ def save_instance(inst: Instance, path) -> None:
 
 def read_text(path) -> str:
     """A file's text; bytes that are not UTF-8 raise :class:`ParseError`
-    naming the file."""
+    naming the file.  ``path`` is a ``str`` or ``os.PathLike``: ``open``
+    would take an integer as a file descriptor, read it and close it."""
+    check_record("path", path, (str, os.PathLike))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()

@@ -3,14 +3,16 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsphnn as T
-from tsphnn.baselines import MIN_GAIN, _rebuild_three_opt
+from tsphnn import baselines
+from tsphnn.baselines import MIN_GAIN, _first_cut_blocks, _rebuild_three_opt
 
 
 def all_two_opt_deltas(d, order):
@@ -260,6 +262,103 @@ def test_local_search_scans_match_loop_reference(case):
     if m.n >= 5:
         expected = three_opt_loop(m.d, start.as_array(), MIN_GAIN)
         assert T.three_opt(m, start).order == tuple(expected.tolist())
+
+
+# 3-opt block budgets: one first cut a block, a budget that groups first
+# cuts unevenly (at n = 14 their triple counts are 78, 66, ..., 3, 1), and
+# the default, under which n <= 14 is one block.
+BLOCK_BUDGETS = (1, 40, baselines.BLOCK_TRIPLES)
+
+
+@pytest.mark.parametrize("n", [5, 6, 14, 30, 200])
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS + (7, 10**9))
+def test_blocks_hold_consecutive_first_cuts_within_the_budget(n, budget):
+    with mock.patch.object(baselines, "BLOCK_TRIPLES", budget):
+        blocks = _first_cut_blocks(n)
+    assert [i0 for i0, _ in blocks] == [0] + [i1 for _, i1 in blocks[:-1]]
+    assert blocks[-1][1] == n - 2
+    for i0, i1 in blocks:
+        size = sum((n - 1 - i) * (n - 2 - i) // 2 for i in range(i0, i1))
+        assert i1 == i0 + 1 or size <= budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(_local_search_cases())
+def test_three_opt_blocks_match_loop_reference(case):
+    """Every block budget returns the scalar loop's tour, ties included."""
+    m, start = case
+    assume(m.n >= 5)
+    expected = tuple(three_opt_loop(m.d, start.as_array(), MIN_GAIN).tolist())
+    for budget in BLOCK_BUDGETS:
+        with mock.patch.object(baselines, "BLOCK_TRIPLES", budget):
+            assert T.three_opt(m, start).order == expected
+
+
+@pytest.mark.parametrize("n", [20, 27, 33, 40])
+def test_three_opt_blocks_agree_at_larger_n(n):
+    """Past n = 14 the default budget splits a pass too; every budget
+    returns the default's tour, from greedy, random and tied starts."""
+    rng = np.random.default_rng(n)
+    grid = rng.integers(0, 5, (n, 2)).astype(float)
+    diff = grid[:, None] - grid[None]
+    tied = T.DistanceMatrix(np.hypot(diff[..., 0], diff[..., 1]))
+    uniform = T.distance_matrix(T.generate_random_instance(n, seed=n))
+    cases = [
+        (uniform, T.greedy_nearest_neighbor(uniform, 0)),
+        (uniform, T.Tour.random(n, rng)),
+        (tied, T.Tour.random(n, rng)),
+    ]
+    for m, start in cases:
+        expected = T.three_opt(m, start).order
+        for budget in BLOCK_BUDGETS[:2] + (333,):
+            with mock.patch.object(baselines, "BLOCK_TRIPLES", budget):
+                assert T.three_opt(m, start).order == expected
+
+
+def test_three_opt_overflowed_deltas_are_no_move_at_every_budget():
+    """The 1.7e308 matrices of the test below, and a ring with three edges
+    of 7e307 (all others 1), whose one triple cutting all three has only
+    -inf deltas: every block budget ends on the tour the one-cut-at-a-time
+    scan ended on, recorded here.  Taking an overflowed delta for a gain
+    changes all four.  A subprocess turns a hang into a failure."""
+    code = textwrap.dedent(
+        """
+        import warnings
+        from unittest import mock
+        import numpy as np
+        import tsphnn as T
+        from tsphnn import baselines
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cases = []
+        for seed in (0, 5, 15):
+            rng = np.random.default_rng(seed)
+            upper = np.triu(rng.uniform(0, 1.7e308, (9, 9)), 1)
+            cases.append((T.DistanceMatrix(upper + upper.T), T.Tour.random(9, rng)))
+        d = np.ones((9, 9))
+        np.fill_diagonal(d, 0.0)
+        for p in (0, 3, 6):
+            d[p, p + 1] = d[p + 1, p] = 7e307
+        cases.append((T.DistanceMatrix(d), T.Tour(tuple(range(9)))))
+        ends = [
+            (3, 0, 2, 1, 4, 7, 6, 8, 5),
+            (5, 2, 1, 3, 4, 6, 8, 0, 7),
+            (4, 1, 5, 0, 2, 8, 3, 6, 7),
+            (0, 2, 6, 5, 4, 1, 3, 7, 8),
+        ]
+        for (m, start), end in zip(cases, ends):
+            for budget in (1, 40, baselines.BLOCK_TRIPLES):
+                with mock.patch.object(baselines, "BLOCK_TRIPLES", budget):
+                    assert T.three_opt(m, start).order == end, budget
+        print("done")
+        """
+    )
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "done"
 
 
 def test_local_search_ends_on_huge_distances():

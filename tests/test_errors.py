@@ -445,6 +445,41 @@ def test_anneal_refuses_junk_for_every_argument(name):
             ANNEAL_ARGUMENTS[name](value)
 
 
+# The baselines with one argument replaced: each must be of its record type.
+BASELINE_ARGUMENTS = {
+    "greedy-m": ("m", lambda v: T.greedy_nearest_neighbor(v)),
+    "two_opt-m": ("m", lambda v: T.two_opt(v, SQUARE8)),
+    "two_opt-t": ("t", lambda v: T.two_opt(M8, v)),
+    "three_opt-m": ("m", lambda v: T.three_opt(v, SQUARE8)),
+    "three_opt-t": ("t", lambda v: T.three_opt(M8, v)),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("greedy-m", None, "m must be a DistanceMatrix, got NoneType"),
+        ("two_opt-m", M8.d, "m must be a DistanceMatrix, got ndarray"),
+        ("two_opt-t", list(range(8)), "t must be a Tour, got list"),
+        ("three_opt-m", None, "m must be a DistanceMatrix, got NoneType"),
+        ("three_opt-t", None, "t must be a Tour, got NoneType"),
+        ("three_opt-t", SQUARE8.order, "t must be a Tour, got tuple"),
+    ],
+)
+def test_baseline_refuses_an_argument_of_another_type(key, value, message):
+    """Each of these raised a bare ``AttributeError`` before."""
+    with pytest.raises(T.InvalidArgumentError, match=f"^{message}$"):
+        BASELINE_ARGUMENTS[key][1](value)
+
+
+@pytest.mark.parametrize("key", BASELINE_ARGUMENTS)
+def test_baseline_refuses_junk_for_every_record_argument(key):
+    name, call = BASELINE_ARGUMENTS[key]
+    for value in JUNK:
+        with pytest.raises(T.InvalidArgumentError, match=f"^{name} must be a "):
+            call(value)
+
+
 def test_quote_shows_a_short_value_as_its_repr_and_cuts_the_rest():
     short = [0, "grid", (1, 2.5), [], np.array([0.5]), True, None, 10**40 - 1]
     assert [quote(v) for v in short] == [repr(v) for v in short]

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -318,3 +319,29 @@ def test_builtin_coordinates_are_exact(cityset1, paper8, matrix4):
     assert matrix4.matrix is not None
     assert matrix4.matrix[0].tolist() == [0.0, 15.0, 13.0, 17.0]
     assert matrix4.matrix[1].tolist() == [15.0, 0.0, 14.0, 27.0]
+
+
+def test_a_file_descriptor_is_refused_as_a_path_and_left_open(paper8):
+    """``open`` takes an integer as a file descriptor: loading from the read
+    end of a pipe used to read it, raise ``ParseError`` and close it."""
+    refusal = "^path must be a str or PathLike, got int$"
+    loaded, saved = os.pipe(), os.pipe()
+    try:
+        os.write(loaded[1], b"{}")
+        os.close(loaded[1])
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            T.load_instance(loaded[0])
+        assert os.read(loaded[0], 16) == b"{}"
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            T.save_instance(paper8, saved[1])
+        os.fstat(saved[1])
+    finally:
+        for fd in (loaded[0], *saved):
+            os.close(fd)
+
+
+@pytest.mark.parametrize("path", [None, 3.0, b"instance.json", ["instance.json"]])
+def test_a_path_of_another_type_is_refused(paper8, path):
+    for call in (T.load_instance, lambda p: T.save_instance(paper8, p)):
+        with pytest.raises(InvalidArgumentError, match="^path must be a str or PathLike, got "):
+            call(path)
