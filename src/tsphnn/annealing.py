@@ -33,7 +33,14 @@ from typing import Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidTemperatureError, TsphnnError, check_int, check_real, check_record
+from .errors import (
+    InvalidTemperatureError,
+    TsphnnError,
+    check_int,
+    check_real,
+    check_record,
+    record_refusal,
+)
 from .instance import DistanceMatrix
 from .tour import Tour
 
@@ -83,10 +90,25 @@ class SaConfig:
 
 @runtime_checkable
 class RandomGenerator(Protocol):
-    """What :func:`anneal` draws its uniforms from: an object with a
-    ``random(size)`` method, such as ``np.random.Generator``."""
+    """What :func:`anneal` draws its uniforms from: an object whose
+    ``random(size)`` returns an array of that shape, such as
+    ``np.random.Generator``."""
 
     def random(self, size): ...
+
+
+def _uniforms(rng: RandomGenerator, shape: Tuple[int, int]) -> np.ndarray:
+    """``rng.random(shape)``, with ``rng`` refused unless that is an array of
+    that shape.  The runtime check of :class:`RandomGenerator` sees only a
+    ``random`` attribute, which the standard library's ``random`` module
+    has too."""
+    try:
+        u = rng.random(shape)
+    except TypeError as exc:  # a ``random`` that takes no size
+        raise record_refusal("rng", rng, RandomGenerator) from exc
+    if not (isinstance(u, np.ndarray) and u.shape == shape):
+        raise record_refusal("rng", rng, RandomGenerator)
+    return u
 
 
 def temperature_at(step: int, cfg: SaConfig) -> float:
@@ -424,7 +446,7 @@ def anneal(
     tour = table = None  # ``cur`` as an array, and its table, made when needed
     last = -1  # the last accepted step; the start counts as one
     for first in range(0, iters, CHUNK):
-        u = rng.random((min(CHUNK, iters - first), 2 * k + 1))
+        u = _uniforms(rng, (min(CHUNK, iters - first), 2 * k + 1))
         count = len(u)
         picks = _kernels.pick_positions(n, k, u)
         cuts = None  # the chunk's rejection cuts, while the band is finite

@@ -168,9 +168,15 @@ def check_choice(name: str, value, choices) -> None:
         raise InvalidArgumentError(f"unknown {name} {quote(value)}; have {', '.join(choices)}")
 
 
+def record_refusal(name: str, value, kind) -> InvalidArgumentError:
+    """The refusal of a ``value`` that is not a ``kind`` record, or not of
+    one of the types in a tuple ``kind``."""
+    kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    return InvalidArgumentError(f"{name} must be a {kinds}, got {type(value).__name__}")
+
+
 def check_record(name: str, value, kind) -> None:
     """Refuse ``value`` unless it is a ``kind`` record, such as a config, or
     of one of the types in a tuple ``kind``."""
     if not isinstance(value, kind):
-        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise InvalidArgumentError(f"{name} must be a {kinds}, got {type(value).__name__}")
+        raise record_refusal(name, value, kind)

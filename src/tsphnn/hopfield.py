@@ -259,10 +259,20 @@ def unit_update(
     return 1 if net >= threshold else 0
 
 
+def random_grids(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """A (len(rngs), n, n) stack of grids, grid t drawn from ``rngs[t]``:
+    each unit on independently with probability 1/n, so the expected number
+    of ones is n.  Each generator fills its grid's n^2 doubles in place, the
+    same draws as ``rngs[t].random((n, n))``."""
+    u = np.empty((len(rngs), n, n))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return (u < 1.0 / n).astype(np.float64)
+
+
 def random_grid(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Each unit on independently with probability 1/n, so the expected
-    number of ones is n."""
-    return (rng.random((n, n)) < 1.0 / n).astype(np.float64)
+    """One grid of :func:`random_grids`, drawn from ``rng``."""
+    return random_grids(n, [rng])[0]
 
 
 def run(
@@ -362,11 +372,14 @@ def run_lockstep(
     unit, from the trial's scan position in its own sweep order, whose
     threshold decision differs from its state.  A trial whose scan finds
     none ends its sweep, packs its grid into its record of sweep ends, and
-    either stops or draws its next order from its own generator.  Only the
-    running rows' grids, order ranks and scan positions shrink as trials
-    stop; each trial's change flag, sweep count and largest update delta E
-    stay at its trial number.  The trials that stop are decoded together
-    once the stack has run out.
+    either stops or draws its next order from its own generator.  The
+    trials that start a sweep together draw their orders into one array,
+    each shuffling its row of 0..n^2-1 in place, which is what
+    ``permutation(n^2)`` does, so the orders and generator states are
+    those of ``run``.  Only the running rows' grids, order ranks and scan
+    positions shrink as trials stop; each trial's change flag, sweep count
+    and largest update delta E stay at its trial number.  The trials that
+    stop are decoded together once the stack has run out.
 
     The stacked product may sum the distance field in another order than
     the 2-D one.  So when a trial's scan, from its position through its
@@ -402,7 +415,10 @@ def run_lockstep(
 
     def start_sweeps(rows):
         if rows.size:
-            orders = np.array([rngs[t].permutation(n2) for t in trial[rows].tolist()])
+            orders = np.empty((rows.size, n2), dtype=np.int64)
+            orders[:] = units
+            for order, t in zip(orders, trial[rows].tolist()):
+                rngs[t].shuffle(order)
             rank[rows[:, None], orders] = units
         pos[rows] = 0
         changed[trial[rows]] = False

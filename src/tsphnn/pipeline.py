@@ -11,7 +11,9 @@ The sweep runs seeded network trials per (C, D) penalty cell and reports
 best/mean/worst valid length, success rate and mean sweeps in the five
 column layout "Best Mean Worst % Succ. Iter.".  A cell's trials advance in
 lockstep on one thread, in blocks of bounded size, each trial with its own
-generator, so the report does not depend on how trials are grouped.
+generator, so the report does not depend on how trials are grouped.  A
+block's random grids are drawn as one stack, each from its trial's
+generator.
 
 Both hand the network distances rescaled to max 1.0, so the penalty
 constants keep the same meaning on every instance.
@@ -38,7 +40,7 @@ from .errors import (
 from .hopfield import (
     HopfieldParams,
     HopfieldResult,
-    random_grid,
+    random_grids,
     run,
     run_lockstep,
 )
@@ -56,8 +58,12 @@ REPORT_FORMATS = ("table", "csv")
 REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 # A sweep cell's trials run in lockstep in blocks of at most this many grid
 # units (trials x n^2, but at least one trial), which bounds the memory of
-# the stacked arrays.
-BLOCK_ELEMENTS = 1 << 13
+# the stacked arrays at 256 KB for each float64 stack.  Each lockstep step
+# has a fixed NumPy cost, so a block should hold a whole cell where memory
+# allows: at this size a 150-trial cell at n = 10 and a 40-trial cell at
+# n = 20 are one block each, which 2^13 split in two.  2^14 to 2^16 timed
+# alike on those cells.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,9 @@ def sweep(
 
     A cell's trials run in lockstep on one thread, through
     :func:`~tsphnn.hopfield.run_lockstep`, in blocks of at most
-    ``BLOCK_ELEMENTS`` grid units.
+    ``BLOCK_ELEMENTS`` grid units, so a cell of at most
+    ``BLOCK_ELEMENTS // n**2`` trials is one block.  Each block's grids come
+    from one :func:`~tsphnn.hopfield.random_grids` call.
     ``workers`` must be >= 1 and changes neither speed nor output.
     """
     check_record("base", base, HopfieldParams)
@@ -294,8 +302,7 @@ def sweep(
                 np.random.default_rng([seed, cell_index, t])
                 for t in range(first, min(first + block, trials))
             ]
-            grids = [random_grid(n, rng) for rng in rngs]
-            for r in run_lockstep(m_scaled, params, grids, rngs):
+            for r in run_lockstep(m_scaled, params, random_grids(n, rngs), rngs):
                 sweeps_used.append(r.sweeps_used)
                 if r.valid:
                     lengths.append(tour_length(m_raw, r.tour))

@@ -2,6 +2,7 @@
 unknown builtin name, a ``KeyError``) that says what was wrong."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -425,6 +426,7 @@ ANNEAL_ARGUMENTS = {
         ("cfg", T.HopfieldParams(), "cfg must be a SaConfig, got HopfieldParams"),
         ("rng", 5, "rng must be a RandomGenerator, got int"),
         ("rng", np.random.SeedSequence(0), "rng must be a RandomGenerator, got SeedSequence"),
+        ("rng", random, "rng must be a RandomGenerator, got module"),
     ],
 )
 def test_anneal_refuses_an_argument_of_another_type(name, value, message):

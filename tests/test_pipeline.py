@@ -302,6 +302,26 @@ def test_sweep_csv_independent_of_block_budget(paper8, monkeypatch):
         assert calls == blocks * 2  # two cells
 
 
+def test_default_budget_runs_each_benchmark_cell_as_one_block(cityset1, monkeypatch):
+    """At the default ``BLOCK_ELEMENTS``, a 150-trial cell on cityset1 and a
+    40-trial cell at n = 20, the penalty-sweep benchmark's cells, each reach
+    ``run_lockstep`` as one call."""
+    from tsphnn import pipeline
+
+    calls = []
+    run_lockstep = pipeline.run_lockstep
+
+    def counting(m, p, grids, rngs):
+        calls.append(len(rngs))
+        return run_lockstep(m, p, grids, rngs)
+
+    monkeypatch.setattr(pipeline, "run_lockstep", counting)
+    for inst, trials in ((cityset1, 150), (T.generate_random_instance(20, seed=20), 40)):
+        calls.clear()
+        T.sweep(inst, [90.0], [10.0, 100.0], trials=trials, base=T.HopfieldParams(), seed=3)
+        assert calls == [trials] * 2  # two cells
+
+
 def test_sweep_measures_each_valid_tour_once(cityset1, monkeypatch):
     """Each valid trial's tour is measured once, on the raw distances; the
     network-scale length is never formed."""
