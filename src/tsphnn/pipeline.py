@@ -60,9 +60,9 @@ REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 # units (trials x n^2, but at least one trial), which bounds the memory of
 # the stacked arrays at 256 KB for each float64 stack.  Each lockstep step
 # has a fixed NumPy cost, so a block should hold a whole cell where memory
-# allows: at this size a 150-trial cell at n = 10 and a 40-trial cell at
-# n = 20 are one block each, which 2^13 split in two.  2^14 to 2^16 timed
-# alike on those cells.
+# allows: a 150-trial cell at n = 10 and a 40-trial cell at n = 20 are one
+# block each.  Budgets of 2^14 to 2^16 timed alike on such cells; 2^13 was
+# the slowest.
 BLOCK_ELEMENTS = 1 << 15
 
 
