@@ -1,6 +1,8 @@
 """Euclidean TSP toolkit: Hopfield network, simulated annealing, hybrid
 pipeline, exact and local-search baselines, and a benchmark harness."""
 
+import types as _types
+
 from .annealing import (
     SaConfig,
     SaTrace,
@@ -64,58 +66,7 @@ from .tour import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_INSTANCES",
-    "BenchmarkReport",
-    "CellStats",
-    "City",
-    "DegenerateInstanceError",
-    "DistanceMatrix",
-    "EnumerationTooLargeError",
-    "HopfieldParams",
-    "HopfieldResult",
-    "HybridReport",
-    "Instance",
-    "InstanceSizeError",
-    "InvalidArgumentError",
-    "InvalidTemperatureError",
-    "InvalidTourError",
-    "InvalidTourMatrixError",
-    "ParseError",
-    "SaConfig",
-    "SaTrace",
-    "SolveReport",
-    "Tour",
-    "TsphnnError",
-    "WeightMatrix",
-    "acceptance_probability",
-    "anneal",
-    "brute_force_optimum",
-    "build_weights",
-    "canonicalize",
-    "decode",
-    "distance_matrix",
-    "energy",
-    "energy_terms",
-    "generate_random_instance",
-    "get_builtin",
-    "greedy_nearest_neighbor",
-    "is_valid_permutation_matrix",
-    "load_instance",
-    "matrix_to_tour",
-    "normalize_distances",
-    "render_report",
-    "run_hopfield",
-    "save_instance",
-    "solve",
-    "solve_hybrid",
-    "swap_cities",
-    "sweep",
-    "temperature_at",
-    "three_opt",
-    "tour_length",
-    "tour_to_matrix",
-    "two_opt",
-    "unit_update",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _types.ModuleType))
+)

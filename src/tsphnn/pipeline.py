@@ -64,6 +64,12 @@ REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 # block each.  Budgets of 2^14 to 2^16 timed alike on such cells; 2^13 was
 # the slowest.
 BLOCK_ELEMENTS = 1 << 15
+# A sweep is refused up front past this many grid units (cells x trials x
+# n^2, but always one trial a cell).  At penalty-sweep's measured rate of
+# about 0.12 ms an n = 10 trial (1,480 trials in 0.17 s on a 2-core machine
+# without numba), 2^30 units are about 20 minutes of work; the largest
+# benchmark sweep, cityset1's 8 cells x 150 trials x 100 units, is 120,000.
+SWEEP_UNITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -255,7 +261,9 @@ def sweep(
     :func:`~tsphnn.hopfield.run_lockstep`, in blocks of at most
     ``BLOCK_ELEMENTS`` grid units, so a cell of at most
     ``BLOCK_ELEMENTS // n**2`` trials is one block.  Each block's grids come
-    from one :func:`~tsphnn.hopfield.random_grids` call.
+    from one :func:`~tsphnn.hopfield.random_grids` call.  ``trials`` is
+    refused before any trial runs when the sweep's grid units, cells x
+    trials x n**2, pass ``SWEEP_UNITS`` (one trial a cell always runs).
     ``workers`` must be >= 1 and changes neither speed nor output.
     """
     check_record("base", base, HopfieldParams)
@@ -269,14 +277,14 @@ def sweep(
     if not all(grid):
         raise InvalidArgumentError("c_values and d_values must be non-empty")
     cell_params = [replace(base, c_pen=c, d_pen=d) for c in grid[0] for d in grid[1]]
-    trials = check_int("trials", trials, 1)
     check_int("workers", workers, 1)
     seed = check_int("seed", seed, 0)
     check_choice("success metric", success_metric, SUCCESS_METRICS)
 
     m_raw = _distances(inst)
-    m_scaled = normalize_distances(m_raw)
     n = m_raw.n
+    trials = check_int("trials", trials, 1, max(1, SWEEP_UNITS // (len(cell_params) * n * n)))
+    m_scaled = normalize_distances(m_raw)
     longest = math.inf  # the longest raw length of a converged valid success
     if success_metric == "optimal":
         # Let u = 2^-53 and g = (n-1)*u / (1 - (n-1)*u).  A tour length sums

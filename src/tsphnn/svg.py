@@ -10,11 +10,20 @@ from .errors import TsphnnError
 from .instance import Instance
 from .tour import Tour
 
-_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
-
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
+
+
+def _preamble(size: int) -> list:
+    """The opening parts of a square image: the XML header, the ``<svg>``
+    tag and a white background."""
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">\n',
+        f'<rect width="{size}" height="{size}" fill="white"/>\n',
+    ]
 
 
 def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
@@ -36,12 +45,7 @@ def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
         # flip so larger y is drawn higher
         return size - margin - (y - lo[1]) / span[1] * inner
 
-    parts = [
-        _HEADER,
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n',
-        f'<rect width="{size}" height="{size}" fill="white"/>\n',
-    ]
+    parts = _preamble(size)
     if tour is not None:
         coords = " ".join(
             f"{_fmt(sx(pts[c, 0]))},{_fmt(sy(pts[c, 1]))}" for c in tour.order
@@ -67,12 +71,7 @@ def render_grid_svg(grid: np.ndarray) -> str:
     g = np.asarray(grid)
     n = g.shape[0]
     size = 2 * margin + n * cell
-    parts = [
-        _HEADER,
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n',
-        f'<rect width="{size}" height="{size}" fill="white"/>\n',
-    ]
+    parts = _preamble(size)
     for r in range(n):
         for c in range(n):
             fill = "black" if g[r, c] else "white"

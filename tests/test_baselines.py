@@ -1,5 +1,4 @@
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -14,32 +13,6 @@ from hypothesis import strategies as st
 import tsphnn as T
 from tsphnn import baselines
 from tsphnn.baselines import MIN_GAIN, _first_cut_blocks, _rebuild_three_opt
-
-
-# Neither search bounds its passes, so a scan whose delta disagrees with the
-# move it applies cycles forever.  Each test in this file fails after this
-# many seconds instead, far above the slowest (about 1.6 s).
-TIME_LIMIT_S = 60
-
-
-class TimeLimitExceeded(BaseException):
-    """Raised when a test runs past ``TIME_LIMIT_S``.  Not an ``Exception``,
-    so hypothesis fails the test at once instead of shrinking an example
-    that hangs."""
-
-
-@pytest.fixture(autouse=True)
-def time_limit():
-    def expire(signum, frame):
-        raise TimeLimitExceeded(f"test ran past {TIME_LIMIT_S} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def all_two_opt_deltas(d, order):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsphnn as T
-from tsphnn import cli
+from tsphnn import cli, pipeline
 from tsphnn.annealing import MAX_ITERATIONS
 from tsphnn.cli import main
 from tsphnn.pipeline import METHODS
@@ -238,6 +238,20 @@ def test_sweep_optimal_success_metric_flag(capsys):
     )
     assert code == 0
     assert "metric=optimal" in out
+
+
+def test_sweep_refuses_a_huge_trial_count_at_once(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was made")
+
+    monkeypatch.setattr(pipeline, "run_lockstep", refuse)
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--instance", "paper8", "--c-grid", "90", "--d-grid", "10",
+        "--trials", str(10**30), "--max-sweeps", "5",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: trials must be <= ")
 
 
 def test_help_documents_defaults(capsys):
@@ -564,7 +578,10 @@ _HNN_FLAGS = {
 _SWEEP_FLAGS = {
     "c-grid": (st.sampled_from(["90", "10,90", "0,300"]), _ODD_GRIDS),
     "d-grid": (st.sampled_from(["10", "10,100", "0"]), _ODD_GRIDS),
-    "trials": (st.integers(1, 3).map(str), st.sampled_from(["-1", "0", "-99999999999999999999"])),
+    "trials": (
+        st.integers(1, 3).map(str),
+        st.sampled_from(["-1", "0", "-99999999999999999999", "99999999999999999999"]),
+    ),
     "max-sweeps": (st.integers(1, 20).map(str), _ODD_INTS),
     "threshold": (st.floats(-50.0, 50.0).map(repr), _ODD_FLOATS),
     "workers": (st.integers(1, 4).map(str), _ODD_INTS),

@@ -406,6 +406,19 @@ def test_hostile_value_is_refused_with_a_short_message(call, huge_is_refused, ke
     assert len(str(excinfo.value)) < 200
 
 
+class MisshapenDraws:
+    """A stand-in generator whose ``random(size)`` returns ``reshape(u)`` for
+    an array ``u`` of that size."""
+
+    def __init__(self, reshape):
+        self.reshape = reshape
+
+    def random(self, size):
+        return self.reshape(np.full(size, 0.5))
+
+
+MISSHAPEN = "rng must be a RandomGenerator, got MisshapenDraws"
+
 # ``anneal`` with one argument replaced: each must be of its record type.
 ANNEAL_ARGUMENTS = {
     "m": lambda v: T.anneal(v, SQUARE8, SHORT_SA),
@@ -427,6 +440,9 @@ ANNEAL_ARGUMENTS = {
         ("rng", 5, "rng must be a RandomGenerator, got int"),
         ("rng", np.random.SeedSequence(0), "rng must be a RandomGenerator, got SeedSequence"),
         ("rng", random, "rng must be a RandomGenerator, got module"),
+        ("rng", MisshapenDraws(np.ndarray.tolist), MISSHAPEN),
+        ("rng", MisshapenDraws(lambda u: u[:-1]), MISSHAPEN),
+        ("rng", MisshapenDraws(lambda u: u[:, :-1]), MISSHAPEN),
     ],
 )
 def test_anneal_refuses_an_argument_of_another_type(name, value, message):

@@ -1,7 +1,8 @@
 """The package's layout: modules import each other at the top only, the
-public names are listed once and resolve, the integer- and real-argument
-rules, the name check and the way a refusal shows a value each have one
-home, and the CLI runs no solver itself."""
+public names are declared once, by the package's imports, and resolve,
+the integer- and real-argument rules, the name check and the way a
+refusal shows a value each have one home, and the CLI runs no solver
+itself."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,20 @@ def test_public_names_resolve_and_are_listed_once():
     missing = [name for name in T.__all__ if not hasattr(T, name)]
     repeated = sorted({name for name in T.__all__ if T.__all__.count(name) > 1})
     assert missing == [] and repeated == []
+
+
+def test_public_names_are_the_package_imports():
+    """``__all__`` is exactly the names that ``__init__.py``'s relative
+    imports bind, so a stray top-level name cannot become public unnoticed
+    and no imported name can drop out."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    assert imported == set(T.__all__)
 
 
 RANGE_WORDS = ("must be >=", "must be <=", "must be an integer")

@@ -322,6 +322,32 @@ def test_default_budget_runs_each_benchmark_cell_as_one_block(cityset1, monkeypa
         assert calls == [trials] * 2  # two cells
 
 
+def test_sweep_refuses_trials_past_its_unit_bound_at_once(paper8, monkeypatch):
+    """A trial count whose grid units, cells x trials x n^2, pass
+    ``SWEEP_UNITS`` is refused before any grid is drawn or block runs; one
+    trial a cell always runs."""
+    from tsphnn import pipeline
+
+    def refuse(*args):
+        raise AssertionError("a block was made")
+
+    hp = T.HopfieldParams(max_sweeps=5)
+    cells = [10.0, 100.0]
+    n2 = 8 * 8
+    for name in ("random_grids", "run_lockstep"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    most = pipeline.SWEEP_UNITS // (2 * n2)
+    with pytest.raises(InvalidArgumentError, match=f"^trials must be <= {most}, got {10**30}$"):
+        T.sweep(paper8, [90.0], cells, 10**30, hp, 0)
+    monkeypatch.undo()
+
+    for units, most in ((2 * 3 * n2 + n2, 3), (1, 1)):
+        monkeypatch.setattr(pipeline, "SWEEP_UNITS", units)
+        assert T.sweep(paper8, [90.0], cells, most, hp, 0).trials == most
+        with pytest.raises(InvalidArgumentError, match=f"^trials must be <= {most}, got"):
+            T.sweep(paper8, [90.0], cells, most + 1, hp, 0)
+
+
 def test_sweep_measures_each_valid_tour_once(cityset1, monkeypatch):
     """Each valid trial's tour is measured once, on the raw distances; the
     network-scale length is never formed."""
