@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TsphnnError, OSError, MemoryError, KeyError) as exc:
+    except (TsphnnError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

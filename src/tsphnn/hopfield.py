@@ -86,10 +86,10 @@ class HopfieldResult:
     ``energy_trace``, the :func:`energy` after each sweep, and ``length``,
     the decoded tour's length on the distances the network ran on, are
     computed on first read and then kept.  The trace is computed from a
-    record of the grid at each sweep end, n^2 bits a sweep, so at most
-    ``max_sweeps * n^2`` bits.  A caller that reads neither, such as the
-    sweep, never pays for them.  Two results compare equal only when they
-    are the same object.
+    record of the grid at each sweep end, one row of ceil(n^2 / 8) bytes a
+    sweep, so at most ``max_sweeps`` rows.  A caller that reads neither,
+    such as the sweep, never pays for them.  Two results compare equal only
+    when they are the same object.
     """
 
     grid: np.ndarray
@@ -100,15 +100,13 @@ class HopfieldResult:
     max_update_delta_e: float
     m: DistanceMatrix = field(repr=False)
     p: HopfieldParams = field(repr=False)
-    # the sweep ends' grids, row-major and packed, from bit ``ends_at`` of ``ends``
+    # the sweep ends' grids, one row-major packed grid a row
     ends: np.ndarray = field(repr=False)
-    ends_at: int = field(repr=False)
 
     @cached_property
     def energy_trace(self) -> np.ndarray:
         n = self.m.n
-        bits = np.unpackbits(self.ends, count=self.ends_at + self.sweeps_used * n * n)
-        grids = bits[self.ends_at :].reshape(-1, n, n)
+        grids = np.unpackbits(self.ends, axis=1, count=n * n).reshape(-1, n, n)
         return np.array([energy(v, self.m, self.p) for v in grids], dtype=np.float64)
 
     @cached_property
@@ -289,9 +287,10 @@ def run(
     the final grid is a valid permutation matrix (an invalid final grid is
     an outcome, not an error).
     Passing ``rng`` lets callers that fan out many trials supply their own
-    derived stream instead of ``p.seed``; it advances by one permutation of
-    the n^2 units per sweep run.  The run is a stack of one trial in
-    :func:`run_lockstep`.
+    derived stream instead of ``p.seed``.  With ``init=None`` it first draws
+    the n^2 uniforms of the start grid (:func:`random_grid`); then it
+    advances by one permutation of the n^2 units per sweep run.  The run is
+    a stack of one trial in :func:`run_lockstep`.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
@@ -371,15 +370,16 @@ def run_lockstep(
     (trials, n, n) stack and makes at most one flip per trial: the first
     unit, from the trial's scan position in its own sweep order, whose
     threshold decision differs from its state.  A trial whose scan finds
-    none ends its sweep, packs its grid into its record of sweep ends, and
-    either stops or draws its next order from its own generator.  The
-    trials that start a sweep together draw their orders into one array,
-    each shuffling its row of 0..n^2-1 in place, which is what
-    ``permutation(n^2)`` does, so the orders and generator states are
-    those of ``run``.  Only the running rows' grids, order ranks and scan
-    positions shrink as trials stop; each trial's change flag, sweep count
-    and largest update delta E stay at its trial number.  The trials that
-    stop are decoded together once the stack has run out.
+    none ends its sweep, packs its grid as the next row, ceil(n^2 / 8)
+    bytes, of its record of sweep ends, and either stops or draws its next
+    order from its own generator.  The trials that start a sweep together
+    draw their orders into one array, each shuffling its row of 0..n^2-1 in
+    place, which is what ``permutation(n^2)`` does, so the orders and
+    generator states are those of ``run``.  Only the running rows' grids,
+    order ranks and scan positions shrink as trials stop; each trial's
+    change flag, sweep count and largest update delta E stay at its trial
+    number.  The trials that stop are decoded together once the stack has
+    run out.
 
     The stacked product may sum the distance field in another order than
     the 2-D one.  So when a trial's scan, from its position through its
@@ -480,14 +480,12 @@ def _results(m, p, final, converged, max_de, sweeps, ends, owners) -> List[Hopfi
 
     ``ends`` holds the sweep ends packed row by row, in the order they
     happened, and ``owners`` their trials; trial t has ``sweeps[t]`` of them.
-    They are repacked trial by trial into one bit string, n^2 bits a sweep
-    end, and each result keeps the bytes that hold its own.
+    The rows are sorted by trial, in order within each, and each result
+    keeps its own rows.
     """
     final.flags.writeable = False
-    n2 = final.shape[1] ** 2
     who = np.concatenate(owners)
     records = np.concatenate(ends)[np.argsort(who, kind="stable")]
-    packed = np.packbits(np.unpackbits(records, axis=1, count=n2))
     starts = np.cumsum(sweeps).tolist()
     return [
         HopfieldResult(
@@ -499,8 +497,7 @@ def _results(m, p, final, converged, max_de, sweeps, ends, owners) -> List[Hopfi
             max_update_delta_e=de,
             m=m,
             p=p,
-            ends=packed[start * n2 // 8 : (stop * n2 + 7) // 8],
-            ends_at=start * n2 % 8,
+            ends=records[start:stop],
         )
         for t, (tour, conv, de, start, stop) in enumerate(
             zip(decode_grids(final), converged.tolist(), max_de.tolist(), [0] + starts, starts)

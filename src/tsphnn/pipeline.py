@@ -366,33 +366,22 @@ def render_report(r: BenchmarkReport, format: str = "table") -> str:
                 f"{num(c.worst):>9} {100 * c.success_rate:>9.1f} {c.mean_sweeps:>9.1f}"
             )
         return "\n".join(lines) + "\n"
+    rows = [
+        {
+            "cell": c.cell_id,
+            "C": repr(float(c.c_pen)),
+            "D": repr(float(c.d_pen)),
+            "best": "" if c.best is None else repr(c.best),
+            "mean": "" if c.mean is None else repr(c.mean),
+            "worst": "" if c.worst is None else repr(c.worst),
+            "success_rate": repr(c.success_rate),
+            "mean_sweeps": repr(c.mean_sweeps),
+            "trials": c.trials,
+        }
+        for c in r.cells
+    ]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "cell",
-            "C",
-            "D",
-            "best",
-            "mean",
-            "worst",
-            "success_rate",
-            "mean_sweeps",
-            "trials",
-        ]
-    )
-    for c in r.cells:
-        writer.writerow(
-            [
-                c.cell_id,
-                repr(float(c.c_pen)),
-                repr(float(c.d_pen)),
-                "" if c.best is None else repr(c.best),
-                "" if c.mean is None else repr(c.mean),
-                "" if c.worst is None else repr(c.worst),
-                repr(c.success_rate),
-                repr(c.mean_sweeps),
-                c.trials,
-            ]
-        )
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()

@@ -144,6 +144,18 @@ def test_solve_out_of_memory_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "21.8 TiB" in err
 
 
+def test_key_error_from_a_bug_is_not_an_input_error(capsys, monkeypatch):
+    """No input makes the CLI raise ``KeyError``, so one from a bug goes up
+    with its traceback instead of becoming an exit-2 error line."""
+
+    def solve(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "solve", solve)
+    with pytest.raises(KeyError, match="lost"):
+        main(["solve", "--instance", "paper8", "--method", "greedy"])
+
+
 def test_solve_oversized_sa_trace_exits_2(capsys, monkeypatch):
     """A run whose 32-byte-per-step SA trace would pass the bound is refused
     with a typed error before anything is annealed or allocated."""

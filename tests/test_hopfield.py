@@ -524,8 +524,8 @@ def test_energy_trace_and_length_read_twice_match_replay(cityset1_m):
 
 
 def test_lockstep_record_is_bounded(cityset1_m):
-    """A trial keeps its sweep ends in at most sweeps * n^2 bits, rounded up
-    to whole bytes, besides the bits before its first in the shared bytes."""
+    """A trial keeps its sweep ends as one row a sweep, each n^2 bits
+    rounded up to whole bytes."""
     m = T.normalize_distances(cityset1_m)
     n = m.n
     rngs = [np.random.default_rng(seed) for seed in range(7)]
@@ -535,7 +535,42 @@ def test_lockstep_record_is_bounded(cityset1_m):
     for res in results:
         assert res.sweeps_used <= 4
         assert res.ends.dtype == np.uint8
-        assert 8 * res.ends.nbytes < res.ends_at + res.sweeps_used * n * n + 8
+        assert res.ends.shape == (res.sweeps_used, (n * n + 7) // 8)
+
+
+def _replay_ends(m, p, g, rng):
+    """The grid at each sweep end of a ``_replay``, as a (sweeps, n^2) stack."""
+    w = build_weights(m, p)
+    g = g.copy()
+    ends, converged = [], False
+    while len(ends) < p.max_sweeps and not converged:
+        converged = True
+        for u in rng.permutation(m.n * m.n):
+            x, i = divmod(int(u), m.n)
+            new = T.unit_update(g, w, (x, i), p.threshold)
+            if new != g[x, i]:
+                g[x, i] = new
+                converged = False
+        ends.append(g.ravel().copy())
+    return np.array(ends).reshape(-1, m.n * m.n)
+
+
+@pytest.mark.parametrize("n", (3, 5, 10))
+def test_lockstep_record_rows_are_the_sweep_end_grids(n):
+    """Row s of a trial's record unpacks to its grid after sweep s, for
+    sizes whose n^2 bits leave 7, 7 and 4 bits of padding a row."""
+    m = T.normalize_distances(T.distance_matrix(T.generate_random_instance(n, seed=n)))
+    for p in (T.HopfieldParams(d_pen=10.0), T.HopfieldParams(max_sweeps=3)):
+        rngs = [np.random.default_rng([n, seed]) for seed in range(6)]
+        grids = [random_grid(n, rng) for rng in rngs]
+        results = hopfield.run_lockstep(m, p, grids, rngs)
+        assert sum(res.sweeps_used for res in results) > len(results)
+        for seed, res in enumerate(results):
+            replay = np.random.default_rng([n, seed])
+            ends = _replay_ends(m, p, random_grid(n, replay), replay)
+            bits = np.unpackbits(res.ends, axis=1)
+            assert np.array_equal(bits[:, : n * n], ends)
+            assert not bits[:, n * n :].any()
 
 
 @pytest.mark.parametrize(
