@@ -172,7 +172,8 @@ def record_refusal(name: str, value, kind) -> InvalidArgumentError:
     """The refusal of a ``value`` that is not a ``kind`` record, or not of
     one of the types in a tuple ``kind``."""
     kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-    return InvalidArgumentError(f"{name} must be a {kinds}, got {type(value).__name__}")
+    article = "an" if kinds[0] in "AEIOUaeiou" else "a"
+    return InvalidArgumentError(f"{name} must be {article} {kinds}, got {type(value).__name__}")
 
 
 def check_record(name: str, value, kind) -> None:

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import TsphnnError, check_int, check_real, quote
+from .errors import TsphnnError, check_int, check_real, check_record, quote
 from .instance import DistanceMatrix
 from .tour import Tour, decode_grid, decode_grids, tour_length
 
@@ -292,6 +292,8 @@ def run(
     advances by one permutation of the n^2 units per sweep run.  The run is
     a stack of one trial in :func:`run_lockstep`.
     """
+    check_record("m", m, DistanceMatrix)
+    check_record("p", p, HopfieldParams)
     if rng is None:
         rng = np.random.default_rng(p.seed)
     grid = random_grid(m.n, rng) if init is None else init

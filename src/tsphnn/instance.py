@@ -72,6 +72,9 @@ class Instance:
         return self.matrix is None or np.array_equal(self.matrix, other.matrix)
 
     def __post_init__(self):
+        check_record("cities", self.cities, tuple)
+        for city in self.cities:
+            check_record("city", city, City)
         if len(self.cities) < 3:
             raise InstanceSizeError(
                 f"instance needs at least 3 cities, got {len(self.cities)}"

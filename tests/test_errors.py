@@ -325,6 +325,50 @@ def test_junk_argument_returns_or_raises_a_typed_error(call, value):
         pass
 
 
+# The record arguments of the public entry points that raised a bare
+# ``AttributeError`` or ``TypeError`` from inside the call before.
+RECORD_ARGUMENTS = {
+    "solve-inst": lambda v: T.solve(v, "greedy"),
+    "hybrid-inst": lambda v: T.solve_hybrid(v, SHORT_SA, FEW_SWEEPS),
+    "sweep-inst": lambda v: T.sweep(v, [90.0], [10.0], 1, FEW_SWEEPS, 0),
+    "run-hopfield-m": lambda v: T.run_hopfield(v, FEW_SWEEPS),
+    "run-hopfield-p": lambda v: T.run_hopfield(M8, v),
+    "render-report": T.render_report,
+    "instance-cities": lambda v: T.Instance(id="x", cities=v),
+    "instance-city": lambda v: T.Instance(id="x", cities=(PAPER8.cities[0], v, v)),
+}
+
+
+@pytest.mark.parametrize("call", RECORD_ARGUMENTS.values(), ids=RECORD_ARGUMENTS.keys())
+@settings(max_examples=3 * len(JUNK), deadline=None)
+@given(value=st.sampled_from(JUNK))
+def test_junk_record_argument_raises_a_typed_error(call, value):
+    """No junk value is taken where a record belongs: each is refused with
+    ``InvalidArgumentError`` at the entry point."""
+    with pytest.raises(T.InvalidArgumentError, match=" must be an? "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("solve-inst", None, "inst must be an Instance, got NoneType"),
+        ("hybrid-inst", PAPER8.cities, "inst must be an Instance, got tuple"),
+        ("sweep-inst", 5, "inst must be an Instance, got int"),
+        ("run-hopfield-m", M8.d, "m must be a DistanceMatrix, got ndarray"),
+        ("run-hopfield-p", None, "p must be a HopfieldParams, got NoneType"),
+        ("run-hopfield-p", SHORT_SA, "p must be a HopfieldParams, got SaConfig"),
+        ("render-report", None, "r must be a BenchmarkReport, got NoneType"),
+        ("instance-cities", list(PAPER8.cities), "cities must be a tuple, got list"),
+        ("instance-cities", (1, 2, 3), "city must be a City, got int"),
+        ("instance-city", "a", "city must be a City, got str"),
+    ],
+)
+def test_record_argument_refusal_names_the_argument(key, value, message):
+    with pytest.raises(T.InvalidArgumentError, match=f"^{message}$"):
+        RECORD_ARGUMENTS[key](value)
+
+
 class _ReprRaises:
     def __repr__(self):
         raise RuntimeError("no repr")

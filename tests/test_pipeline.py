@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn.errors import InvalidArgumentError
-from tsphnn.pipeline import METHODS, REPORT_COLUMNS
+from tsphnn.hopfield import random_grids
+from tsphnn.pipeline import METHODS, REPORT_COLUMNS, _trial_rngs
 
 
 def _sa(seed, iters=400):
@@ -320,6 +321,63 @@ def test_default_budget_runs_each_benchmark_cell_as_one_block(cityset1, monkeypa
         calls.clear()
         T.sweep(inst, [90.0], [10.0, 100.0], trials=trials, base=T.HopfieldParams(), seed=3)
         assert calls == [trials] * 2  # two cells
+
+
+def _reference_states(seed, cell, first, stop):
+    return [np.random.default_rng([seed, cell, t]).bit_generator.state for t in range(first, stop)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30], ids=str)
+@pytest.mark.parametrize("cell", [0, 7])
+def test_block_generators_are_default_rng_of_the_seed_triple(seed, cell):
+    """A block's generators are in the states ``default_rng([seed, cell,
+    t])`` gives, for seeds of one to four 32-bit words and past the pool of
+    four entropy words, for a block that starts past trial 0 and for the
+    largest trial number a sweep can run."""
+    for first, stop in ((0, 5), (4, 7), (9, 10), (2**30 - 2, 2**30)):
+        rngs = _trial_rngs(seed, cell, first, stop)
+        assert [r.bit_generator.state for r in rngs] == _reference_states(seed, cell, first, stop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**96 - 1),
+    cell=st.integers(0, 40),
+    first=st.integers(0, 1000),
+    size=st.integers(1, 6),
+)
+def test_block_generators_are_default_rng_property(seed, cell, first, size):
+    """If NumPy's SeedSequence hash or PCG64 seeding ever drifts from the
+    copy in ``_trial_rngs``, this fails before any golden does."""
+    rngs = _trial_rngs(seed, cell, first, first + size)
+    assert [r.bit_generator.state for r in rngs] == _reference_states(
+        seed, cell, first, first + size
+    )
+
+
+def test_sweep_hands_each_block_its_trials_default_rng_generators(paper8, monkeypatch):
+    """Each block reaches ``run_lockstep`` with the grids and generators of
+    ``default_rng([seed, cell, t])`` for its trials, in trial order, when a
+    cell spans several blocks."""
+    from tsphnn import pipeline
+
+    seen_grids, seen_states = [], []
+    run_lockstep = pipeline.run_lockstep
+
+    def capturing(m, p, grids, rngs):
+        seen_grids.append(grids.copy())
+        seen_states.append([r.bit_generator.state for r in rngs])
+        return run_lockstep(m, p, grids, rngs)
+
+    monkeypatch.setattr(pipeline, "run_lockstep", capturing)
+    monkeypatch.setattr(pipeline, "BLOCK_ELEMENTS", 3 * 8 * 8)
+    seed = 2**32 + 5
+    T.sweep(paper8, [90.0], [10.0, 100.0], 7, T.HopfieldParams(max_sweeps=5), seed)
+    assert [len(states) for states in seen_states] == [3, 3, 1] * 2  # two cells
+    expected = [np.random.default_rng([seed, cell, t]) for cell in range(2) for t in range(7)]
+    # the block's grids are drawn before it runs
+    assert np.array_equal(np.concatenate(seen_grids), random_grids(8, expected))
+    assert sum(seen_states, []) == [r.bit_generator.state for r in expected]
 
 
 def test_sweep_refuses_trials_past_its_unit_bound_at_once(paper8, monkeypatch):
