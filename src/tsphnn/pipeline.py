@@ -12,7 +12,9 @@ best/mean/worst valid length, success rate and mean sweeps in the five
 column layout "Best Mean Worst % Succ. Iter.".  A cell's trials advance in
 lockstep on one thread, in blocks of bounded size, each trial with its own
 generator, so the report does not depend on how trials are grouped.  A
-block's random grids are drawn as one stack, each from its trial's
+block's generators are seeded from one SeedSequence hash run over the
+whole block, each in the state of ``default_rng([seed, cell, trial])``,
+and its random grids are drawn as one stack, each from its trial's
 generator.
 
 Both hand the network distances rescaled to max 1.0, so the penalty
@@ -67,9 +69,10 @@ REPORT_COLUMNS = ("Best", "Mean", "Worst", "% Succ.", "Iter.")
 BLOCK_ELEMENTS = 1 << 15
 # A sweep is refused up front past this many grid units (cells x trials x
 # n^2, but always one trial a cell).  At penalty-sweep's measured rate of
-# about 0.12 ms an n = 10 trial (1,480 trials in 0.17 s on a 2-core machine
-# without numba), 2^30 units are about 20 minutes of work; the largest
-# benchmark sweep, cityset1's 8 cells x 150 trials x 100 units, is 120,000.
+# about 0.10 ms an n = 10 trial (1,480 trials in 0.154 s, the median pass
+# on a 2-core machine without numba), 2^30 units are about 20 minutes of
+# work; the largest benchmark sweep, cityset1's 8 cells x 150 trials x 100
+# units, is 120,000.
 SWEEP_UNITS = 1 << 30
 
 
@@ -308,6 +311,7 @@ def _trial_rngs(seed: int, cell_index: int, first: int, stop: int) -> List[np.ra
     block of 1 to 3 trials (n >= 91), small beside one trial there.
     """
     prefix = _words(seed) + _words(cell_index)
+    # zero rows pad the entropy to the pool's 4 words, as SeedSequence does
     entropy = np.zeros((max(4, len(prefix) + 1), stop - first), dtype=np.uint32)
     entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
     entropy[len(prefix)] = np.arange(first, stop)
@@ -354,8 +358,11 @@ def sweep(
     A cell's trials run in lockstep on one thread, through
     :func:`~tsphnn.hopfield.run_lockstep`, in blocks of at most
     ``BLOCK_ELEMENTS`` grid units, so a cell of at most
-    ``BLOCK_ELEMENTS // n**2`` trials is one block.  Each block's grids come
-    from one :func:`~tsphnn.hopfield.random_grids` call.  ``trials`` is
+    ``BLOCK_ELEMENTS // n**2`` trials is one block.  Each block's
+    generators come from one :func:`_trial_rngs` call, which hashes the
+    block's seeds together, and each equals
+    ``np.random.default_rng([seed, cell_index, t])``; its grids come from
+    one :func:`~tsphnn.hopfield.random_grids` call.  ``trials`` is
     refused before any trial runs when the sweep's grid units, cells x
     trials x n**2, pass ``SWEEP_UNITS`` (one trial a cell always runs).
     ``workers`` must be >= 1 and changes neither speed nor output.
