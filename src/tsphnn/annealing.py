@@ -8,31 +8,23 @@ The solver reports the best tour seen rather than the final walker state
 A step is decided exactly: the candidate's in-order length and
 :func:`acceptance_probability` at the step's :func:`temperature_at`.  To
 spare that work on the many steps that fail, :func:`anneal` first screens
-windows of upcoming steps in NumPy from the O(k) edges each swap changes,
-or from a table of the tour's swap deltas while the tour stands still, and
-rejects a step without touching the tour only where a written error bound
-proves the exact step would reject it too; every other step, ties
-included, takes the exact step.  With one pair per swap and at least
-``HOLD_SCREEN_MIN_N`` cities, the steps that run exactly after an
-acceptance are screened too, one at a time, by the scalar delta of the at
-most four edges each swap changes, before the candidate is built.  The
-screen's rejection cuts are computed from an upper bound on each step's
-temperature, so the exact schedule is
-evaluated only for the steps that reach :func:`acceptance_probability` and
-for a trace whose temperatures are read.  An exact step whose length
-difference already reaches its cut is rejected before the exponential.  So
-the answers are the exact step's, bit for bit.
+upcoming steps in NumPy, or one at a time, from the O(k) edges each swap
+changes, and rejects a step without building the candidate only where a
+written error bound, from the float model of :mod:`._rounding`, proves the
+exact step would reject it too; every other step, ties included, takes the
+exact step.  So the answers are the exact step's, bit for bit.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Protocol, Tuple, runtime_checkable
+from typing import Protocol, Tuple
 
 import numpy as np
 
 from . import _kernels
+from ._rounding import E, MIN_NORMAL, POW_TINY, U
 from .errors import (
     InvalidTemperatureError,
     TsphnnError,
@@ -88,7 +80,6 @@ class SaConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
 
 
-@runtime_checkable
 class RandomGenerator(Protocol):
     """What :func:`anneal` draws its uniforms from: an object whose
     ``random(size)`` returns an array of that shape, such as
@@ -97,14 +88,12 @@ class RandomGenerator(Protocol):
     def random(self, size): ...
 
 
-def _uniforms(rng: RandomGenerator, shape: Tuple[int, int]) -> np.ndarray:
+def _uniforms(rng: RandomGenerator, shape: Tuple[int, ...]) -> np.ndarray:
     """``rng.random(shape)``, with ``rng`` refused unless that is an array of
-    that shape.  The runtime check of :class:`RandomGenerator` sees only a
-    ``random`` attribute, which the standard library's ``random`` module
-    has too."""
+    that shape: the one check that ``rng`` is a :class:`RandomGenerator`."""
     try:
         u = rng.random(shape)
-    except TypeError as exc:  # a ``random`` that takes no size
+    except (AttributeError, TypeError) as exc:  # no ``random``, or one that takes no size
         raise record_refusal("rng", rng, RandomGenerator) from exc
     if not (isinstance(u, np.ndarray) and u.shape == shape):
         raise record_refusal("rng", rng, RandomGenerator)
@@ -121,7 +110,11 @@ def temperature_at(step: int, cfg: SaConfig) -> float:
     # The walk's own steps, Python ints in range, skip the call.
     if type(step) is not int or not 0 <= step < MAX_ITERATIONS:
         step = check_int("step", step, 0, MAX_ITERATIONS - 1)
-    temp = cfg.t0 * cfg.cooling_rate**step
+    try:
+        temp = cfg.t0 * cfg.cooling_rate**step
+    except (AttributeError, TypeError):  # free on the walk's path, unlike a check
+        check_record("cfg", cfg, SaConfig)
+        raise
     return temp if temp >= TEMPERATURE_FLOOR else TEMPERATURE_FLOOR
 
 
@@ -163,8 +156,9 @@ def swap_cities(t: Tour, k: int, rng: np.random.Generator) -> Tour:
 
     Returns a new tour; applying the same pairs again restores the input.
     """
+    check_record("t", t, Tour)
     k = check_int("k", k, 1, t.n // 2)
-    out = _kernels.swap_positions(t.as_array(), k, rng.random(2 * k))
+    out = _kernels.swap_positions(t.as_array(), k, _uniforms(rng, (2 * k,)))
     return Tour(tuple(int(v) for v in out))
 
 
@@ -187,62 +181,45 @@ def _temperature_bounds(cfg: SaConfig, first: int, count: int) -> np.ndarray:
     .. ``first + count - 1``, from ``np.power``, whose last bits may differ
     from ``pow``'s.
 
-    Let R = rate^step exactly and u = 2^-53.  Assume ``pow`` and
-    ``np.power`` each within 2^9 ulp of R, far above their few ulp: within
-    2^-43 * R + 2^-1065 of R, the last term covering subnormal powers.
-    Then pow's P and np.power's P' satisfy P <= (P' + a) * (1 + 2^-41),
-    with a = 2^-1060.  The bound is T' = max(fl(fl(t0 * fl(P' + a)) * (1 +
-    e)), TEMPERATURE_FLOOR) with e = 2^-40.  If fl(t0 * P) is below the
-    floor, T is the floor, and T' >= T.  Otherwise fl(t0 * P) <= t0 * P *
-    (1 + u), and t0 * fl(P' + a) >= t0 * P * (1 - u) / (1 + 2^-41) is
-    normal too, so each of the three roundings in T' loses a factor of at
-    most 1 - u, or overflows to an infinite bound.  As (1 + e) * (1 - u)^3
-    >= (1 + 2^-41) * (1 + u), T' >= T.
+    By the power accuracy of :mod:`._rounding`, pow's P and np.power's P'
+    satisfy P <= (P' + a) * (1 + 2^-41), a = ``POW_TINY``.  Below the floor T
+    is the floor.  Above it, fl(t0 * P) <= t0 * P * (1 + U) and t0 * fl(P' + a)
+    is normal too, so each of the three roundings of fl(fl(t0 * fl(P' + a)) *
+    (1 + E)) loses a factor of at most 1 - U, or overflows to an infinite
+    bound, and (1 + E) * (1 - U)^3 >= (1 + 2^-41) * (1 + U).
     """
     steps = np.arange(first, first + count, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore"):
-        bounds = cfg.t0 * (np.power(cfg.cooling_rate, steps) + 2.0**-1060) * (1 + 2.0**-40)
+        bounds = cfg.t0 * (np.power(cfg.cooling_rate, steps) + POW_TINY) * (1 + E)
     return np.maximum(bounds, TEMPERATURE_FLOOR)
 
 
 def _screen_band(m: DistanceMatrix, k: int) -> float:
     """Half-width of the band around a step's edge delta outside which the
-    delta decides the sign of the walk's own length difference.
+    delta decides the sign of the walk's own length difference; one band
+    serves the windows, the swap-delta table and the hold screen.
 
-    One band serves every screen of :func:`anneal`: the windows, the
-    swap-delta table, and the hold screen, which checks the one-pair steps
-    held exact after an acceptance one at a time once n reaches
-    ``HOLD_SCREEN_MIN_N``.
-
-    Let u = 2^-53, gamma_j = j*u / (1 - j*u) <= 2*j*u and M = max d.  While
-    2*n*M is finite no partial sum overflows.  A tour length is the in-order
-    sum of n terms in [0, M], so it lies within gamma_n * n * M of the exact
-    sum.  A k-pair swap changes only the (at most 4k) edges at positions
-    p - 1 and p of its picks p, so the exact difference of the two sums is
-    the exact sum of those edges' differences.  The edge delta
-    (:func:`_edge_deltas`) adds up the 4k rounded differences (zero for
-    repeated edges), each of two terms in [0, M], in one sum whose order
-    does not matter: a swap-delta table's entry sums a one-pair swap's
-    four in the order of its pair (a, b), a < b, not of the step's picks,
-    and the scalar :func:`_pair_delta` sums them in its own order.  It
-    leaves out the edge between two adjacent picks, which the swap only
-    reverses: as d is symmetric, that edge's difference is exactly 0.
-    Each difference passes through at most 4k - 1 rounded additions, so
-    the delta lies within gamma_{4k+1} * 8k * M of the exact sum.  So
-
-        |(cand_len - cur_len) - delta| <= 2*gamma_n*n*M + gamma_{4k+1}*8k*M
-                                       <= 4*u*(n^2 + 4k*(4k + 1))*M.
-
-    The returned product rounds once, by a factor of at most 1 - u, which
-    the factor 2 in gamma_j <= 2*j*u covers.  Infinite, so that nothing is
-    screened, where a length could overflow: two lengths summed to inf tie,
-    whatever their edges.
+    Let M = max d; while 2*n*M is finite no sum overflows.  By the summation
+    lemma of :mod:`._rounding`, a tour length, n terms in [0, M], lies within
+    gamma_{n-1} * n*M of its exact sum.  A k-pair swap changes only the at
+    most 4k edges at positions p - 1 and p of its picks p.  Every edge delta
+    (:func:`_edge_deltas`, a table entry, :func:`_pair_delta`) sums their
+    rounded differences, each at most M, in some order, less the one of an
+    edge between two adjacent picks, exactly 0 as d is symmetric.  Each
+    passes through its own rounding and at most 4k - 1 additions, so the
+    delta lies within gamma_{4k} * 4k*M of the exact length difference, and
+    the difference of the walk's two lengths within 2*gamma_{n-1}*n*M +
+    gamma_{4k}*4k*M <= 4*U*(n^2 - n + 8k^2)*M of it.  The returned
+    4*U*(n^2 + 4k*(4k + 1))*M exceeds that by at least 4*U*n*M, which covers
+    its one rounding, an underflowing one too, as all sums are exact while
+    n*M < 2^-1022.  Infinite where a length could overflow: nothing is
+    screened.
     """
     n = m.n
     d_max = float(m.d.max())
     if not 2.0 * n * d_max < np.inf:
         return np.inf
-    return 2.0**-51 * (n * n + 4 * k * (4 * k + 1)) * d_max
+    return 4 * U * (n * n + 4 * k * (4 * k + 1)) * d_max
 
 
 def _changed_edges(picks: np.ndarray, n: int) -> np.ndarray:
@@ -316,37 +293,29 @@ def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     (:func:`_temperature_bounds`).
 
     The walk rejects a step when p = np.exp(-(D / T)) < u, with D =
-    fl(cand_len - cur_len), T the step's temperature and u its uniform.  Let
-    e = 2^-40, far above the relative error of ``np.exp`` and ``np.log`` (a
-    few ulp), and L = -ln u.  Then x = -np.log(u) * (1 + e) + e >= L + e/2,
-    so for any float q >= x, np.exp(-q) <= u * exp(-e/2) * (1 + 2^-50) +
-    2^-1074 < u, the last term bounding the error of a subnormal result,
-    for u >= 2^-53.  Rounding is monotone and x is a float, so fl(D / T) >= x
-    whenever D >= x * T, which holds for D >= x * T * (1 + e) + 2^-1022
-    computed in floats: the factor covers the product's rounding and the term
-    its underflow.  The cut is that expression with T' for T.  As x >= 0,
-    T' >= T and every rounded operation is monotone, it is at least the one
-    computed from T, so D >= cut proves the rejection for any such bound.  As
-    cut > 0, D >= cut also means the candidate is longer, so
-    :func:`acceptance_probability` takes the exponential.  A uniform below
-    2^-53 (0.0, or a stand-in generator's), or a bound or product that
-    overflows, gives an infinite cut, which no finite D reaches.
+    fl(cand_len - cur_len) and u the step's uniform.  By the exp and log
+    accuracy of :mod:`._rounding`, x = -np.log(u) * (1 + E) + E >= -ln(u) +
+    E/2, so any float q >= x has np.exp(-q) <= u * exp(-E/2) * (1 + 2^-50) +
+    2^-1074 < u while u >= U, the smallest nonzero uniform
+    ``Generator.random()`` draws.  By monotone rounding, fl(D / T) >= x once
+    D >= x * T, so once D >= cut = fl(x * T' * (1 + E) + ``MIN_NORMAL``): the
+    factor covers the product's rounding, the term its underflow, and T' >= T
+    only raises the cut.  As cut > 0, the candidate is then longer, so
+    :func:`acceptance_probability` takes the exponential.  A uniform below U
+    (0.0, or a stand-in generator's), or a bound or product that overflows,
+    gives an infinite cut, which no finite D reaches.
     """
-    e = 2.0**-40
     with np.errstate(divide="ignore", over="ignore"):
-        x = -np.log(uniforms) * (1 + e) + e
-        return np.where(uniforms < 2.0**-53, np.inf, x * bounds * (1 + e) + 2.0**-1022)
+        x = -np.log(uniforms) * (1 + E) + E
+        return np.where(uniforms < U, np.inf, x * bounds * (1 + E) + MIN_NORMAL)
 
 
 def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
     """Offsets of the steps that the screen cannot reject: undecided, not
-    accepted.
-
-    A step is rejected when fl(delta - band) is at least its cut.  By
-    :func:`_screen_band`, delta - band <= cand_len - cur_len exactly, and
-    rounding is monotone, so fl(delta - band) <= fl(cand_len - cur_len) and
-    :func:`_rejection_cuts` proves that the exact step would reject it.  A
-    NaN delta is never rejected.
+    accepted.  A step is rejected when fl(delta - band) reaches its cut; by
+    :func:`_screen_band` and monotone rounding that is at most
+    fl(cand_len - cur_len), so :func:`_rejection_cuts` proves that the exact
+    step rejects it.  A NaN delta is never rejected.
     """
     return np.flatnonzero(~(delta - band >= cuts))
 
@@ -424,7 +393,6 @@ def anneal(
     k = check_int("swap_count", cfg.swap_count, 1, n // 2)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    check_record("rng", rng, RandomGenerator)
     iters = cfg.iterations
     d = m.d.tolist()
     length = _kernels.closed_tour_length

@@ -13,6 +13,7 @@ O(n^2 + block).
 
 import numpy as np
 
+from ._rounding import U
 from .errors import TsphnnError, check_int, check_record, quote
 from .instance import DistanceMatrix
 from .tour import Tour
@@ -25,9 +26,17 @@ BLOCK_TRIPLES = 2**11
 
 
 def _min_gain(d: np.ndarray) -> float:
-    """MIN_GAIN, or 8 ulps of the largest distance if more (above about 560):
-    a finite delta errs by under 6.5, so each move applied shortens the tour."""
-    return max(MIN_GAIN, 8 * np.finfo(np.float64).eps * float(d.max()))
+    """MIN_GAIN, or 16*U*M for the largest distance M if more (above about
+    560), so that each move applied shortens the tour exactly.
+
+    By the summation lemma of :mod:`._rounding`, a 2-opt delta
+    ((x1 + x2) - x3) - x4 of distances in [0, M] errs by at most gamma_3 * 4M,
+    and a 3-opt delta fl(N - B) of two in-order sums of three by at most
+    (1 + U) * gamma_2 * (N + B) + U * |N - B|, which peaks at N = B = 3M.
+    Either is under 13*U*M (6.5 ulps of M), so a finite delta below -16*U*M
+    is exactly negative.
+    """
+    return max(MIN_GAIN, 16 * U * float(d.max()))
 
 
 def _check_search(m, t) -> None:

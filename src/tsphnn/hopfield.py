@@ -37,6 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._rounding import U
 from .errors import TsphnnError, check_int, check_real, check_record, quote
 from .instance import DistanceMatrix
 from .tour import Tour, decode_grid, decode_grids, tour_length
@@ -122,6 +123,8 @@ def build_weights(m: DistanceMatrix, p: HopfieldParams) -> WeightMatrix:
 
     with the diagonal forced to zero and bias C*(n - 1/2) on every unit.
     """
+    check_record("m", m, DistanceMatrix)
+    check_record("p", p, HopfieldParams)
     n = m.n
     n2 = n * n
     units = np.arange(n2)
@@ -233,12 +236,14 @@ def energy_terms(
     permutation matrix; the fourth equals twice the closed tour length on
     such grids.
     """
+    check_record("m", m, DistanceMatrix)
     v = _check_grids([g], m.n)[0]
     return _terms(v, _distance_field(v, m.d))
 
 
 def energy(g: np.ndarray, m: DistanceMatrix, p: HopfieldParams) -> float:
     """Weighted energy A/2*row + B/2*col + C/2*count + D/2*dist."""
+    check_record("p", p, HopfieldParams)
     row, col, count, dist = energy_terms(g, m)
     return p.a_pen / 2 * row + p.b_pen / 2 * col + p.c_pen / 2 * count + p.d_pen / 2 * dist
 
@@ -251,6 +256,7 @@ def unit_update(
     net = sum_v w[unit, v] * g[v] + bias[unit].  Pure; the grid is not
     modified.
     """
+    check_record("w", w, WeightMatrix)
     v = _check_grids([g], w.n)[0]
     u = unit[0] * w.n + unit[1]
     net = np.dot(w.w[u], v.ravel()) + w.bias[u]
@@ -313,15 +319,13 @@ def _check_finite(m: DistanceMatrix, p: HopfieldParams, f: float) -> None:
 
     On a 0/1 grid a unit's row and column hold at most n - 1 other active
     units, the grid at most n^2 - 1, and its field is at most F = ``f``
-    (:func:`_field_bound`), so
-
-        |net| <= C*(n - 1/2) + A*(n - 1) + B*(n - 1) + C*(n^2 - 1) + D*F.
-
-    The energy's sums are at most n^3 (row, column), n^4 (count) and n^2*F
-    (distance), so |E| <= A/2*n^3 + B/2*n^3 + C/2*n^4 + D/2*n^2*F.  Every
-    partial sum of either is at most the whole, so both are refused when
-    twice the bound is not finite, the factor covering the rounding of the
-    sums.  Python floats overflow to inf without a warning.
+    (:func:`_field_bound`), so |net| <= C*(n - 1/2) + A*(n - 1) + B*(n - 1) +
+    C*(n^2 - 1) + D*F.  The energy's sums are at most n^3 (row, column), n^4
+    (count) and n^2*F (distance), so |E| <= A/2*n^3 + B/2*n^3 + C/2*n^4 +
+    D/2*n^2*F.  Every partial sum of either is at most the whole, and by the
+    summation lemma of :mod:`._rounding` each computed sum, F's included, is
+    within a factor 1 +- gamma_{n+8} of the exact one: both are refused when
+    twice the computed bound is not finite.  Python floats overflow silently.
     """
     n = m.n
     a, b, c, d = p.a_pen, p.b_pen, p.c_pen, p.d_pen
@@ -338,23 +342,19 @@ def _guard_band(m: DistanceMatrix, p: HopfieldParams, f: float) -> float:
     """Half-width of the band around the threshold outside which a net input
     computed from a stacked matrix product decides as the 2-D one does.
 
-    Let u = 2^-53 and F = ``f`` (:func:`_field_bound`).  A field entry sums the
-    n exact products d[x, y] * s[y, i], s in {0, 1, 2}.  Summed in any order
-    it lies within gamma * F of the exact sum, with
-    gamma = (n-1)*u / (1 - (n-1)*u) <= 2*(n-1)*u, so two orders differ by at
-    most 2*gamma*F.  The rest of the net input, P, is exact counts combined
-    elementwise and has the same bits both ways.  For
-    net = fl(P - fl(D * field)) the two values differ by
-
-        delta <= E + u' * (|net_1| + |net_2|),
-        E = 2*gamma*D*F + 2*u*D*F*(1 + gamma),  u' = u / (1 - u).
-
-    They decide differently only if the threshold t lies between them; then
-    |net_1 - t| <= delta and |net_1|, |net_2| <= |t| + delta, so
-
-        delta <= (E + 2*u'*|t|) / (1 - 2*u') <= 4*(n + 1)*u*(D*F + |t|).
+    A field entry sums n exact products d[x, y] * s[y, i], s in {0, 1, 2},
+    of total size at most F = ``f`` (:func:`_field_bound`), so by the
+    summation lemma of :mod:`._rounding` two orders of it differ by at most
+    2*gamma_{n-1}*F; the rest of the net input has the same bits both ways.
+    While no product D * field is subnormal, the roundings of
+    net = fl(P - fl(D * field)) add at most 2*U*D*F*(1 + gamma_{n-1}) +
+    U' * (|net_1| + |net_2|), U' = U / (1 - U), to the nets' difference
+    delta.  They decide differently only if the threshold t lies between
+    them; then |net_i| <= |t| + delta, so with g = gamma_{n-1}, delta <=
+    (2*(g + U*(1 + g))*D*F + 2*U'*|t|) / (1 - 2*U') <= 4*(n + 1)*U*(D*F + |t|),
+    with room for the returned value's three roundings.
     """
-    return 4 * (m.n + 1) * 2.0**-53 * (p.d_pen * f + abs(p.threshold))
+    return 4 * (m.n + 1) * U * (p.d_pen * f + abs(p.threshold))
 
 
 def run_lockstep(

@@ -187,6 +187,7 @@ def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
 
 def distance_matrix(inst: Instance) -> DistanceMatrix:
     """Pairwise Euclidean distances, or the instance's explicit matrix if set."""
+    check_record("inst", inst, Instance)
     if inst.matrix is not None:
         return inst._distances
     x, y = inst.coords().T
@@ -198,6 +199,7 @@ def distance_matrix(inst: Instance) -> DistanceMatrix:
 
 def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
     """Scale so the largest entry is exactly 1.0.  Idempotent."""
+    check_record("m", m, DistanceMatrix)
     peak = float(m.d.max())
     if peak == 0.0:
         raise DegenerateInstanceError("all distances are zero; cannot normalize")

@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._rounding import U
 from .annealing import SaConfig, SaTrace, anneal
 from .baselines import greedy_nearest_neighbor, three_opt, two_opt
 from .errors import (
@@ -134,9 +135,7 @@ class BenchmarkReport:
 def _distances(inst: Instance) -> DistanceMatrix:
     """The instance's distance matrix, refused when a tour length can
     overflow: a distance that is already infinite, or n times the largest
-    distance past the largest float.  The one check that ``inst`` is an
-    :class:`Instance`, for ``solve``, ``solve_hybrid`` and ``sweep``."""
-    check_record("inst", inst, Instance)
+    distance past the largest float."""
     with np.errstate(over="ignore"):  # DistanceMatrix refuses an infinite distance
         m = distance_matrix(inst)
     longest = float(m.d.max())
@@ -333,6 +332,20 @@ def _trial_rngs(seed: int, cell_index: int, first: int, stop: int) -> List[np.ra
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
+def _optimal_limit(n: int, optimum: float) -> float:
+    """The longest length of an ``n``-city tour that the sweep counts as
+    optimal, given the oracle's ``optimum`` o: o + 4*n*U * o.
+
+    By the summation lemma of :mod:`._rounding`, a tour length lies within
+    g = gamma_{n-1} times the tour's exact length, so o >= (1 - g) * L* for
+    the exact optimum L*, and a tour of length L* sums to at most
+    (1 + g) * L* <= o + 4*(n - 1)*U * o.  The extra U * o covers the limit's
+    two roundings while o is normal; a subnormal o is exact, as is then the
+    optimal tour's sum, at most o.
+    """
+    return optimum + 4 * n * U * optimum
+
+
 def sweep(
     inst: Instance,
     c_values: Sequence[float],
@@ -349,11 +362,10 @@ def sweep(
     toward mean sweeps (an unconverged run has used the whole budget), a
     valid trial's tour is measured once on the raw distances for the length
     statistics, and a converged valid trial succeeds.  With
-    ``success_metric="optimal"`` its length must also be at most the
-    oracle's plus ``n * 2**-51`` times it, a bound on rounding that counts
-    every tour of the optimal length.  Per-trial seeds are derived from
-    (master seed, cell index, trial index), so the report is a pure function
-    of the master seed.
+    ``success_metric="optimal"`` its length must also be at most
+    :func:`_optimal_limit` of the oracle's, which counts every tour of the
+    optimal length.  Per-trial seeds are derived from (master seed, cell
+    index, trial index), so the report is a pure function of the master seed.
 
     A cell's trials run in lockstep on one thread, through
     :func:`~tsphnn.hopfield.run_lockstep`, in blocks of at most
@@ -388,19 +400,7 @@ def sweep(
     m_scaled = normalize_distances(m_raw)
     longest = math.inf  # the longest raw length of a converged valid success
     if success_metric == "optimal":
-        # Let u = 2^-53 and g = (n-1)*u / (1 - (n-1)*u).  A tour length sums
-        # n nonnegative edges in order, n - 1 of them by rounded additions,
-        # so it lies within g * L of the tour's exact length L.  The
-        # oracle's o, the least such sum, is at least (1 - g) * L* for the
-        # exact optimum L*, a tour of length L* sums to at most
-        # (1 + g) * L*, and the two differ by at most
-        # 2*g/(1 - g) * o <= 4*(n - 1)*u * o.  The margin 4*n*u * o
-        # also covers the rounding of the bound's product and sum, each at
-        # most u times its value, or 2^-1075 below 2^-1022: at most u * o
-        # while o is normal; once it is not, both sums are exact and the
-        # optimal tour's is at most o.
-        optimum = brute_force_optimum(m_raw)[1]
-        longest = optimum + n * 2.0**-51 * optimum
+        longest = _optimal_limit(n, brute_force_optimum(m_raw)[1])
 
     block = max(1, BLOCK_ELEMENTS // (n * n))
     cells = []

@@ -20,6 +20,7 @@ from .errors import (
     InvalidTourError,
     InvalidTourMatrixError,
     check_int,
+    check_record,
     quote,
 )
 from .instance import DistanceMatrix
@@ -88,6 +89,7 @@ def is_valid_permutation_matrix(tm: np.ndarray) -> bool:
 
 def tour_to_matrix(t: Tour) -> np.ndarray:
     """Binary grid with a 1 at (city, position) for each visit."""
+    check_record("t", t, Tour)
     n = t.n
     v = np.zeros((n, n), dtype=np.int64)
     for position, city in enumerate(t.order):
@@ -120,6 +122,7 @@ def canonicalize(t: Tour) -> Tour:
     Tours equal up to rotation/reversal canonicalize identically, collapsing
     the 2n symmetries of a closed tour.
     """
+    check_record("t", t, Tour)
     order = t.order
     n = t.n
     at = order.index(0)
@@ -172,6 +175,7 @@ def brute_force_optimum(m: DistanceMatrix) -> Tuple[Tour, float]:
     by city, each time taking the smallest next city from which the
     minimum is still reached.
     """
+    check_record("m", m, DistanceMatrix)
     n = m.n
     if n > BRUTE_FORCE_MAX_N:
         raise EnumerationTooLargeError(

@@ -336,6 +336,20 @@ RECORD_ARGUMENTS = {
     "render-report": T.render_report,
     "instance-cities": lambda v: T.Instance(id="x", cities=v),
     "instance-city": lambda v: T.Instance(id="x", cities=(PAPER8.cities[0], v, v)),
+    "oracle-m": T.brute_force_optimum,
+    "canonicalize-t": T.canonicalize,
+    "tour-to-matrix-t": T.tour_to_matrix,
+    "build-weights-m": lambda v: T.build_weights(v, FEW_SWEEPS),
+    "build-weights-p": lambda v: T.build_weights(M8, v),
+    "energy-m": lambda v: T.energy(np.zeros((8, 8)), v, FEW_SWEEPS),
+    "energy-p": lambda v: T.energy(np.zeros((8, 8)), M8, v),
+    "energy-terms-m": lambda v: T.energy_terms(np.zeros((8, 8)), v),
+    "unit-update-w": lambda v: T.unit_update(np.zeros((8, 8)), v, (0, 0)),
+    "distance-matrix-inst": T.distance_matrix,
+    "normalize-m": T.normalize_distances,
+    "swap-t": lambda v: T.swap_cities(v, 1, np.random.default_rng(0)),
+    "swap-rng": lambda v: T.swap_cities(SHORT, 1, v),
+    "temperature-cfg": lambda v: T.temperature_at(0, v),
 }
 
 
@@ -362,6 +376,9 @@ def test_junk_record_argument_raises_a_typed_error(call, value):
         ("instance-cities", list(PAPER8.cities), "cities must be a tuple, got list"),
         ("instance-cities", (1, 2, 3), "city must be a City, got int"),
         ("instance-city", "a", "city must be a City, got str"),
+        ("unit-update-w", M8, "w must be a WeightMatrix, got DistanceMatrix"),
+        ("swap-rng", random, "rng must be a RandomGenerator, got module"),
+        ("temperature-cfg", None, "cfg must be a SaConfig, got NoneType"),
     ],
 )
 def test_record_argument_refusal_names_the_argument(key, value, message):

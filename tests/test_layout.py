@@ -1,8 +1,8 @@
 """The package's layout: modules import each other at the top only, the
 public names are declared once, by the package's imports, and resolve,
-the integer- and real-argument rules, the name check and the way a
-refusal shows a value each have one home, and the CLI runs no solver
-itself."""
+the integer- and real-argument rules, the name check, the way a refusal
+shows a value and the float model's constants each have one home, and the
+CLI runs no solver itself."""
 
 import ast
 from pathlib import Path
@@ -178,4 +178,37 @@ def test_names_are_refused_only_by_check_choice():
             for part in ast.walk(exc)
         )
     ]
+    assert found == []
+
+
+def _is_float_model_constant(node) -> bool:
+    """A power 2**-k or 2.0**-k of literals, or an ``np.finfo(...).eps``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return (
+            isinstance(node.left, ast.Constant)
+            and node.left.value == 2
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+        )
+    if isinstance(node, ast.Attribute) and node.attr == "eps" and isinstance(node.value, ast.Call):
+        func = node.value.func
+        return getattr(func, "attr", getattr(func, "id", None)) == "finfo"
+    return False
+
+
+def test_float_model_constants_live_only_in_rounding():
+    """Outside ``_rounding.py``, no module writes a unit roundoff, margin or
+    underflow term as a ``2.0**-k`` literal or an ``np.finfo(...).eps``:
+    every written rounding bound takes its constants from
+    ``tsphnn._rounding``, whose float model its proof cites."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_rounding.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_float_model_constant(node)
+        ]
     assert found == []

@@ -62,6 +62,19 @@ def test_hybrid_zero_sweeps_falls_back_to_sa(paper8):
     assert rep.final_tour.order == rep.sa_tour.order
 
 
+@pytest.mark.parametrize("name", ["cityset1", "paper8", "matrix4"])
+def test_default_network_leaves_the_annealed_tour_so_the_hybrid_falls_back(name):
+    """At ``HopfieldParams()`` the network, started from the annealed tour's
+    grid, leaves it and ends invalid after 2 sweeps on each bundled
+    instance at seeds 0-3, so the hybrid always returns SA's tour."""
+    for seed in range(4):
+        inst = T.get_builtin(name)
+        rep = T.solve_hybrid(inst, T.SaConfig(seed=seed), T.HopfieldParams(seed=seed))
+        assert not rep.hnn_valid
+        assert rep.hnn_result.sweeps_used == 2
+        assert rep.final_tour == rep.sa_tour
+
+
 def test_hybrid_keeps_a_shorter_network_tour(cityset1):
     """A run whose network, started from the annealed tour, settles on a
     shorter valid tour answers with the network's tour."""
