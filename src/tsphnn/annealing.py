@@ -182,11 +182,11 @@ def _temperature_bounds(cfg: SaConfig, first: int, count: int) -> np.ndarray:
     from ``pow``'s.
 
     By the power accuracy of :mod:`._rounding`, pow's P and np.power's P'
-    satisfy P <= (P' + a) * (1 + 2^-41), a = ``POW_TINY``.  Below the floor T
-    is the floor.  Above it, fl(t0 * P) <= t0 * P * (1 + U) and t0 * fl(P' + a)
-    is normal too, so each of the three roundings of fl(fl(t0 * fl(P' + a)) *
-    (1 + E)) loses a factor of at most 1 - U, or overflows to an infinite
-    bound, and (1 + E) * (1 - U)^3 >= (1 + 2^-41) * (1 + U).
+    satisfy P <= (P' + a) * (1 + 2^-41), a = ``POW_TINY``.  Below the
+    floor, T is the floor.  Above it, fl(t0 * P) <= t0 * P * (1 + U), and
+    t0 * fl(P' + a) is normal too, so each of the three roundings of
+    fl(fl(t0 * fl(P' + a)) * (1 + E)) loses a factor of at most 1 - U, or
+    overflows to inf; as (1 + E)(1 - U)^3 >= (1 + 2^-41)(1 + U), T' >= T.
     """
     steps = np.arange(first, first + count, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore"):
@@ -294,16 +294,16 @@ def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
     The walk rejects a step when p = np.exp(-(D / T)) < u, with D =
     fl(cand_len - cur_len) and u the step's uniform.  By the exp and log
-    accuracy of :mod:`._rounding`, x = -np.log(u) * (1 + E) + E >= -ln(u) +
-    E/2, so any float q >= x has np.exp(-q) <= u * exp(-E/2) * (1 + 2^-50) +
-    2^-1074 < u while u >= U, the smallest nonzero uniform
+    accuracy of :mod:`._rounding`, x = -np.log(u) * (1 + E) + E >=
+    -ln(u) + E/2, so any float q >= x has np.exp(-q) <= u * exp(-E/2) *
+    (1 + 2^-50) + 2^-1074 < u while u >= U, the smallest nonzero uniform
     ``Generator.random()`` draws.  By monotone rounding, fl(D / T) >= x once
-    D >= x * T, so once D >= cut = fl(x * T' * (1 + E) + ``MIN_NORMAL``): the
-    factor covers the product's rounding, the term its underflow, and T' >= T
-    only raises the cut.  As cut > 0, the candidate is then longer, so
-    :func:`acceptance_probability` takes the exponential.  A uniform below U
-    (0.0, or a stand-in generator's), or a bound or product that overflows,
-    gives an infinite cut, which no finite D reaches.
+    D >= x * T, so once D >= cut = fl(x * T' * (1 + E) + ``MIN_NORMAL``):
+    the factor covers the product's rounding, the term its underflow, and
+    T' >= T only raises the cut.  As cut > 0, the candidate is then longer,
+    so :func:`acceptance_probability` takes the exponential.  A uniform below
+    U (0.0, or a stand-in generator's), or a bound or product that
+    overflows, gives an infinite cut, which no finite D reaches.
     """
     with np.errstate(divide="ignore", over="ignore"):
         x = -np.log(uniforms) * (1 + E) + E
