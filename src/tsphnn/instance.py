@@ -45,7 +45,7 @@ class City:
             object.__setattr__(self, axis, value)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Instance:
     """An ordered set of at least three uniquely labelled cities.
 
@@ -53,25 +53,20 @@ class Instance:
     coordinate-derived distances; it is checked once, and kept frozen with
     the :class:`DistanceMatrix` that :func:`distance_matrix` returns.
     ``seed`` records how the instance was generated, when it was generated
-    at all.
+    at all.  Two instances are equal when their ids, cities, seeds and
+    checked matrices are, and equal instances hash alike.
     """
 
     id: str
     cities: tuple
     seed: Optional[int] = None
-    matrix: Optional[np.ndarray] = None
+    matrix: Optional[np.ndarray] = field(default=None, compare=False)  # compared as _distances
     _distances: Optional["DistanceMatrix"] = field(default=None, init=False, repr=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        if (self.id, self.cities, self.seed) != (other.id, other.cities, other.seed):
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        return self.matrix is None or np.array_equal(self.matrix, other.matrix)
-
     def __post_init__(self):
+        check_record("id", self.id, str)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         check_record("cities", self.cities, tuple)
         for city in self.cities:
             check_record("city", city, City)
@@ -267,10 +262,8 @@ def load_instance(path) -> Instance:
             if not isinstance(entry, dict) or field not in entry:
                 raise ParseError(f"{path}: cities[{idx}] missing field '{field}'")
         try:
-            cities.append(
-                City(str(entry["label"]), float(entry["x"]), float(entry["y"]))
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            cities.append(City(entry["label"], entry["x"], entry["y"]))
+        except TsphnnError as exc:
             raise ParseError(f"{path}: cities[{idx}]: {exc}") from exc
     matrix = payload.get("matrix")
     try:
@@ -279,7 +272,7 @@ def load_instance(path) -> Instance:
         raise ParseError(f"{path}: matrix: {exc}") from exc
     try:
         return Instance(
-            id=str(payload.get("id", "unnamed")),
+            id=payload.get("id", "unnamed"),
             cities=tuple(cities),
             seed=payload.get("seed"),
             matrix=matrix,

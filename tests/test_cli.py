@@ -206,6 +206,61 @@ def test_solve_bad_matrix_exits_2(tmp_path, capsys, matrix):
     assert f"{path}: matrix:" in err and "Traceback" not in err
 
 
+def _with(payload, key, value, city=None):
+    """A copy of ``payload`` with one field, of the top level or of one
+    city, set to ``value``."""
+    payload = json.loads(json.dumps(payload))
+    (payload if city is None else payload["cities"][city])[key] = value
+    return payload
+
+
+GOOD_FILE = {
+    "id": "t", "seed": None,
+    "cities": [{"label": lab, "x": 0.0, "y": float(i)} for i, lab in enumerate("ABC")],
+}
+# Each field of an instance file given a value of another type, and how
+# the refusal words it after the file's path.
+MALFORMED_FIELDS = {
+    "x-string": (
+        _with(GOOD_FILE, "x", "1.5", city=0),
+        "cities[0]: city 'A' x must be a real number, got '1.5'",
+    ),
+    "label-number": (
+        _with(GOOD_FILE, "label", 7, city=1), "cities[1]: label must be a str, got int",
+    ),
+    "label-null": (
+        _with(GOOD_FILE, "label", None, city=2), "cities[2]: label must be a str, got NoneType",
+    ),
+    "id-list": (_with(GOOD_FILE, "id", ["x"]), "id must be a str, got list"),
+    "seed-string": (_with(GOOD_FILE, "seed", "abc"), "seed must be an integer, got 'abc'"),
+    "seed-negative": (_with(GOOD_FILE, "seed", -1), "seed must be >= 0, got -1"),
+    "seed-float": (_with(GOOD_FILE, "seed", 2.5), "seed must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS.keys()
+)
+def test_malformed_instance_field_exits_2(tmp_path, capsys, payload, message):
+    """A field of the wrong type is refused as the records refuse it, not
+    converted: ``load_instance`` raises ``ParseError`` naming the file, and
+    ``solve`` and ``sweep`` exit 2 with that one line."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(T.ParseError) as excinfo:
+        T.load_instance(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+    for argv in (
+        ("solve", "--instance", str(path), "--method", "greedy"),
+        ("sweep", "--instance", str(path), "--c-grid", "90", "--d-grid", "10"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    path.write_text(json.dumps(GOOD_FILE))
+    cities = tuple(T.City(lab, 0.0, float(i)) for i, lab in enumerate("ABC"))
+    assert T.load_instance(path) == T.Instance("t", cities)
+
+
 def test_non_finite_parameters_exit_2(capsys):
     for argv in (
         ("solve", "--instance", "paper8", "--method", "hnn", "--D", "nan"),
