@@ -113,8 +113,7 @@ def temperature_at(step: int, cfg: SaConfig) -> float:
     try:
         temp = cfg.t0 * cfg.cooling_rate**step
     except (AttributeError, TypeError):  # free on the walk's path, unlike a check
-        check_record("cfg", cfg, SaConfig)
-        raise
+        raise record_refusal("cfg", cfg, SaConfig) from None
     return temp if temp >= TEMPERATURE_FLOOR else TEMPERATURE_FLOOR
 
 

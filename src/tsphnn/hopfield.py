@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._rounding import U
-from .errors import TsphnnError, check_int, check_real, check_record, quote
+from .errors import InvalidArgumentError, TsphnnError, check_int, check_real, check_record, quote
 from .instance import DistanceMatrix
 from .tour import Tour, decode_grid, decode_grids, tour_length
 
@@ -258,7 +258,13 @@ def unit_update(
     """
     check_record("w", w, WeightMatrix)
     v = _check_grids([g], w.n)[0]
-    u = unit[0] * w.n + unit[1]
+    try:
+        x, i = unit
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"unit must be a (city, position) pair, got {quote(unit)}"
+        ) from None
+    u = check_int("city", x, 0, w.n - 1) * w.n + check_int("position", i, 0, w.n - 1)
     net = np.dot(w.w[u], v.ravel()) + w.bias[u]
     return 1 if net >= threshold else 0
 

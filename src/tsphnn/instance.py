@@ -127,7 +127,12 @@ class DistanceMatrix:
             and d.flags.c_contiguous
             and not d.flags.writeable
         ):
-            d = np.array(d, dtype=np.float64, order="C")
+            try:
+                d = np.array(d, dtype=np.float64, order="C")
+            except (TypeError, ValueError, OverflowError):
+                raise TsphnnError(
+                    f"distance matrix must be a square array of numbers, got {quote(d)}"
+                ) from None
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise TsphnnError(f"distance matrix must be square, got shape {d.shape}")
         if d.shape[0] < 3:

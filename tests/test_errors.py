@@ -18,6 +18,7 @@ from tsphnn.svg import render_tour_svg
 PAPER8 = T.get_builtin("paper8")
 M8 = T.distance_matrix(PAPER8)
 SHORT = T.Tour((0, 1, 2, 3))
+W8 = T.build_weights(M8, T.HopfieldParams())
 
 
 def _report_without_cells():
@@ -137,6 +138,18 @@ REFUSALS = {
             id="x", cities=(T.City([0] * 5, 0, 0), T.City("b", 1, 0), T.City("c", 0, 1))
         ),
         T.InvalidArgumentError, "label must be a str, got list",
+    ),
+    "instance-id-int": (
+        lambda: T.Instance(id=5, cities=PAPER8.cities),
+        T.InvalidArgumentError, "id must be a str, got int",
+    ),
+    "instance-seed-string": (
+        lambda: T.Instance(id="x", cities=PAPER8.cities, seed="7"),
+        T.InvalidArgumentError, "seed must be an integer, got '7'",
+    ),
+    "instance-seed-negative": (
+        lambda: T.Instance(id="x", cities=PAPER8.cities, seed=-1),
+        T.InvalidArgumentError, "seed must be >= 0, got -1",
     ),
 }
 
@@ -298,6 +311,9 @@ SCALAR_ARGUMENTS = {
     "city-label": lambda v: T.City(v, 0.0, 0.0),
     "city-x": lambda v: T.City("a", v, 0.0),
     "city-y": lambda v: T.City("a", 0.0, v),
+    "instance-id": lambda v: T.Instance(id=v, cities=PAPER8.cities),
+    "instance-seed": lambda v: T.Instance(id="x", cities=PAPER8.cities, seed=v),
+    "unit-update-unit": lambda v: T.unit_update(np.zeros((8, 8)), W8, v),
     "gen-n": lambda v: T.generate_random_instance(v, 0),
     "gen-seed": lambda v: T.generate_random_instance(5, v),
     "gen-bound": lambda v: T.generate_random_instance(5, 0, bound=v),
@@ -441,6 +457,8 @@ QUOTED_ARGUMENTS = {
     "tour-length-order": (lambda v: T.tour_length(M8, v), True),
     "city-label": (lambda v: T.City(v, None, 0.0), True),
     "instance-id": (lambda v: T.Instance(id=v, cities=TWINS), True),
+    "instance-seed": (lambda v: T.Instance(id="x", cities=PAPER8.cities, seed=v), False),
+    "unit-update-unit": (lambda v: T.unit_update(np.zeros((8, 8)), W8, v), True),
     "solve-instance-id": (
         lambda v: T.solve(T.Instance(id=v, cities=OVERFLOWING), "greedy"), True,
     ),

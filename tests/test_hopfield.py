@@ -135,6 +135,28 @@ def test_unit_update_zero_net_turns_on(m5):
     assert T.unit_update(g, w, (0, 0), threshold=1.0) == 0
 
 
+@pytest.mark.parametrize(
+    "unit, message",
+    [
+        ((0, 8), "position must be <= 7, got 8"),
+        ((0, -1), "position must be >= 0, got -1"),
+        ((8, 0), "city must be <= 7, got 8"),
+        ((-1, 0), "city must be >= 0, got -1"),
+        ((0.0, 1), "city must be an integer, got 0.0"),
+        (None, r"unit must be a \(city, position\) pair, got None"),
+        (5, r"unit must be a \(city, position\) pair, got 5"),
+        ((1, 2, 3), r"unit must be a \(city, position\) pair, got \(1, 2, 3\)"),
+    ],
+)
+def test_unit_update_refuses_a_unit_off_the_grid(unit, message):
+    """A unit is a (city, position) pair on the grid: one off it is refused
+    instead of reading another unit's row of weights."""
+    w = build_weights(T.distance_matrix(T.get_builtin("paper8")), T.HopfieldParams())
+    with pytest.raises(T.InvalidArgumentError, match=f"^{message}$"):
+        T.unit_update(np.zeros((8, 8)), w, unit)
+    assert T.unit_update(np.zeros((8, 8)), w, (np.int64(7), 7)) in (0, 1)
+
+
 def test_unit_flip_energy_matches_local_field(rng):
     """Flipping one unit changes the energy by -dv * net exactly."""
     inst = T.generate_random_instance(4, seed=12)

@@ -251,6 +251,47 @@ def test_instance_equality_covers_every_field():
     assert same.matrix is not inst.matrix and same == inst
 
 
+def test_explicit_matrices_compare_and_hash_by_their_entries():
+    """Two instances whose explicit matrices are different arrays of the
+    same entries, -0.0 standing for 0.0, compare equal and hash alike."""
+    cities = (T.City("A", 0, 0), T.City("B", 3, 0), T.City("C", 0, 4))
+    matrix = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
+    signed = matrix.copy()
+    signed[1, 1] = -0.0
+    a = T.Instance(id="t", cities=cities, matrix=matrix)
+    b = T.Instance(id="t", cities=cities, matrix=signed)
+    assert a.matrix is not b.matrix and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_a_seed_alone_makes_instances_unequal(paper8):
+    same = T.Instance(id=paper8.id, cities=paper8.cities, seed=None)
+    assert same == paper8 and hash(same) == hash(paper8)
+    assert T.Instance(id=paper8.id, cities=paper8.cities, seed=0) != paper8
+    assert paper8.__eq__("x") is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, 1, 2], [1, 0]],
+        [[0, "a", 1], [1, 0, 1], [1, 1, 0]],
+        [[0, 10**400, 1], [1, 0, 1], [1, 1, 0]],
+    ],
+    ids=["ragged", "non-numeric-string", "int-past-float-range"],
+)
+def test_a_matrix_that_is_not_an_array_of_numbers_is_refused(matrix):
+    """Input that cannot become a float64 array is refused with a typed
+    error, bare or as an instance's explicit matrix, and the refusal shows
+    it short."""
+    cities = (T.City("A", 0, 0), T.City("B", 3, 0), T.City("C", 0, 4))
+    message = "^distance matrix must be a square array of numbers, got \\[\\[0, "
+    for call in (T.DistanceMatrix, lambda d: T.Instance(id="t", cities=cities, matrix=d)):
+        with pytest.raises(T.TsphnnError, match=message) as excinfo:
+            call(matrix)
+        assert type(excinfo.value) is T.TsphnnError and len(str(excinfo.value)) < 200
+
+
 def test_distance_matrix_peak_memory_is_two_n_by_n_arrays():
     """Built from two n x n coordinate differences, not an (n, n, 2) array."""
     n = 400
