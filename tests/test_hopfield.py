@@ -147,6 +147,10 @@ def test_unit_update_zero_net_turns_on(m5):
         (5, r"unit must be a \(city, position\) pair, got 5"),
         ((1, 2, 3), r"unit must be a \(city, position\) pair, got \(1, 2, 3\)"),
     ],
+    ids=[
+        "position-past-end", "position-negative", "city-past-end", "city-negative",
+        "city-float", "none", "int", "triple",
+    ],
 )
 def test_unit_update_refuses_a_unit_off_the_grid(unit, message):
     """A unit is a (city, position) pair on the grid: one off it is refused
