@@ -150,10 +150,13 @@ def build_weights(m: DistanceMatrix, p: HopfieldParams) -> WeightMatrix:
 def _check_grids(grids, n: Optional[int] = None) -> np.ndarray:
     """The grids as a fresh (k, n, n) float stack, refused unless they are
     square, n x n when ``n`` is given, and every entry is 0 or 1.  A single
-    grid is checked as a stack of one."""
+    grid is checked as a stack of one.  The one conversion of every grid a
+    caller passes: entries are compared before they are converted, so a
+    number or a boolean passes and a string such as "1", which equals no
+    number, does not."""
     try:
-        v = np.array(grids, dtype=np.float64)
-    except ValueError as exc:  # grids of unequal shapes, or not numbers
+        v = np.array(grids)
+    except ValueError as exc:  # grids of unequal shapes
         raise TsphnnError(f"activation grids must be equal-shaped number arrays: {exc}") from exc
     if v.shape == (0,) and n is not None:  # an empty stack
         v = v.reshape(0, n, n)
@@ -163,7 +166,7 @@ def _check_grids(grids, n: Optional[int] = None) -> np.ndarray:
         raise TsphnnError(f"grid is {v.shape[1]}x{v.shape[1]}, expected n={n}")
     if not np.all((v == 0) | (v == 1)):
         raise TsphnnError("activation grid entries must be 0 or 1")
-    return v
+    return v.astype(np.float64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -399,6 +402,8 @@ def run_lockstep(
     stacked net input of each flip; it has the 2-D bits wherever the two
     products sum alike.
     """
+    check_record("m", m, DistanceMatrix)
+    check_record("p", p, HopfieldParams)
     n = m.n
     n2 = n * n
     count = len(rngs)

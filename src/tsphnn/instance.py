@@ -100,9 +100,11 @@ class DistanceMatrix:
     """Square, symmetric, finite, nonnegative matrix with a zero diagonal,
     on at least 3 cities.
 
-    The one check of every distance matrix, an :class:`Instance`'s
-    explicit one included.  The array is frozen, so a matrix can be shared
-    by every caller without being copied or checked again.  A read-only
+    The one check and the one conversion of every distance matrix, an
+    :class:`Instance`'s explicit one and an instance file's included.  Its
+    entries must be numbers: strings, bytes and booleans are refused, not
+    read as numbers.  The array is frozen, so a matrix can be shared by
+    every caller without being copied or checked again.  A read-only
     C-contiguous float64 array is shared as it is; any other input is
     copied, so the caller's own array stays writeable.  Two matrices are
     equal when their arrays are, and equal matrices hash alike.
@@ -128,10 +130,13 @@ class DistanceMatrix:
             and not d.flags.writeable
         ):
             try:
-                d = np.array(d, dtype=np.float64, order="C")
+                d = np.array(d, order="C")
+                if d.dtype.kind in "USb":  # text and truth values are not distances
+                    raise TypeError
+                d = d.astype(np.float64, copy=False)
             except (TypeError, ValueError, OverflowError):
                 raise TsphnnError(
-                    f"distance matrix must be a square array of numbers, got {quote(d)}"
+                    f"distance matrix must be a square array of numbers, got {quote(self.d)}"
                 ) from None
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise TsphnnError(f"distance matrix must be square, got shape {d.shape}")
@@ -179,9 +184,7 @@ def generate_random_instance(n: int, seed: int, bound: float = 1.0) -> Instance:
     seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, bound, size=(n, 2))
-    cities = tuple(
-        City(lab, float(x), float(y)) for lab, (x, y) in zip(_labels(n), pts)
-    )
+    cities = tuple(City(lab, x, y) for lab, (x, y) in zip(_labels(n), pts))
     return Instance(id=f"rand-n{n}-seed{seed}-b{bound:g}", cities=cities, seed=seed)
 
 
@@ -211,6 +214,7 @@ def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:
 def save_instance(inst: Instance, path) -> None:
     """Write the instance as JSON; coordinates round-trip exactly.  ``path``
     is a ``str`` or ``os.PathLike``, never a file descriptor."""
+    check_record("inst", inst, Instance)
     check_record("path", path, (str, os.PathLike))
     payload = {
         "id": inst.id,
@@ -218,7 +222,7 @@ def save_instance(inst: Instance, path) -> None:
         "cities": [{"label": c.label, "x": c.x, "y": c.y} for c in inst.cities],
     }
     if inst.matrix is not None:
-        payload["matrix"] = [[float(v) for v in row] for row in inst.matrix]
+        payload["matrix"] = inst.matrix.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -249,6 +253,14 @@ def read_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _number(path, field: str, value):
+    """``value``, refused where a number belongs if it is a JSON ``true`` or
+    ``false``, which :mod:`json` reads as a ``bool`` and so as 1 or 0."""
+    if isinstance(value, bool):
+        raise ParseError(f"{path}: {field} must be a JSON number, got {json.dumps(value)}")
+    return value
+
+
 def load_instance(path) -> Instance:
     """Read an instance written by :func:`save_instance`.
 
@@ -266,20 +278,26 @@ def load_instance(path) -> Instance:
         for field in ("label", "x", "y"):
             if not isinstance(entry, dict) or field not in entry:
                 raise ParseError(f"{path}: cities[{idx}] missing field '{field}'")
+        x, y = (_number(path, f"cities[{idx}]: {axis}", entry[axis]) for axis in "xy")
         try:
-            cities.append(City(entry["label"], entry["x"], entry["y"]))
+            cities.append(City(entry["label"], x, y))
         except TsphnnError as exc:
             raise ParseError(f"{path}: cities[{idx}]: {exc}") from exc
     matrix = payload.get("matrix")
-    try:
-        matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: matrix: {exc}") from exc
+    if matrix is not None:
+        for i, row in enumerate(matrix if isinstance(matrix, list) else ()):
+            for j, value in enumerate(row if isinstance(row, list) else ()):
+                _number(path, f"matrix[{i}][{j}]", value)
+        try:
+            matrix = DistanceMatrix(matrix).d
+        except TsphnnError as exc:
+            raise ParseError(f"{path}: matrix: {exc}") from exc
+    seed = _number(path, "seed", payload.get("seed"))
     try:
         return Instance(
             id=payload.get("id", "unnamed"),
             cities=tuple(cities),
-            seed=payload.get("seed"),
+            seed=seed,
             matrix=matrix,
         )
     except TsphnnError as exc:

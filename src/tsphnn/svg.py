@@ -6,7 +6,8 @@ produce identical bytes, making the images usable as golden files.
 
 import numpy as np
 
-from .errors import TsphnnError
+from .errors import TsphnnError, check_record
+from .hopfield import _check_grids
 from .instance import Instance
 from .tour import Tour
 
@@ -29,8 +30,11 @@ def _preamble(size: int) -> list:
 def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
     """City markers with labels, plus the closed tour polygon when given;
     the tour must visit the instance's n cities."""
-    if tour is not None and tour.n != inst.n:
-        raise TsphnnError(f"tour has {tour.n} cities, instance has {inst.n}")
+    check_record("inst", inst, Instance)
+    if tour is not None:
+        check_record("tour", tour, Tour)
+        if tour.n != inst.n:
+            raise TsphnnError(f"tour has {tour.n} cities, instance has {inst.n}")
     size, margin = 480, 40
     pts = inst.coords()
     lo = pts.min(axis=0)
@@ -66,9 +70,10 @@ def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
 
 
 def render_grid_svg(grid: np.ndarray) -> str:
-    """n x n cell lattice; active units are filled."""
+    """n x n cell lattice; active units are filled.  The grid must be
+    square with every entry 0 or 1."""
     cell, margin = 32, 20
-    g = np.asarray(grid)
+    g = _check_grids([grid])[0]
     n = g.shape[0]
     size = 2 * margin + n * cell
     parts = _preamble(size)

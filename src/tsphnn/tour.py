@@ -65,6 +65,7 @@ def tour_length(m: DistanceMatrix, tour) -> float:
     indices, checked by building a ``Tour`` from it.  Either way it must
     visit the matrix's n cities, or :class:`InvalidTourError` is raised.
     """
+    check_record("m", m, DistanceMatrix)
     if not isinstance(tour, Tour):
         tour = Tour(tour)
     if tour.n != m.n:

@@ -261,6 +261,58 @@ def test_malformed_instance_field_exits_2(tmp_path, capsys, payload, message):
     assert T.load_instance(path) == T.Instance("t", cities)
 
 
+NUMERIC_STRINGS = [["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]]
+# Values that a lax reader would take as numbers: JSON true and false, which
+# Python counts as 1 and 0, and a matrix of numeric strings or booleans.
+NOT_NUMBERS = {
+    "x-true": (
+        _with(GOOD_FILE, "x", True, city=0), "cities[0]: x must be a JSON number, got true",
+    ),
+    "y-false": (
+        _with(GOOD_FILE, "y", False, city=2), "cities[2]: y must be a JSON number, got false",
+    ),
+    "seed-true": (_with(GOOD_FILE, "seed", True), "seed must be a JSON number, got true"),
+    "matrix-entry-true": (
+        _with(GOOD_FILE, "matrix", [[0, True, 2], [1, 0, 3], [2, 3, 0]]),
+        "matrix[0][1] must be a JSON number, got true",
+    ),
+    "matrix-all-false": (
+        _with(GOOD_FILE, "matrix", [[False] * 3] * 3),
+        "matrix[0][0] must be a JSON number, got false",
+    ),
+    "matrix-numeric-strings": (
+        _with(GOOD_FILE, "matrix", NUMERIC_STRINGS),
+        "matrix: distance matrix must be a square array of numbers, got "
+        "[['0', '1', '2'], ['1', '0', '3'], ['2', '3', '0']]",
+    ),
+}
+
+
+@pytest.mark.parametrize("payload, message", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_a_value_that_is_not_a_json_number_exits_2(tmp_path, capsys, payload, message):
+    """Where an instance file needs a number, a JSON boolean or a numeric
+    string is refused as a malformed field is, not read as a number."""
+    test_malformed_instance_field_exits_2(tmp_path, capsys, payload, message)
+
+
+def test_an_explicit_matrix_of_numbers_loads_from_its_entries(tmp_path):
+    """A file's matrix passes the one matrix check and is kept as it is."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_with(GOOD_FILE, "matrix", [[0, 1, 2.5], [1, 0, 3], [2.5, 3, 0]])))
+    inst = T.load_instance(path)
+    assert inst.matrix.tolist() == [[0.0, 1.0, 2.5], [1.0, 0.0, 3.0], [2.5, 3.0, 0.0]]
+    assert inst.matrix.dtype == np.float64 and not inst.matrix.flags.writeable
+
+
+def test_sweep_grid_that_is_not_numbers_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--instance", "paper8", "--c-grid", "90,abc", "--d-grid", "10"
+    )
+    assert (code, out, err) == (
+        2, "", "error: --c-grid expects comma-separated numbers, got '90,abc'\n"
+    )
+
+
 def test_non_finite_parameters_exit_2(capsys):
     for argv in (
         ("solve", "--instance", "paper8", "--method", "hnn", "--D", "nan"),

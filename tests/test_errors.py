@@ -1,7 +1,9 @@
 """Every refusal of the public API is a typed ``TsphnnError`` (or, for an
 unknown builtin name, a ``KeyError``) that says what was wrong."""
 
+import inspect
 import math
+import os
 import random
 
 import numpy as np
@@ -13,7 +15,7 @@ import tsphnn as T
 from tsphnn.annealing import MAX_ITERATIONS
 from tsphnn.errors import quote
 from tsphnn.hopfield import run_lockstep
-from tsphnn.svg import render_tour_svg
+from tsphnn.svg import render_grid_svg, render_tour_svg
 
 PAPER8 = T.get_builtin("paper8")
 M8 = T.distance_matrix(PAPER8)
@@ -150,6 +152,12 @@ REFUSALS = {
     "instance-seed-negative": (
         lambda: T.Instance(id="x", cities=PAPER8.cities, seed=-1),
         T.InvalidArgumentError, "seed must be >= 0, got -1",
+    ),
+    "render-grid-none": (
+        lambda: render_grid_svg(None), T.TsphnnError, r"grid must be square, got shape \(\)",
+    ),
+    "render-grid-int": (
+        lambda: render_grid_svg(5), T.TsphnnError, r"grid must be square, got shape \(\)",
     ),
 }
 
@@ -366,6 +374,11 @@ RECORD_ARGUMENTS = {
     "swap-t": lambda v: T.swap_cities(v, 1, np.random.default_rng(0)),
     "swap-rng": lambda v: T.swap_cities(SHORT, 1, v),
     "temperature-cfg": lambda v: T.temperature_at(0, v),
+    "tour-length-m": lambda v: T.tour_length(v, SHORT),
+    "lockstep-m": lambda v: run_lockstep(v, FEW_SWEEPS, [], []),
+    "lockstep-p": lambda v: run_lockstep(M8, v, [], []),
+    "render-tour-inst": render_tour_svg,
+    "save-instance-inst": lambda v: T.save_instance(v, os.devnull),
 }
 
 
@@ -395,11 +408,58 @@ def test_junk_record_argument_raises_a_typed_error(call, value):
         ("unit-update-w", M8, "w must be a WeightMatrix, got DistanceMatrix"),
         ("swap-rng", random, "rng must be a RandomGenerator, got module"),
         ("temperature-cfg", None, "cfg must be a SaConfig, got NoneType"),
+        ("tour-length-m", None, "m must be a DistanceMatrix, got NoneType"),
+        ("lockstep-m", M8.d, "m must be a DistanceMatrix, got ndarray"),
+        ("lockstep-p", None, "p must be a HopfieldParams, got NoneType"),
+        ("render-tour-inst", None, "inst must be an Instance, got NoneType"),
+        ("save-instance-inst", None, "inst must be an Instance, got NoneType"),
     ],
 )
 def test_record_argument_refusal_names_the_argument(key, value, message):
     with pytest.raises(T.InvalidArgumentError, match=f"^{message}$"):
         RECORD_ARGUMENTS[key](value)
+
+
+def test_render_tour_svg_refuses_a_tour_of_another_type():
+    """``tour=None``, the default, draws the cities alone."""
+    for value in [v for v in JUNK if v is not None] + [SHORT.order]:
+        with pytest.raises(T.InvalidArgumentError, match="^tour must be a Tour, got "):
+            render_tour_svg(PAPER8, value)
+
+
+# Every public callable, and the public functions of the modules that the
+# package does not import by name.
+PUBLIC_CALLABLES = {
+    **{name: getattr(T, name) for name in T.__all__ if callable(getattr(T, name))},
+    "hopfield.run_lockstep": run_lockstep,
+    "svg.render_tour_svg": render_tour_svg,
+    "svg.render_grid_svg": render_grid_svg,
+}
+
+
+def _required_positionals(func) -> int:
+    try:
+        parameters = inspect.signature(func).parameters.values()
+    except ValueError:  # an exception type, which takes any arguments
+        return 0
+    return sum(
+        p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        for p in parameters
+    )
+
+
+@pytest.mark.parametrize("value", [None, 5])
+@pytest.mark.parametrize("func", PUBLIC_CALLABLES.values(), ids=PUBLIC_CALLABLES.keys())
+def test_public_callable_given_none_or_5_returns_or_raises_a_typed_error(func, value):
+    """Every required positional argument set to None, then to 5: the call
+    returns or refuses with a ``TsphnnError``, or, for ``get_builtin``, with
+    its documented ``KeyError``."""
+    try:
+        func(*[value] * _required_positionals(func))
+    except T.TsphnnError:
+        pass
+    except KeyError:
+        assert func is T.get_builtin
 
 
 class _ReprRaises:

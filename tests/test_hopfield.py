@@ -396,6 +396,48 @@ def test_grid_svg_counts(rng):
     assert svg.count('fill="black"') == int(g.sum())
 
 
+STRING_GRID = np.eye(8, dtype=int).astype(str)
+
+
+@pytest.mark.parametrize(
+    "grid", [STRING_GRID, STRING_GRID.tolist(), STRING_GRID.astype(bytes)],
+    ids=["string-array", "strings", "bytes-array"],
+)
+def test_a_grid_of_strings_is_refused(grid):
+    """A grid of "0" and "1" strings is not read as numbers by any call
+    that takes a grid."""
+    m = T.distance_matrix(T.get_builtin("paper8"))
+    p = T.HopfieldParams()
+    for call in (
+        lambda: T.energy(grid, m, p),
+        lambda: T.run_hopfield(m, p, init=grid),
+        lambda: T.unit_update(grid, build_weights(m, p), (0, 0)),
+        lambda: render_grid_svg(grid),
+        lambda: grid_to_text(grid),
+    ):
+        with pytest.raises(T.TsphnnError, match="^activation grid entries must be 0 or 1$"):
+            call()
+
+
+def test_a_boolean_grid_is_read_as_its_0_1_grid(rng):
+    m = T.normalize_distances(T.distance_matrix(T.get_builtin("paper8")))
+    p = T.HopfieldParams(d_pen=10.0, max_sweeps=20)
+    g = random_grid(8, rng)
+    b = g.astype(bool)
+    assert T.energy(b, m, p) == T.energy(g, m, p)
+    assert render_grid_svg(b) == render_grid_svg(g)
+    assert np.array_equal(T.run_hopfield(m, p, init=b).grid, T.run_hopfield(m, p, init=g).grid)
+
+
+@pytest.mark.parametrize(
+    "grid", [np.zeros((3, 4)), np.full((3, 3), 2.0), [[0, 1], [1]], [[None] * 3] * 3],
+    ids=["not-square", "entry-2", "ragged", "none-entries"],
+)
+def test_render_grid_svg_refuses_what_is_not_a_square_0_1_grid(grid):
+    with pytest.raises(T.TsphnnError, match="activation grid"):
+        render_grid_svg(grid)
+
+
 def _replay(m, p, g, rng):
     """Step unit_update and energy by hand, one fresh permutation per sweep."""
     w = build_weights(m, p)

@@ -292,6 +292,46 @@ def test_a_matrix_that_is_not_an_array_of_numbers_is_refused(matrix):
         assert type(excinfo.value) is T.TsphnnError and len(str(excinfo.value)) < 200
 
 
+NUMERIC_STRINGS = [["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]]
+TRUTHS = [[False, True, True], [True, False, True], [True, True, False]]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [NUMERIC_STRINGS, np.array(NUMERIC_STRINGS), np.array(NUMERIC_STRINGS, dtype=bytes),
+     TRUTHS, np.array(TRUTHS)],
+    ids=["strings", "string-array", "bytes-array", "booleans", "boolean-array"],
+)
+def test_a_matrix_of_strings_or_booleans_is_refused(matrix):
+    """Numeric text and truth values are not distances: the one matrix
+    check refuses them, bare or as an instance's explicit matrix, where it
+    used to read them as numbers."""
+    cities = (T.City("A", 0, 0), T.City("B", 3, 0), T.City("C", 0, 4))
+    message = "^distance matrix must be a square array of numbers, got "
+    for call in (T.DistanceMatrix, lambda d: T.Instance(id="t", cities=cities, matrix=d)):
+        with pytest.raises(T.TsphnnError, match=message) as excinfo:
+            call(matrix)
+        assert type(excinfo.value) is T.TsphnnError
+
+
+def test_generated_coordinates_are_python_floats():
+    inst = T.generate_random_instance(6, seed=3)
+    assert {type(v) for c in inst.cities for v in (c.x, c.y)} == {float}
+
+
+def test_saved_matrix_entries_are_json_floats(tmp_path):
+    """An integer matrix is written as floats, so a saved file reads the
+    same whatever number type the matrix was given in."""
+    cities = (T.City("A", 0, 0), T.City("B", 3, 0), T.City("C", 0, 4))
+    inst = T.Instance(id="t", cities=cities, matrix=[[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+    path = tmp_path / "t.json"
+    T.save_instance(inst, path)
+    assert json.loads(path.read_text())["matrix"] == [[0.0, 3.0, 4.0], [3.0, 0.0, 5.0],
+                                                       [4.0, 5.0, 0.0]]
+    assert '"matrix": [\n    [\n      0.0,\n      3.0,' in path.read_text()
+    assert T.load_instance(path) == inst
+
+
 def test_distance_matrix_peak_memory_is_two_n_by_n_arrays():
     """Built from two n x n coordinate differences, not an (n, n, 2) array."""
     n = 400
