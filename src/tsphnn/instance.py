@@ -131,7 +131,11 @@ class DistanceMatrix:
         ):
             try:
                 d = np.array(d, order="C")
-                if d.dtype.kind in "USb":  # text and truth values are not distances
+                # Text and truth values are not distances, as an array of
+                # their own or among the objects of a mixed one.
+                if d.dtype.kind in "USb" or d.dtype.kind == "O" and any(
+                    isinstance(v, (str, bytes, bool, np.bool_)) for v in d.flat
+                ):
                     raise TypeError
                 d = d.astype(np.float64, copy=False)
             except (TypeError, ValueError, OverflowError):

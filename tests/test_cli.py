@@ -295,15 +295,6 @@ def test_a_value_that_is_not_a_json_number_exits_2(tmp_path, capsys, payload, me
     test_malformed_instance_field_exits_2(tmp_path, capsys, payload, message)
 
 
-def test_an_explicit_matrix_of_numbers_loads_from_its_entries(tmp_path):
-    """A file's matrix passes the one matrix check and is kept as it is."""
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(_with(GOOD_FILE, "matrix", [[0, 1, 2.5], [1, 0, 3], [2.5, 3, 0]])))
-    inst = T.load_instance(path)
-    assert inst.matrix.tolist() == [[0.0, 1.0, 2.5], [1.0, 0.0, 3.0], [2.5, 3.0, 0.0]]
-    assert inst.matrix.dtype == np.float64 and not inst.matrix.flags.writeable
-
-
 def test_sweep_grid_that_is_not_numbers_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--instance", "paper8", "--c-grid", "90,abc", "--d-grid", "10"
