@@ -52,9 +52,10 @@ HOLD_SCREEN_MIN_N = 16
 # The most steps whose changed edges one window gathers: per step, gathers
 # of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
 WINDOW = 512
-# The most iterations `SaConfig` accepts.  The trace keeps three 8-byte
-# records per step, and a fourth once its temperatures are read, so this caps
-# it at 160 MB; 250 times `SaConfig`'s default of 20,000 iterations.
+# The most iterations `SaConfig` accepts.  The trace stores one 8-byte record
+# per step, and up to four once its step numbers, best lengths and
+# temperatures are read, so this caps it at 40 MB, or 160 MB read whole; 250
+# times `SaConfig`'s default of 20,000 iterations.
 MAX_ITERATIONS = 5_000_000
 
 
@@ -121,22 +122,35 @@ def temperature_at(step: int, cfg: SaConfig) -> float:
 class SaTrace:
     """Per-iteration schedule and length records plus the final walker state.
 
+    It stores the length after each step, ``current_length``, the start
+    length, the final tour and ``config``.  ``iteration``, ``best_length``
+    (the running minimum of the start and current lengths) and
     ``temperature``, each step's :func:`temperature_at` under ``config``,
-    is computed on first read and then kept; a caller that never reads it,
-    such as the CLI, never pays for it.  Two traces compare equal only when
-    they are the same object.
+    are computed on first read and then kept; a caller that never reads
+    them, such as the CLI, never pays for them.  Two traces compare equal
+    only when they are the same object.
     """
 
-    iteration: np.ndarray
     current_length: np.ndarray
-    best_length: np.ndarray
+    start_length: float
     final_tour: Tour
-    final_length: float
     config: SaConfig = field(repr=False)
 
     @cached_property
+    def iteration(self) -> np.ndarray:
+        return np.arange(len(self.current_length))
+
+    @cached_property
+    def best_length(self) -> np.ndarray:
+        return np.minimum(np.minimum.accumulate(self.current_length), self.start_length)
+
+    @property
+    def final_length(self) -> float:
+        return float(self.current_length[-1])
+
+    @cached_property
     def temperature(self) -> np.ndarray:
-        count = len(self.iteration)
+        count = len(self.current_length)
         temps = map(temperature_at, range(count), repeat(self.config))
         return np.fromiter(temps, dtype=np.float64, count=count)
 
@@ -375,11 +389,11 @@ def anneal(
     walk, its answers and its trace are those of the exact step alone.
 
     The trace's current lengths are filled run by run at the end of each
-    chunk.  Its best lengths are derived at the end as the running minimum
-    of the start and current lengths, since the best length only ever takes
-    the start length or an accepted one.  Its temperatures are computed
-    only when read (:class:`SaTrace`).  Besides the trace's 24 bytes per
-    step, memory is O(CHUNK * n) narrow integers, one byte each while
+    chunk.  Its best lengths are the running minimum of the start and
+    current lengths, since the best length only ever takes the start length
+    or an accepted one; they, its step numbers and its temperatures are
+    computed only when read (:class:`SaTrace`).  Besides the trace's 8 bytes
+    per step, memory is O(CHUNK * n) narrow integers, one byte each while
     n < 128.  A table needs P steps left in a chunk, so it is made only
     while P <= CHUNK, for n <= 64, and its P entries add O(CHUNK).
     """
@@ -486,12 +500,4 @@ def anneal(
             i = min(stop, count)
         runs = np.diff(run_from + [count])
         cur_lens[first : first + count] = np.repeat(run_cur, runs)
-    trace = SaTrace(
-        iteration=np.arange(iters),
-        current_length=cur_lens,
-        best_length=np.minimum(np.minimum.accumulate(cur_lens), start_len),
-        final_tour=Tour(tuple(cur)),
-        final_length=float(cur_lens[-1]),
-        config=cfg,
-    )
-    return Tour(tuple(best)), float(best_len), trace
+    return Tour(tuple(best)), float(best_len), SaTrace(cur_lens, start_len, Tour(tuple(cur)), cfg)

@@ -95,7 +95,6 @@ class HopfieldResult:
 
     grid: np.ndarray
     converged: bool
-    valid: bool
     tour: Optional[Tour]
     sweeps_used: int
     max_update_delta_e: float
@@ -103,6 +102,11 @@ class HopfieldResult:
     p: HopfieldParams = field(repr=False)
     # the sweep ends' grids, one row-major packed grid a row
     ends: np.ndarray = field(repr=False)
+
+    @property
+    def valid(self) -> bool:
+        """Whether the final grid decodes to a tour."""
+        return self.tour is not None
 
     @cached_property
     def energy_trace(self) -> np.ndarray:
@@ -504,7 +508,6 @@ def _results(m, p, final, converged, max_de, sweeps, ends, owners) -> List[Hopfi
         HopfieldResult(
             grid=final[t],
             converged=conv,
-            valid=tour is not None,
             tour=tour,
             sweeps_used=stop - start,
             max_update_delta_e=de,

@@ -130,11 +130,16 @@ class DistanceMatrix:
             and not d.flags.writeable
         ):
             try:
-                d = np.array(d, order="C")
+                # Input that is not an array is first held as objects, each
+                # entry as given: NumPy makes float64 of a list that mixes
+                # truth values with floats.
+                d = np.array(d, dtype=None if isinstance(d, np.ndarray) else object, order="C")
                 # Text and truth values are not distances, as an array of
-                # their own or among the objects of a mixed one.
-                if d.dtype.kind in "USb" or d.dtype.kind == "O" and any(
-                    isinstance(v, (str, bytes, bool, np.bool_)) for v in d.flat
+                # their own or among the objects of a mixed one; the objects
+                # are checked by type, each type once.
+                kinds = set(map(type, d.flat)) if d.dtype.kind == "O" else ()
+                if d.dtype.kind in "USb" or any(
+                    issubclass(kind, (str, bytes, bool, np.bool_)) for kind in kinds
                 ):
                     raise TypeError
                 d = d.astype(np.float64, copy=False)

@@ -38,6 +38,7 @@ from .errors import (
     TsphnnError,
     check_choice,
     check_int,
+    check_real,
     check_record,
     quote,
 )
@@ -79,18 +80,48 @@ SWEEP_UNITS = 1 << 30
 
 @dataclass(frozen=True)
 class HybridReport:
+    """One :func:`solve_hybrid` run: the annealed tour and trace, the
+    network's result and its tour's length on the instance's own distances
+    (None when invalid).  Every other field is read from these; the final
+    tour is the network's only when it is valid and strictly shorter."""
+
     instance_id: str
-    sa_start_length: float
-    sa_length: float
-    hnn_valid: bool
-    hnn_length: Optional[float]
-    final_length: float
-    final_tour: Tour
     sa_tour: Tour
     sa_trace: SaTrace
     hnn_result: HopfieldResult
-    sa_seed: int
-    hopfield_seed: int
+    hnn_length: Optional[float]
+
+    @property
+    def sa_start_length(self) -> float:
+        return self.sa_trace.start_length
+
+    @property
+    def sa_length(self) -> float:
+        return float(self.sa_trace.best_length[-1])
+
+    @property
+    def hnn_valid(self) -> bool:
+        return self.hnn_result.valid
+
+    @property
+    def sa_seed(self) -> int:
+        return self.sa_trace.config.seed
+
+    @property
+    def hopfield_seed(self) -> int:
+        return self.hnn_result.p.seed
+
+    @property
+    def _network_kept(self) -> bool:
+        return self.hnn_valid and self.hnn_length < self.sa_length
+
+    @property
+    def final_tour(self) -> Tour:
+        return self.hnn_result.tour if self._network_kept else self.sa_tour
+
+    @property
+    def final_length(self) -> float:
+        return self.hnn_length if self._network_kept else self.sa_length
 
 
 @dataclass(frozen=True)
@@ -107,6 +138,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class CellStats:
+    """One (C, D) cell of a :func:`sweep`; a length is None when no trial
+    ended valid.  Reals are kept as nonnegative Python floats and the count
+    as an int; anything else is refused with ``InvalidArgumentError``."""
+
     c_pen: float
     d_pen: float
     best: Optional[float]
@@ -116,6 +151,14 @@ class CellStats:
     mean_sweeps: float
     trials: int
 
+    def __post_init__(self):
+        lengths = ("best", "mean", "worst")
+        for name in ("c_pen", "d_pen", "success_rate", "mean_sweeps") + lengths:
+            value = getattr(self, name)
+            if not (value is None and name in lengths):
+                object.__setattr__(self, name, check_real(name, value, 0, closed=True))
+        object.__setattr__(self, "trials", check_int("trials", self.trials, 1))
+
     @property
     def cell_id(self) -> str:
         return f"C{self.c_pen:g}-D{self.d_pen:g}"
@@ -123,6 +166,9 @@ class CellStats:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
+    """One :func:`sweep`, checked as :class:`CellStats` is; ``cells`` is a
+    tuple of ``CellStats``, which may be empty."""
+
     instance_id: str
     a_pen: float
     b_pen: float
@@ -130,6 +176,17 @@ class BenchmarkReport:
     trials: int
     master_seed: int
     success_metric: str
+
+    def __post_init__(self):
+        check_record("instance_id", self.instance_id, str)
+        for name in ("a_pen", "b_pen"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, closed=True))
+        check_record("cells", self.cells, tuple)
+        for cell in self.cells:
+            check_record("cell", cell, CellStats)
+        object.__setattr__(self, "trials", check_int("trials", self.trials, 1))
+        object.__setattr__(self, "master_seed", check_int("master_seed", self.master_seed, 0))
+        check_choice("success metric", self.success_metric, SUCCESS_METRICS)
 
 
 def _distances(inst: Instance) -> DistanceMatrix:
@@ -172,31 +229,10 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     """
     _check_configs(sa, hp)
     m = _distances(inst)
-    sa_start_length, (sa_tour, sa_length, sa_trace) = _anneal_from_random(m, sa)
-
+    _, (sa_tour, _, sa_trace) = _anneal_from_random(m, sa)
     hnn = run(normalize_distances(m), hp, init=tour_to_matrix(sa_tour))
-    hnn_length = None
-    if hnn.valid:
-        hnn_length = tour_length(m, hnn.tour)
-
-    if hnn_length is not None and hnn_length < sa_length:
-        final_tour, final_length = hnn.tour, hnn_length
-    else:
-        final_tour, final_length = sa_tour, sa_length
-    return HybridReport(
-        instance_id=inst.id,
-        sa_start_length=sa_start_length,
-        sa_length=sa_length,
-        hnn_valid=hnn.valid,
-        hnn_length=hnn_length,
-        final_length=final_length,
-        final_tour=final_tour,
-        sa_tour=sa_tour,
-        sa_trace=sa_trace,
-        hnn_result=hnn,
-        sa_seed=sa.seed,
-        hopfield_seed=hp.seed,
-    )
+    hnn_length = None if hnn.tour is None else tour_length(m, hnn.tour)
+    return HybridReport(inst.id, sa_tour, sa_trace, hnn, hnn_length)
 
 
 def solve(

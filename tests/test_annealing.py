@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -835,6 +836,27 @@ def test_cold_walk_evaluates_the_schedule_only_where_a_step_reads_it(monkeypatch
     called.clear()
     assert trace.temperature is trace.temperature
     assert called == list(range(warm.iterations))
+
+
+def test_trace_derives_its_step_numbers_and_best_lengths_on_read(paper8_m):
+    """A trace stores its current lengths and start length; its step numbers
+    and best lengths are computed on first read, then kept, and equal the
+    arrays ``anneal`` once stored, bit for bit."""
+    cfg = T.SaConfig(t0=2.0, cooling_rate=0.99, iterations=500, seed=3)
+    start = T.Tour(tuple(range(8)))
+    _, length, trace = T.anneal(paper8_m, start, cfg)
+    assert not {"iteration", "best_length", "temperature"} & set(vars(trace))
+    assert trace.start_length == T.tour_length(paper8_m, start)
+    best = np.minimum(np.minimum.accumulate(trace.current_length), trace.start_length)
+    assert trace.best_length.tobytes() == best.tobytes()
+    assert trace.iteration.tobytes() == np.arange(cfg.iterations).tobytes()
+    assert trace.best_length is trace.best_length and trace.iteration is trace.iteration
+    assert trace.best_length[-1] == length
+    assert type(trace.final_length) is float
+    assert trace.final_length == trace.current_length[-1]
+    assert [f.name for f in dataclasses.fields(trace)] == [
+        "current_length", "start_length", "final_tour", "config",
+    ]
 
 
 def test_traces_compare_by_identity(paper8_m):

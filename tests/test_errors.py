@@ -1,6 +1,7 @@
 """Every refusal of the public API is a typed ``TsphnnError`` (or, for an
 unknown builtin name, a ``KeyError``) that says what was wrong."""
 
+import dataclasses
 import inspect
 import math
 import os
@@ -159,6 +160,22 @@ REFUSALS = {
     "render-grid-int": (
         lambda: render_grid_svg(5), T.TsphnnError, r"grid must be square, got shape \(\)",
     ),
+    "report-cells-int": (
+        lambda: dataclasses.replace(ONE_CELL, cells=5),
+        T.InvalidArgumentError, "cells must be a tuple, got int",
+    ),
+    "report-cell-int": (
+        lambda: dataclasses.replace(ONE_CELL, cells=(5,)),
+        T.InvalidArgumentError, "cell must be a CellStats, got int",
+    ),
+    "report-a-pen-string": (
+        lambda: dataclasses.replace(ONE_CELL, a_pen="a"),
+        T.InvalidArgumentError, "a_pen must be a real number, got 'a'",
+    ),
+    "cell-c-pen-string": (
+        lambda: T.CellStats("z", 10.0, None, None, None, 0.0, 5.0, 1),
+        T.InvalidArgumentError, "c_pen must be a real number, got 'z'",
+    ),
 }
 
 
@@ -299,6 +316,22 @@ def test_real_arguments_are_stored_as_floats():
         T.SaConfig(t0="1")
 
 
+def test_report_records_keep_python_floats():
+    """A sweep report's records keep each real field as a Python float and
+    each count as an int, whatever real or integer type they were given, so
+    a report renders the same; a cell with no valid trial keeps None."""
+    cell = T.CellStats(
+        np.float32(90), 10, np.float64(2.5), None, 3, np.float64(0.5), np.int64(5), np.int64(2)
+    )
+    report = T.BenchmarkReport(
+        "x", np.int64(100), np.float32(0.5), (cell,), np.int64(2), 0, "valid"
+    )
+    values = [cell.c_pen, cell.d_pen, cell.best, cell.worst, cell.success_rate, cell.mean_sweeps]
+    assert {type(v) for v in values + [report.a_pen, report.b_pen]} == {float}
+    assert {type(v) for v in (cell.trials, report.trials, report.master_seed)} == {int}
+    assert cell.mean is None and values == [90.0, 10.0, 2.5, 3.0, 0.5, 5.0]
+
+
 # Junk for any scalar argument: none is of the argument's record type, and
 # every count among them is refused or small, so no call runs for long.
 JUNK = [
@@ -334,6 +367,14 @@ SCALAR_ARGUMENTS = {
     "sweep-base": lambda v: T.sweep(PAPER8, [90.0], [10.0], 1, v, 0),
     "sweep-c-values": lambda v: T.sweep(PAPER8, v, [10.0], 1, FEW_SWEEPS, 0),
     "sweep-d-values": lambda v: T.sweep(PAPER8, [90.0], v, 1, FEW_SWEEPS, 0),
+    **{
+        f"cell-{name}": lambda v, name=name: dataclasses.replace(ONE_CELL.cells[0], **{name: v})
+        for name in (f.name for f in dataclasses.fields(T.CellStats))
+    },
+    **{
+        f"report-{name}": lambda v, name=name: dataclasses.replace(ONE_CELL, **{name: v})
+        for name in ("instance_id", "a_pen", "b_pen", "trials", "master_seed", "success_metric")
+    },
 }
 
 
@@ -379,6 +420,8 @@ RECORD_ARGUMENTS = {
     "lockstep-p": lambda v: run_lockstep(M8, v, [], []),
     "render-tour-inst": render_tour_svg,
     "save-instance-inst": lambda v: T.save_instance(v, os.devnull),
+    "report-cells": lambda v: dataclasses.replace(ONE_CELL, cells=v),
+    "report-cell": lambda v: dataclasses.replace(ONE_CELL, cells=(v,)),
 }
 
 

@@ -1,6 +1,7 @@
-"""The benchmark's recorded answers, checked in-process for golden seed 0.
+"""The benchmark's recorded answers, checked in-process for golden seeds 0,
+21, 42 and 63.
 
-Each workload of ``perfbench/workloads.py`` is built for seed 0 under a
+Each workload of ``perfbench/workloads.py`` is built for each seed under a
 temporary directory and run through ``cli.main``; the digest of every
 command's stdout and sweep CSV (``perfbench/checks.py``) must equal the one
 recorded in ``perfbench/golden/<workload>.json``.  An answer change then
@@ -39,6 +40,22 @@ def test_golden_seed_0(workload, tmp_path):
     golden = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())["seeds"]["0"]
     digests = []
     for cmd in workloads.build(workload, 0, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(list(cmd.argv))
+        csv_text = Path(cmd.csv_path).read_text(encoding="utf-8") if cmd.csv_path else ""
+        digests.append(checks.digest(out.getvalue(), csv_text))
+    assert digests == golden
+
+
+@pytest.mark.parametrize("seed", [21, 42, 63])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_golden_later_seeds(workload, seed, tmp_path):
+    """Golden seeds spread over the recorded 0-63, checked as seed 0 is."""
+    seeds = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())["seeds"]
+    golden = seeds[str(seed)]
+    digests = []
+    for cmd in workloads.build(workload, seed, tmp_path):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             cli.main(list(cmd.argv))

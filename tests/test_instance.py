@@ -294,6 +294,9 @@ def test_a_matrix_that_is_not_an_array_of_numbers_is_refused(matrix):
 
 NUMERIC_STRINGS = [["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]]
 TRUTHS = [[False, True, True], [True, False, True], [True, True, False]]
+# One truth value among floats: NumPy alone would make a float64 array of it.
+TRUTH_AMONG_FLOATS = [[0, True, 1.0], [True, 0, 1.0], [1.0, 1.0, 0]]
+NUMPY_TRUTH_AMONG_FLOATS = [[0, np.True_, 1.0], [np.True_, 0, 1.0], [1.0, 1.0, 0]]
 BIG = 2**70  # past int64, so NumPy holds a list with it as Python objects
 
 
@@ -301,9 +304,10 @@ BIG = 2**70  # past int64, so NumPy holds a list with it as Python objects
     "matrix",
     [NUMERIC_STRINGS, np.array(NUMERIC_STRINGS), np.array(NUMERIC_STRINGS, dtype=bytes),
      TRUTHS, np.array(TRUTHS), [[0, "1", BIG], ["1", 0, 5], [BIG, 5, 0]],
-     [[0, True, BIG], [True, 0, 5], [BIG, 5, 0]]],
+     [[0, True, BIG], [True, 0, 5], [BIG, 5, 0]], TRUTH_AMONG_FLOATS, NUMPY_TRUTH_AMONG_FLOATS],
     ids=["strings", "string-array", "bytes-array", "booleans", "boolean-array",
-         "strings-among-objects", "booleans-among-objects"],
+         "strings-among-objects", "booleans-among-objects", "boolean-among-floats",
+         "numpy-boolean-among-floats"],
 )
 def test_a_matrix_of_strings_or_booleans_is_refused(matrix):
     """Numeric text and truth values are not distances: the one matrix

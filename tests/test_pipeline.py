@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -88,6 +89,29 @@ def test_hybrid_keeps_a_shorter_network_tour(cityset1):
     assert rep.final_tour == rep.hnn_result.tour
     assert rep.final_length == rep.hnn_length < rep.sa_length
     assert rep.final_length <= rep.sa_length <= rep.sa_start_length
+
+
+def test_hybrid_report_stores_five_parts_and_reads_the_rest():
+    """A hybrid report stores the annealed tour and trace, the network's
+    result and its length; it reads every other fact from them, and takes
+    the network's tour only when it is valid and strictly shorter."""
+    assert [f.name for f in dataclasses.fields(T.HybridReport)] == [
+        "instance_id", "sa_tour", "sa_trace", "hnn_result", "hnn_length",
+    ]
+    cityset1 = T.get_builtin("cityset1")
+    sa = T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=2, seed=6)
+    hp = T.HopfieldParams(a_pen=70, b_pen=30, c_pen=90, d_pen=30, seed=11)
+    rep = T.solve_hybrid(cityset1, sa, hp)
+    assert rep.hnn_valid and rep.hnn_result.tour != rep.sa_tour
+    assert (rep.sa_seed, rep.hopfield_seed) == (6, 11)
+    assert rep.sa_start_length == rep.sa_trace.start_length
+    assert rep.sa_length == rep.sa_trace.best_length[-1]
+    parts = ("cityset1", rep.sa_tour, rep.sa_trace, rep.hnn_result)
+    shorter = T.HybridReport(*parts, math.nextafter(rep.sa_length, 0.0))
+    assert shorter.final_tour == rep.hnn_result.tour
+    assert shorter.final_length == math.nextafter(rep.sa_length, 0.0)
+    tied = T.HybridReport(*parts, rep.sa_length)
+    assert tied.final_tour == rep.sa_tour and tied.final_length == rep.sa_length
 
 
 def test_hybrid_best_of_20_reaches_optimum(paper8, paper8_m):
