@@ -212,10 +212,11 @@ def _screen_band(m: DistanceMatrix, k: int) -> float:
     delta decides the sign of the walk's own length difference; one band
     serves the windows, the swap-delta table and the hold screen.
 
-    Let M = max d; while 2*n*M is finite no sum overflows.  By the summation
-    lemma of :mod:`._rounding`, a tour length, n terms in [0, M], lies within
-    gamma_{n-1} * n*M of its exact sum.  A k-pair swap changes only the at
-    most 4k edges at positions p - 1 and p of its picks p.  Every edge delta
+    Let M = max d; as 2*n*M is finite, no sum overflows (see
+    :class:`DistanceMatrix`).  By the summation lemma of :mod:`._rounding`,
+    a tour length, n terms in [0, M], lies within gamma_{n-1} * n*M of its
+    exact sum.  A k-pair swap changes only the at most 4k edges at
+    positions p - 1 and p of its picks p.  Every edge delta
     (:func:`_edge_deltas`, a table entry, :func:`_pair_delta`) sums their
     rounded differences, each at most M, in some order, less the one of an
     edge between two adjacent picks, exactly 0 as d is symmetric.  Each
@@ -225,14 +226,10 @@ def _screen_band(m: DistanceMatrix, k: int) -> float:
     gamma_{4k}*4k*M <= 4*U*(n^2 - n + 8k^2)*M of it.  The returned
     4*U*(n^2 + 4k*(4k + 1))*M exceeds that by at least 4*U*n*M, which covers
     its one rounding, an underflowing one too, as all sums are exact while
-    n*M < 2^-1022.  Infinite where a length could overflow: nothing is
-    screened.
+    n*M < 2^-1022.
     """
     n = m.n
-    d_max = float(m.d.max())
-    if not 2.0 * n * d_max < np.inf:
-        return np.inf
-    return 4 * U * (n * n + 4 * k * (4 * k + 1)) * d_max
+    return 4 * U * (n * n + 4 * k * (4 * k + 1)) * float(m.d.max())
 
 
 def _changed_edges(picks: np.ndarray, n: int) -> np.ndarray:
@@ -328,7 +325,7 @@ def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
     accepted.  A step is rejected when fl(delta - band) reaches its cut; by
     :func:`_screen_band` and monotone rounding that is at most
     fl(cand_len - cur_len), so :func:`_rejection_cuts` proves that the exact
-    step rejects it.  A NaN delta is never rejected.
+    step rejects it.
     """
     return np.flatnonzero(~(delta - band >= cuts))
 
@@ -356,20 +353,18 @@ def anneal(
     Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, the
     same values and generator state as one draw of them all.  For each
     chunk the steps' swap positions (one :func:`_kernels.pick_positions`
-    call) and, while the band of :func:`_screen_band` is finite, the
-    rejection cuts of :func:`_rejection_cuts` are computed at once, since
-    neither depends on the tour.  The cuts come from
+    call) and the rejection cuts of :func:`_rejection_cuts` are computed at
+    once, since neither depends on the tour.  The cuts come from
     :func:`_temperature_bounds`, not from the schedule itself.
 
     The exact step builds the candidate from the chunk's positions on Python
-    lists and takes its in-order length.  While the band is finite the
-    length difference is finite, and a step whose difference reaches its cut
-    is rejected there; any other step asks :func:`acceptance_probability` at
-    its :func:`temperature_at`, the only place the walk evaluates the
-    schedule.  Steps run exactly, back to back, until ``SCREEN_GAP`` steps
-    have passed since the last acceptance.  With one pair per swap, at least
-    ``HOLD_SCREEN_MIN_N`` cities and a finite band, each of these steps is
-    first screened alone: a step whose scalar edge delta
+    lists and takes its in-order length.  A step whose length difference
+    reaches its cut is rejected there; any other step asks
+    :func:`acceptance_probability` at its :func:`temperature_at`, the only
+    place the walk evaluates the schedule.  Steps run exactly, back to back,
+    until ``SCREEN_GAP`` steps have passed since the last acceptance.  With
+    one pair per swap and at least ``HOLD_SCREEN_MIN_N`` cities, each of
+    these steps is first screened alone: a step whose scalar edge delta
     (:func:`_pair_delta`), less the band, reaches its cut is rejected
     without building the candidate; below that size the gain is small or a
     loss.  From then on, a window of upcoming steps, as many as have passed,
@@ -414,15 +409,12 @@ def anneal(
     best, best_len = cur, cur_len
     cur_lens = np.empty(iters)
     band = _screen_band(m, k)
-    # Steps after an acceptance that run exactly before a screen; with an
-    # infinite band, every step.
-    hold = SCREEN_GAP if band < np.inf else iters + 1
     # The fewest steps, passed and left, for which a screen gathers a table.
     # Only one-pair swaps use one: a k-pair step could sum its pairs'
     # entries only where no two picks are adjacent, and that timed no
     # faster than its edges.
     table_at = n * (n - 1) // 2 if k == 1 else np.inf
-    hold_screen = k == 1 and n >= HOLD_SCREEN_MIN_N and band < np.inf
+    hold_screen = k == 1 and n >= HOLD_SCREEN_MIN_N
     pair_row = pair_edges = None  # made with the first table
     tour = table = None  # ``cur`` as an array, and its table, made when needed
     last = -1  # the last accepted step; the start counts as one
@@ -430,21 +422,19 @@ def anneal(
         u = _uniforms(rng, (min(CHUNK, iters - first), 2 * k + 1))
         count = len(u)
         picks = _kernels.pick_positions(n, k, u)
-        cuts = None  # the chunk's rejection cuts, while the band is finite
-        if band < np.inf:
-            cuts = _rejection_cuts(_temperature_bounds(cfg, first, count), u[:, 2 * k])
+        cuts = _rejection_cuts(_temperature_bounds(cfg, first, count), u[:, 2 * k])
         edges = None  # made with the chunk's first window that gathers edges
         # Made at the chunk's first exact step; most cold chunks have none.
-        swaps = cut_at = None
+        swaps = None
         # The chunk's steps from which the walk holds each length: a run.
         run_from, run_cur = [0], [cur_len]
         i = 0
         while i < count:
             gap = first + i - last
-            if gap < hold:
-                # Exact steps until the gap reaches ``hold``; an acceptance
-                # restarts the count.
-                steps, stop, after = range(i, count), i + hold - gap, hold
+            if gap < SCREEN_GAP:
+                # Exact steps until the gap reaches ``SCREEN_GAP``; an
+                # acceptance restarts the count.
+                steps, stop, after = range(i, count), i + SCREEN_GAP - gap, SCREEN_GAP
                 screened = hold_screen
             else:
                 if tour is None:
@@ -475,8 +465,7 @@ def anneal(
                 swaps = list(zip(cols[0::2], cols[1::2]))
                 xs, ys = swaps[0]
                 accept_at = u[:, 2 * k].tolist()
-                if cuts is not None:
-                    cut_at = cuts.tolist()
+                cut_at = cuts.tolist()
             for j in steps:
                 if j >= stop:
                     break
@@ -487,7 +476,7 @@ def anneal(
                     x, y = a[j], b[j]
                     cand[x], cand[y] = cand[y], cand[x]
                 cand_len = length(d, cand)
-                if cut_at is not None and cand_len - cur_len >= cut_at[j]:
+                if cand_len - cur_len >= cut_at[j]:
                     continue
                 temp = temperature_at(first + j, cfg)
                 if acceptance_probability(cur_len, cand_len, temp) >= accept_at[j]:

@@ -33,7 +33,7 @@ def _min_gain(d: np.ndarray) -> float:
     ((x1 + x2) - x3) - x4 of distances in [0, M] errs by at most gamma_3 * 4M,
     and a 3-opt delta fl(N - B) of two in-order sums of three by at most
     (1 + U) * gamma_2 * (N + B) + U * |N - B|, which peaks at N = B = 3M.
-    Either is under 13*U*M (6.5 ulps of M), so a finite delta below -16*U*M
+    Either is under 13*U*M (6.5 ulps of M), so a delta below -16*U*M
     is exactly negative.
     """
     return max(MIN_GAIN, 16 * U * float(d.max()))
@@ -85,8 +85,7 @@ def two_opt(m: DistanceMatrix, t: Tour) -> Tour:
         # delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
         ac_be = d[prev[:, None], tour] + d[tour[:, None], nxt]
         delta = ac_be - d[prev, tour][:, None] - d[tour, nxt]
-        # an overflowed +-inf is no move: _min_gain bounds finite deltas only
-        delta = np.where(movable & np.isfinite(delta), delta, np.inf)
+        delta = np.where(movable, delta, np.inf)
         pos = int(np.argmin(delta))
         if not delta.flat[pos] < -min_gain:
             return Tour(tuple(tour.tolist()))
@@ -189,8 +188,7 @@ def three_opt(m: DistanceMatrix, t: Tour) -> Tour:
             base += ef
             # Rounding is monotone, so no delta of a triple is below its
             # smallest sum less base: only triples where that is below best
-            # can hold the move.  Sums are never NaN; lo - base is NaN only
-            # where every sum and base overflowed, which is no move.
+            # can hold the move.
             lo = np.minimum(new[0], new[1])
             for total in new[2:]:
                 np.minimum(lo, total, out=lo)
@@ -199,8 +197,6 @@ def three_opt(m: DistanceMatrix, t: Tour) -> Tour:
             if not hit.size:
                 continue
             delta = np.stack([total[hit] for total in new], axis=-1) - base[hit, None]
-            # a delta that overflowed is no move (see two_opt)
-            delta[~np.isfinite(delta)] = np.inf
             pos = int(np.argmin(delta))
             if delta.flat[pos] < best:
                 best = delta.flat[pos]

@@ -48,8 +48,10 @@ def _emit(record: dict) -> None:
 
 def cmd_gen(args) -> int:
     # Generation checks n first, so n is small enough to multiply as a float.
+    # DistanceMatrix's rule, for the longest distance the square allows, so
+    # no file is written that ``solve`` refuses.
     inst = generate_random_instance(args.n, args.seed, args.bound)
-    if math.isinf(args.n * math.hypot(args.bound, args.bound)):
+    if math.isinf(2.0 * args.n * math.hypot(args.bound, args.bound)):
         raise InvalidArgumentError(
             f"--bound {args.bound:g} lets tour lengths of {args.n} cities overflow"
         )

@@ -321,9 +321,8 @@ def run(
 
 def _field_bound(m: DistanceMatrix) -> float:
     """F = 2 * max_x sum_y |d[x, y]|, at least |field| at any unit of any
-    0/1 grid; inf when the sum overflows."""
-    with np.errstate(over="ignore"):
-        return 2.0 * float(np.abs(m.d).sum(axis=1).max())
+    0/1 grid; finite under :class:`DistanceMatrix`'s rule."""
+    return 2.0 * float(np.abs(m.d).sum(axis=1).max())
 
 
 def _check_finite(m: DistanceMatrix, p: HopfieldParams, f: float) -> None:

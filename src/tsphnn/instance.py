@@ -7,6 +7,7 @@ used as-is instead of being recomputed from coordinates.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -98,7 +99,18 @@ class Instance:
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Square, symmetric, finite, nonnegative matrix with a zero diagonal,
-    on at least 3 cities.
+    on at least 3 cities, whose n and largest entry M have 2*n*M finite.
+
+    That last rule keeps every sum a solver forms finite, so no solver has
+    an overflow mode.  Each partial sum of such a sum is exactly at most
+    n*M in size: a tour length's, of n edges (the oracle's partial tours
+    too); an SA edge delta's, of the rounded differences of its changed
+    edges, at most one per tour position, as an edge listed twice adds an
+    exact 0; a 2-opt delta's, two distances less two; a 3-opt sum's, three
+    with n >= 5; a row of d, which the network's field bound doubles.  Each
+    term reaches it through at most 2n roundings, so by the summation lemma
+    of :mod:`._rounding` it is computed at most (1 + gamma_{2n}) * n*M <
+    2*n*M, which does not overflow while fl(2*n*M) is finite.
 
     The one check and the one conversion of every distance matrix, an
     :class:`Instance`'s explicit one and an instance file's included.  Its
@@ -155,6 +167,11 @@ class DistanceMatrix:
             raise TsphnnError("distance matrix has non-finite entries")
         if np.any(d < 0):
             raise TsphnnError("distance matrix has negative entries")
+        longest = float(d.max())
+        if math.isinf(2.0 * d.shape[0] * longest):
+            raise TsphnnError(
+                f"tour lengths overflow ({d.shape[0]} cities, largest distance {longest:g})"
+            )
         if np.any(np.diagonal(d) != 0):
             raise TsphnnError("distance matrix diagonal must be zero")
         if not np.array_equal(d, d.T):
@@ -203,10 +220,14 @@ def distance_matrix(inst: Instance) -> DistanceMatrix:
     if inst.matrix is not None:
         return inst._distances
     x, y = inst.coords().T
-    d = np.subtract.outer(x, x)
-    np.hypot(d, np.subtract.outer(y, y), out=d)  # at most two n x n arrays at once
+    with np.errstate(over="ignore"):  # DistanceMatrix refuses an infinite distance
+        d = np.subtract.outer(x, x)
+        np.hypot(d, np.subtract.outer(y, y), out=d)  # at most two n x n arrays at once
     d.flags.writeable = False  # shared, not copied
-    return DistanceMatrix(d)
+    try:
+        return DistanceMatrix(d)
+    except TsphnnError as exc:
+        raise TsphnnError(f"instance {quote(inst.id)}: {exc}") from None
 
 
 def normalize_distances(m: DistanceMatrix) -> DistanceMatrix:

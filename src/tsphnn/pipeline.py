@@ -35,12 +35,10 @@ from .annealing import SaConfig, SaTrace, anneal
 from .baselines import greedy_nearest_neighbor, three_opt, two_opt
 from .errors import (
     InvalidArgumentError,
-    TsphnnError,
     check_choice,
     check_int,
     check_real,
     check_record,
-    quote,
 )
 from .hopfield import (
     HopfieldParams,
@@ -97,7 +95,8 @@ class HybridReport:
 
     @property
     def sa_length(self) -> float:
-        return float(self.sa_trace.best_length[-1])
+        trace = self.sa_trace
+        return min(trace.start_length, float(trace.current_length.min()))
 
     @property
     def hnn_valid(self) -> bool:
@@ -167,7 +166,8 @@ class CellStats:
 @dataclass(frozen=True)
 class BenchmarkReport:
     """One :func:`sweep`, checked as :class:`CellStats` is; ``cells`` is a
-    tuple of ``CellStats``, which may be empty."""
+    tuple of ``CellStats``, which may be empty, each of the report's
+    ``trials``."""
 
     instance_id: str
     a_pen: float
@@ -181,27 +181,17 @@ class BenchmarkReport:
         check_record("instance_id", self.instance_id, str)
         for name in ("a_pen", "b_pen"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0, closed=True))
+        trials = check_int("trials", self.trials, 1)
+        object.__setattr__(self, "trials", trials)
         check_record("cells", self.cells, tuple)
         for cell in self.cells:
             check_record("cell", cell, CellStats)
-        object.__setattr__(self, "trials", check_int("trials", self.trials, 1))
+            if cell.trials != trials:
+                raise InvalidArgumentError(
+                    f"cell {cell.cell_id} has {cell.trials} trials, the report {trials}"
+                )
         object.__setattr__(self, "master_seed", check_int("master_seed", self.master_seed, 0))
         check_choice("success metric", self.success_metric, SUCCESS_METRICS)
-
-
-def _distances(inst: Instance) -> DistanceMatrix:
-    """The instance's distance matrix, refused when a tour length can
-    overflow: a distance that is already infinite, or n times the largest
-    distance past the largest float."""
-    with np.errstate(over="ignore"):  # DistanceMatrix refuses an infinite distance
-        m = distance_matrix(inst)
-    longest = float(m.d.max())
-    if math.isinf(m.n * longest):
-        raise TsphnnError(
-            f"instance {quote(inst.id)}: tour lengths overflow "
-            f"({m.n} cities, largest distance {longest:g})"
-        )
-    return m
 
 
 def _check_configs(sa: SaConfig, hp: HopfieldParams) -> None:
@@ -216,8 +206,8 @@ def _anneal_from_random(m: DistanceMatrix, sa: SaConfig):
     tour drawn by the generator seeded with ``sa.seed``, which the walk then
     continues: the start rule of "sa" and of the hybrid."""
     rng = np.random.default_rng(sa.seed)
-    start = Tour.random(m.n, rng)
-    return tour_length(m, start), anneal(m, start, sa, rng=rng)
+    tour, length, trace = anneal(m, Tour.random(m.n, rng), sa, rng=rng)
+    return trace.start_length, (tour, length, trace)
 
 
 def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridReport:
@@ -228,7 +218,7 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     always measured on the instance's own (unscaled) distances.
     """
     _check_configs(sa, hp)
-    m = _distances(inst)
+    m = distance_matrix(inst)
     _, (sa_tour, _, sa_trace) = _anneal_from_random(m, sa)
     hnn = run(normalize_distances(m), hp, init=tour_to_matrix(sa_tour))
     hnn_length = None if hnn.tour is None else tour_length(m, hnn.tour)
@@ -257,7 +247,7 @@ def solve(
         if r.hnn_length is not None:
             extras["hnn_length"] = r.hnn_length
         return SolveReport(r.final_tour, r.final_length, extras)
-    m = _distances(inst)
+    m = distance_matrix(inst)
     extras, hnn = {}, None
     if method == "exact":
         tour = brute_force_optimum(m)[0]
@@ -430,7 +420,7 @@ def sweep(
     seed = check_int("seed", seed, 0)
     check_choice("success metric", success_metric, SUCCESS_METRICS)
 
-    m_raw = _distances(inst)
+    m_raw = distance_matrix(inst)
     n = m_raw.n
     trials = check_int("trials", trials, 1, max(1, SWEEP_UNITS // (len(cell_params) * n * n)))
     m_scaled = normalize_distances(m_raw)

@@ -362,24 +362,14 @@ def test_anneal_chunk_boundary_replay_n50(monkeypatch, k):
     assert len(exact) < cfg.iterations  # the screen rejected steps
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("bound", (1e200, 1e308))
+@pytest.mark.parametrize("bound", (1e200,))
 def test_anneal_replays_at_extreme_bounds(monkeypatch, bound):
-    """At bound 1e200 the screen works on lengths near 1e201.  At 1e308 the
-    tour sums overflow to inf, where every step ties and is accepted; the
-    band is infinite, so even a screen at every step leaves them all to the
-    exact step."""
+    """At bound 1e200 the screen works on lengths near 1e201."""
     m = T.distance_matrix(T.generate_random_instance(10, seed=2, bound=bound))
-    if bound == 1e308:
-        monkeypatch.setattr(annealing, "SCREEN_GAP", 1)
     cfg = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=600, swap_count=2, seed=5)
     start = T.Tour(tuple(range(10)))
     exact = _anneal_counting_exact_steps(monkeypatch, m, start, cfg)
-    if bound == 1e308:
-        assert T.tour_length(m, start) == math.inf
-        assert len(exact) == cfg.iterations
-    else:
-        assert len(exact) < cfg.iterations
+    assert len(exact) < cfg.iterations
 
 
 def _tied_instance(n, rng):
@@ -494,10 +484,10 @@ def test_hold_screen_never_rejects_an_accepted_step(bound, seed, data):
             assert p < u[j, 2]
 
 
-@pytest.mark.parametrize("n, lengths, exact", [(15, 2920, 1129), (50, 1158, 1156)])
+@pytest.mark.parametrize("n, lengths, exact", [(15, 2919, 1129), (50, 1157, 1156)])
 def test_hold_screen_spares_the_lengths_of_held_steps(monkeypatch, n, lengths, exact):
     """The in-order lengths summed by one default SA solve on
-    ``generate_random_instance(n, 3)``: two start lengths, one per exact
+    ``generate_random_instance(n, 3)``: one start length, one per exact
     step, and one per step the exact step's cut rejects.  At n = 50 the
     hold screen rejects those steps before their length, which took 3,678
     lengths without it; n = 15 is below its gate.  The steps reaching
@@ -745,50 +735,6 @@ def test_uniforms_below_the_generator_grid_get_infinite_cuts():
     cuts = annealing._rejection_cuts(np.full(len(uniforms), 0.2), uniforms)
     assert cuts[:4].tolist() == [math.inf] * 4
     assert np.isfinite(cuts[4:]).all()
-
-
-class _FixedDraws:
-    """A generator stand-in that hands out the rows of ``draws`` in turn."""
-
-    def __init__(self, draws):
-        self.draws, self.at = draws, 0
-
-    def random(self, size):
-        rows, _ = size
-        self.at += rows
-        return self.draws[self.at - rows : self.at]
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_exact_step_cut_is_not_applied_where_the_band_is_infinite(monkeypatch):
-    """Where a tour length can overflow the band is infinite.  A candidate
-    whose length overflowed has D = inf, which the infinite cut of a
-    uniform of 0.0 would reject, yet ``acceptance_probability`` accepts it
-    (exp(-inf) = 0.0 >= 0.0).  The walk leaves such steps to the exact
-    step, so it matches the hand replay."""
-    m = T.distance_matrix(T.generate_random_instance(10, seed=3, bound=4e307))
-    assert annealing._screen_band(m, 1) == math.inf
-    start = T.greedy_nearest_neighbor(m)
-    assert T.tour_length(m, start) < math.inf
-    cfg = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=400, seed=0)
-    draws = np.random.default_rng(1).random((cfg.iterations, 3))
-    draws[::2, 2] = 0.0
-    exact = []
-    real = annealing.acceptance_probability
-
-    def counted(e, e_new, t):
-        exact.append(e_new - e)
-        return real(e, e_new, t)
-
-    monkeypatch.setattr(annealing, "acceptance_probability", counted)
-    tour, length, trace = T.anneal(m, start, cfg, rng=_FixedDraws(draws))
-    assert math.inf in exact  # some finite tour proposed an overflowing one
-    assert len(exact) == cfg.iterations
-    _, current, bests, best, final = _replay(m, start, cfg, draws)
-    assert trace.current_length.tolist() == current
-    assert trace.best_length.tolist() == bests
-    assert (tour, length) == best
-    assert (trace.final_tour, trace.final_length) == final
 
 
 def test_cold_walk_evaluates_the_schedule_only_where_a_step_reads_it(monkeypatch):

@@ -315,73 +315,17 @@ def test_three_opt_blocks_agree_at_larger_n(n):
                 assert T.three_opt(m, start).order == expected
 
 
-def test_three_opt_overflowed_deltas_are_no_move_at_every_budget():
-    """The 1.7e308 matrices of the test below, and a ring with three edges
-    of 7e307 (all others 1), whose one triple cutting all three has only
-    -inf deltas: every block budget ends on the tour the one-cut-at-a-time
-    scan ended on, recorded here.  Taking an overflowed delta for a gain
-    changes all four.  A subprocess turns a hang into a failure."""
-    code = textwrap.dedent(
-        """
-        import warnings
-        from unittest import mock
-        import numpy as np
-        import tsphnn as T
-        from tsphnn import baselines
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cases = []
-        for seed in (0, 5, 15):
-            rng = np.random.default_rng(seed)
-            upper = np.triu(rng.uniform(0, 1.7e308, (9, 9)), 1)
-            cases.append((T.DistanceMatrix(upper + upper.T), T.Tour.random(9, rng)))
-        d = np.ones((9, 9))
-        np.fill_diagonal(d, 0.0)
-        for p in (0, 3, 6):
-            d[p, p + 1] = d[p + 1, p] = 7e307
-        cases.append((T.DistanceMatrix(d), T.Tour(tuple(range(9)))))
-        ends = [
-            (3, 0, 2, 1, 4, 7, 6, 8, 5),
-            (5, 2, 1, 3, 4, 6, 8, 0, 7),
-            (4, 1, 5, 0, 2, 8, 3, 6, 7),
-            (0, 2, 6, 5, 4, 1, 3, 7, 8),
-        ]
-        for (m, start), end in zip(cases, ends):
-            for budget in (1, 40, baselines.BLOCK_TRIPLES):
-                with mock.patch.object(baselines, "BLOCK_TRIPLES", budget):
-                    assert T.three_opt(m, start).order == end, budget
-        print("done")
-        """
-    )
-    src = str(Path(T.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "done"
-
-
 def test_local_search_ends_on_huge_distances():
     """Both searches used to hang once distances reach about 1e5: a delta's
     rounding error, larger than MIN_GAIN there, passed for a gain that the
-    next pass undid.  Entries near 1.7e308 also overflow sums to inf.  A
-    subprocess turns a hang into a failure."""
+    next pass undid.  A subprocess turns a hang into a failure."""
     code = textwrap.dedent(
         """
-        import warnings
-        import numpy as np
         import tsphnn as T
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cases = []
-        for seed in (0, 5, 15):
-            rng = np.random.default_rng(seed)
-            upper = np.triu(rng.uniform(0, 1.7e308, (9, 9)), 1)
-            cases.append((T.DistanceMatrix(upper + upper.T), T.Tour.random(9, rng)))
         m = T.distance_matrix(T.generate_random_instance(6, seed=0, bound=1e5))
-        cases.append((m, T.greedy_nearest_neighbor(m, 0)))
-        for m, start in cases:
-            for search in (T.two_opt, T.three_opt):
-                assert sorted(search(m, start).order) == list(range(m.n))
+        start = T.greedy_nearest_neighbor(m, 0)
+        for search in (T.two_opt, T.three_opt):
+            assert sorted(search(m, start).order) == list(range(m.n))
         length = T.tour_length(m, T.three_opt(m, start))
         assert length <= T.tour_length(m, T.two_opt(m, start)) <= T.tour_length(m, start)
         print("done")

@@ -641,6 +641,17 @@ def test_gen_refuses_a_bound_that_overflows_tour_lengths(tmp_path, capsys):
     assert T.generate_random_instance(8, seed=1, bound=1e308).n == 8  # the library accepts it
 
 
+def test_gen_refuses_a_bound_whose_doubled_tour_lengths_overflow(tmp_path, capsys):
+    """``gen`` applies ``DistanceMatrix``'s rule, 2 * n * the square's
+    diagonal finite, so it writes no file that ``solve`` refuses.  At 1e307
+    n * the diagonal is finite, and twice it is not."""
+    path = tmp_path / "huge.json"
+    code, _, err = run_cli(
+        capsys, "gen", "--n", "8", "--seed", "1", "--bound", "1e307", "--out", str(path)
+    )
+    assert code == 2 and "overflow" in err and not path.exists()
+
+
 @pytest.mark.parametrize(
     "coords",
     [

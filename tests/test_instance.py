@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -432,3 +434,63 @@ def test_a_path_of_another_type_is_refused(paper8, path):
     for call in (T.load_instance, lambda p: T.save_instance(paper8, p)):
         with pytest.raises(InvalidArgumentError, match="^path must be a str or PathLike, got "):
             call(path)
+
+
+def _largest_accepted_distance(n):
+    """The largest M with 2.0 * n * M finite: a matrix's largest entry that
+    ``DistanceMatrix`` accepts on n cities."""
+    big = sys.float_info.max / (2.0 * n)
+    while math.isinf(2.0 * n * big):
+        big = math.nextafter(big, 0.0)
+    while not math.isinf(2.0 * n * math.nextafter(big, math.inf)):
+        big = math.nextafter(big, math.inf)
+    return big
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_every_solver_sums_finitely_at_the_largest_accepted_distance(n):
+    """At the largest accepted M, half the entries M and the rest below it,
+    every solver returns a finite length and no NumPy overflow warning."""
+    big = _largest_accepted_distance(n)
+    rng = np.random.default_rng(n)
+    upper = np.triu(np.where(rng.random((n, n)) < 0.5, big, rng.uniform(0.0, big, (n, n))), 1)
+    upper[0, 1] = big
+    m = T.DistanceMatrix(upper + upper.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        greedy = T.greedy_nearest_neighbor(m)
+        tours = [T.Tour(tuple(range(n))), greedy, T.two_opt(m, greedy), T.three_opt(m, greedy)]
+        lengths = [T.tour_length(m, t) for t in tours] + [T.brute_force_optimum(m)[1]]
+        for k in {1, n // 2}:
+            cfg = T.SaConfig(t0=big, cooling_rate=0.99, iterations=600, swap_count=k, seed=k)
+            _, best, trace = T.anneal(m, tours[0], cfg)
+            lengths += [best, trace.start_length, *trace.current_length.tolist()]
+    assert all(math.isfinite(length) for length in lengths)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_one_ulp_past_the_largest_accepted_distance_is_refused(n, tmp_path):
+    """``DistanceMatrix`` accepts the largest M with 2.0 * n * M finite and
+    refuses the next float up, whether the matrix is given bare, to an
+    ``Instance`` or in an instance file, or comes from cities on a line."""
+    largest = _largest_accepted_distance(n)
+    for big in (largest, math.nextafter(largest, math.inf)):
+        xs = [0.0, big] + [big * (i + 1) / n for i in range(n - 2)]
+        cities = tuple(T.City(f"c{i}", x, 0.0) for i, x in enumerate(xs))
+        d = np.abs(np.subtract.outer(xs, xs))
+        path = tmp_path / "line.json"
+        labelled = [{"label": c.label, "x": c.x, "y": c.y} for c in cities]
+        path.write_text(json.dumps({"id": "line", "cities": labelled, "matrix": d.tolist()}))
+        measured = T.Instance("line", cities)
+        calls = [
+            (lambda: T.DistanceMatrix(d), T.TsphnnError, ""),
+            (lambda: T.Instance("line", cities, matrix=d), T.TsphnnError, ""),
+            (lambda: T.distance_matrix(measured), T.TsphnnError, "instance 'line': "),
+            (lambda: T.load_instance(path), ParseError, "matrix: "),
+        ]
+        for call, error, prefix in calls:
+            if big == largest:
+                call()
+                continue
+            with pytest.raises(error, match=f"{prefix}tour lengths overflow \\({n} cities, "):
+                call()

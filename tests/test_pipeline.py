@@ -114,6 +114,24 @@ def test_hybrid_report_stores_five_parts_and_reads_the_rest():
     assert tied.final_tour == rep.sa_tour and tied.final_length == rep.sa_length
 
 
+def test_hybrid_lengths_build_no_best_length_array(paper8):
+    """``sa_length`` is the least of the trace's start and current lengths:
+    the last best length, bit for bit, read without building that array."""
+    rep = T.solve_hybrid(paper8, _sa(9), T.HopfieldParams(seed=5))
+    assert rep.final_length <= rep.sa_length
+    assert "best_length" not in vars(rep.sa_trace)
+    assert rep.sa_length.hex() == float(rep.sa_trace.best_length[-1]).hex()
+
+
+def test_a_report_refuses_a_cell_of_another_trial_count():
+    """A report's cells each ran the report's ``trials``: one count, which
+    the table header and the CSV rows both print."""
+    cell = T.CellStats(90.0, 10.0, None, None, None, 0.0, 5.0, 7)
+    with pytest.raises(InvalidArgumentError, match="cell C90-D10 has 7 trials, the report 3"):
+        T.BenchmarkReport("x", 100.0, 100.0, (cell,), 3, 0, "valid")
+    assert T.BenchmarkReport("x", 100.0, 100.0, (cell,), 7, 0, "valid").cells == (cell,)
+
+
 def test_hybrid_best_of_20_reaches_optimum(paper8, paper8_m):
     _, opt = T.brute_force_optimum(paper8_m)
     best = math.inf
