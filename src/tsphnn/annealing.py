@@ -330,14 +330,6 @@ def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(delta - band >= cuts))
 
 
-def _screen(
-    d: np.ndarray, tour: np.ndarray, edges: np.ndarray, band: float, cuts: np.ndarray
-) -> np.ndarray:
-    """Offsets of the window's steps that the screen cannot reject from
-    ``tour``, by the edge deltas of ``edges`` (see :func:`_undecided`)."""
-    return _undecided(_edge_deltas(d, tour, edges), band, cuts)
-
-
 def anneal(
     m: DistanceMatrix,
     start: Tour,
@@ -447,13 +439,13 @@ def anneal(
                 if table is not None:
                     end = count
                     delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
-                    offsets = _undecided(delta, band, cuts[i:])
                 else:
                     end = min(end, i + WINDOW)
                     if edges is None:
                         edges_from, edges = i, _changed_edges(picks[i:], n)
                     window = edges[:, i - edges_from : end - edges_from]
-                    offsets = _screen(m.d, tour, window, band, cuts[i:end])
+                    delta = _edge_deltas(m.d, tour, window)
+                offsets = _undecided(delta, band, cuts[i:end])
                 steps = (i + offsets).tolist()
                 # An acceptance ends the window: its later steps were
                 # screened against the old tour.

@@ -18,6 +18,7 @@ from .builtin import BUILTIN_INSTANCES, get_builtin
 from .errors import InvalidArgumentError, InvalidTourError, TsphnnError, quote
 from .hopfield import HopfieldParams, grid_to_text, text_to_grid
 from .instance import (
+    _lengths_overflow,
     generate_random_instance,
     load_instance,
     read_json,
@@ -47,11 +48,10 @@ def _emit(record: dict) -> None:
 
 
 def cmd_gen(args) -> int:
-    # Generation checks n first, so n is small enough to multiply as a float.
-    # DistanceMatrix's rule, for the longest distance the square allows, so
-    # no file is written that ``solve`` refuses.
+    # Generation checks n first, so n multiplies as a float; the square's
+    # longest distance is checked so no file is written that ``solve`` refuses.
     inst = generate_random_instance(args.n, args.seed, args.bound)
-    if math.isinf(2.0 * args.n * math.hypot(args.bound, args.bound)):
+    if _lengths_overflow(args.n, math.hypot(args.bound, args.bound)):
         raise InvalidArgumentError(
             f"--bound {args.bound:g} lets tour lengths of {args.n} cities overflow"
         )

@@ -18,9 +18,9 @@ matrix: a unit's net input follows from the active units in its row, its
 column and the grid, and from a distance field.  :func:`run_lockstep` runs
 many independent trials as one stack, one flip per trial per step, with the
 same results as running them one at a time; :func:`run` is a stack of one,
-so the dynamics have a single loop.  The dynamics keep each trial's grid at
-its sweep ends, one bit a unit, and a :class:`HopfieldResult` computes the
-energy trace and the tour length from them only when they are read.
+so the dynamics have a single loop.  The dynamics keep each trial's start
+grid and its grid at each sweep end, one bit a unit, and a
+:class:`HopfieldResult` reads every other fact of the run from them.
 
 With symmetric weights, zero self-connections and threshold 0,
 asynchronous updates never increase E, so the dynamics settle into a
@@ -82,26 +82,35 @@ class WeightMatrix:
 
 @dataclass(frozen=True, eq=False)
 class HopfieldResult:
-    """The outcome of one network run.
-
-    ``energy_trace``, the :func:`energy` after each sweep, and ``length``,
-    the decoded tour's length on the distances the network ran on, are
-    computed on first read and then kept.  The trace is computed from a
-    record of the grid at each sweep end, one row of ceil(n^2 / 8) bytes a
-    sweep, so at most ``max_sweeps`` rows.  A caller that reads neither,
-    such as the sweep, never pays for them.  Two results compare equal only
+    """The outcome of one network run: its tour, its largest update delta E
+    and ``rows``, its start grid and then its grid at each sweep end, one
+    row-major packed grid of ceil(n^2 / 8) bytes a row (at most
+    ``max_sweeps + 1``).  Every other fact is read from the rows: a sweep
+    flips each unit at most once, so it changed the grid exactly when its
+    row differs from the one before.  ``grid``, ``energy_trace`` (the
+    :func:`energy` after each sweep) and ``length`` (the decoded tour's, on
+    the distances the network ran on) are computed on first read and then
+    kept; the sweep reads none of them.  Two results compare equal only
     when they are the same object.
     """
 
-    grid: np.ndarray
-    converged: bool
     tour: Optional[Tour]
-    sweeps_used: int
     max_update_delta_e: float
     m: DistanceMatrix = field(repr=False)
     p: HopfieldParams = field(repr=False)
-    # the sweep ends' grids, one row-major packed grid a row
-    ends: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+
+    @property
+    def sweeps_used(self) -> int:
+        return len(self.rows) - 1
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.rows[1:]
+
+    @property
+    def converged(self) -> bool:
+        return len(self.rows) > 1 and self.rows[-1].tobytes() == self.rows[-2].tobytes()
 
     @property
     def valid(self) -> bool:
@@ -109,14 +118,24 @@ class HopfieldResult:
         return self.tour is not None
 
     @cached_property
+    def grid(self) -> np.ndarray:
+        g = _unpack(self.rows[-1:], self.m.n)[0].astype(np.float64)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
     def energy_trace(self) -> np.ndarray:
-        n = self.m.n
-        grids = np.unpackbits(self.ends, axis=1, count=n * n).reshape(-1, n, n)
+        grids = _unpack(self.ends, self.m.n)
         return np.array([energy(v, self.m, self.p) for v in grids], dtype=np.float64)
 
     @cached_property
     def length(self) -> Optional[float]:
         return None if self.tour is None else tour_length(self.m, self.tour)
+
+
+def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n, n) 0/1 stack of k packed grids."""
+    return np.unpackbits(rows, axis=1, count=n * n).reshape(-1, n, n)
 
 
 def build_weights(m: DistanceMatrix, p: HopfieldParams) -> WeightMatrix:
@@ -383,17 +402,16 @@ def run_lockstep(
     Each step computes the net inputs of every running trial as one
     (trials, n, n) stack and makes at most one flip per trial: the first
     unit, from the trial's scan position in its own sweep order, whose
-    threshold decision differs from its state.  A trial whose scan finds
-    none ends its sweep, packs its grid as the next row, ceil(n^2 / 8)
-    bytes, of its record of sweep ends, and either stops or draws its next
-    order from its own generator.  The trials that start a sweep together
+    threshold decision differs from its state.  A trial's record starts
+    with its packed start grid; a trial whose scan finds none ends its
+    sweep, packs its grid as the next row of its record, and either stops
+    or draws its next order from its own generator.  The trials that start a sweep together
     draw their orders into one array, each shuffling its row of 0..n^2-1 in
     place, which is what ``permutation(n^2)`` does, so the orders and
     generator states are those of ``run``.  Only the running rows' grids,
     order ranks and scan positions shrink as trials stop; each trial's
     change flag, sweep count and largest update delta E stay at its trial
-    number.  The trials that stop are decoded together once the stack has
-    run out.
+    number, and a stopped trial keeps only its record.
 
     The stacked product may sum the distance field in another order than
     the 2-D one.  So when a trial's scan, from its position through its
@@ -419,13 +437,12 @@ def run_lockstep(
     rank = np.empty((count, n2), dtype=np.int64)  # each unit's place in its order
     pos = np.zeros(count, dtype=np.int64)  # the place the scan has reached
     # each trial's facts, by trial number; a stopped trial's are its outcome
-    final = g.copy()
     changed = np.zeros(count, dtype=bool)  # in the current sweep
     sweeps = np.zeros(count, dtype=np.int64)
     max_de = np.full(count, -np.inf)
-    # the grids at sweep ends, packed row by row, and the trials they are of
-    ends = [np.zeros((0, (n2 + 7) // 8), dtype=np.uint8)]
-    owners = [np.zeros(0, dtype=np.int64)]
+    # the start grids, then the grids at sweep ends, packed, and their trials
+    records = [np.packbits(g.reshape(count, n2) > 0, axis=1)]
+    owners = [np.arange(count)]
     units = np.arange(n2)
     band = _guard_band(m, p, f)
 
@@ -476,47 +493,33 @@ def run_lockstep(
         ended = rows[~flip]
         if ended.size:
             who = trial[ended]
-            ends.append(np.packbits(flat[ended] > 0, axis=1))
+            records.append(np.packbits(flat[ended] > 0, axis=1))
             owners.append(who)
             sweeps[who] += 1
             stop = np.zeros(trial.size, dtype=bool)
             stop[ended] = ~changed[who] | (sweeps[who] == p.max_sweeps)
             start_sweeps(ended[~stop[ended]])
             if stop.any():
-                final[trial[stop]] = g[stop]
                 g, rank, pos, trial = (a[~stop] for a in (g, rank, pos, trial))
                 rows = np.arange(trial.size)
                 offset = rows * n2
-    return _results(m, p, final, (sweeps > 0) & ~changed, max_de, sweeps, ends, owners)
+    return _results(m, p, max_de, sweeps, records, owners)
 
 
-def _results(m, p, final, converged, max_de, sweeps, ends, owners) -> List[HopfieldResult]:
-    """One result per trial, from its final grid, convergence, largest update
-    delta E, sweep count and sweep ends.
-
-    ``ends`` holds the sweep ends packed row by row, in the order they
-    happened, and ``owners`` their trials; trial t has ``sweeps[t]`` of them.
-    The rows are sorted by trial, in order within each, and each result
-    keeps its own rows.
+def _results(m, p, max_de, sweeps, records, owners) -> List[HopfieldResult]:
+    """One result per trial, from its largest update delta E, sweep count
+    and rows.  ``records`` holds the packed rows in the order they were
+    made, each trial's start grid first, and ``owners`` their trials; trial
+    t has ``sweeps[t] + 1`` rows.  The rows are sorted by trial, in order
+    within each, and the trials' last rows are decoded together.
     """
-    final.flags.writeable = False
-    who = np.concatenate(owners)
-    records = np.concatenate(ends)[np.argsort(who, kind="stable")]
-    starts = np.cumsum(sweeps).tolist()
+    rows = np.concatenate(records)[np.argsort(np.concatenate(owners), kind="stable")]
+    stops = np.cumsum(sweeps + 1)
+    tours = decode_grids(_unpack(rows[stops - 1], m.n))
+    stops = stops.tolist()
     return [
-        HopfieldResult(
-            grid=final[t],
-            converged=conv,
-            tour=tour,
-            sweeps_used=stop - start,
-            max_update_delta_e=de,
-            m=m,
-            p=p,
-            ends=records[start:stop],
-        )
-        for t, (tour, conv, de, start, stop) in enumerate(
-            zip(decode_grids(final), converged.tolist(), max_de.tolist(), [0] + starts, starts)
-        )
+        HopfieldResult(tour=tour, max_update_delta_e=de, m=m, p=p, rows=rows[start:stop])
+        for tour, de, start, stop in zip(tours, max_de.tolist(), [0] + stops, stops)
     ]
 
 

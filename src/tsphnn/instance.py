@@ -96,6 +96,12 @@ class Instance:
         return np.array([[c.x, c.y] for c in self.cities], dtype=np.float64)
 
 
+def _lengths_overflow(n: int, longest: float) -> bool:
+    """Whether 2*n*M overflows for n cities of largest distance M, the case
+    that :class:`DistanceMatrix` refuses."""
+    return math.isinf(2.0 * n * longest)
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Square, symmetric, finite, nonnegative matrix with a zero diagonal,
@@ -168,7 +174,7 @@ class DistanceMatrix:
         if np.any(d < 0):
             raise TsphnnError("distance matrix has negative entries")
         longest = float(d.max())
-        if math.isinf(2.0 * d.shape[0] * longest):
+        if _lengths_overflow(d.shape[0], longest):
             raise TsphnnError(
                 f"tour lengths overflow ({d.shape[0]} cities, largest distance {longest:g})"
             )

@@ -202,12 +202,11 @@ def _check_configs(sa: SaConfig, hp: HopfieldParams) -> None:
 
 
 def _anneal_from_random(m: DistanceMatrix, sa: SaConfig):
-    """The start length and ``anneal``'s (tour, length, trace) from a random
-    tour drawn by the generator seeded with ``sa.seed``, which the walk then
-    continues: the start rule of "sa" and of the hybrid."""
+    """``anneal``'s (tour, length, trace) from a random tour drawn by the
+    generator seeded with ``sa.seed``, which the walk then continues: the
+    start rule of "sa" and of the hybrid."""
     rng = np.random.default_rng(sa.seed)
-    tour, length, trace = anneal(m, Tour.random(m.n, rng), sa, rng=rng)
-    return trace.start_length, (tour, length, trace)
+    return anneal(m, Tour.random(m.n, rng), sa, rng=rng)
 
 
 def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridReport:
@@ -219,7 +218,7 @@ def solve_hybrid(inst: Instance, sa: SaConfig, hp: HopfieldParams) -> HybridRepo
     """
     _check_configs(sa, hp)
     m = distance_matrix(inst)
-    _, (sa_tour, _, sa_trace) = _anneal_from_random(m, sa)
+    sa_tour, _, sa_trace = _anneal_from_random(m, sa)
     hnn = run(normalize_distances(m), hp, init=tour_to_matrix(sa_tour))
     hnn_length = None if hnn.tour is None else tour_length(m, hnn.tour)
     return HybridReport(inst.id, sa_tour, sa_trace, hnn, hnn_length)
@@ -257,8 +256,8 @@ def solve(
         improve = two_opt if method == "2opt" else three_opt
         tour = improve(m, greedy_nearest_neighbor(m, 0))
     elif method == "sa":
-        start_length, (tour, _, _) = _anneal_from_random(m, sa)
-        extras = {"start_length": start_length}
+        tour, _, trace = _anneal_from_random(m, sa)
+        extras = {"start_length": trace.start_length}
     else:
         hnn = run(normalize_distances(m), hp)
         extras = {"converged": hnn.converged, "sweeps": hnn.sweeps_used}

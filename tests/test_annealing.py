@@ -429,7 +429,8 @@ def test_screen_never_rejects_an_accepted_step(n, bound, seed, data):
     edges = annealing._changed_edges(picks, n)
     tour = np.array(cur, dtype=picks.dtype)
     cuts = annealing._rejection_cuts(temps, u[:, 2 * k])
-    undecided = set(annealing._screen(m.d, tour, edges, band, cuts).tolist())
+    delta = annealing._edge_deltas(m.d, tour, edges)
+    undecided = set(annealing._undecided(delta, band, cuts).tolist())
     cities = tour[edges]
     deltas = (m.d[cities[2], cities[3]] - m.d[cities[0], cities[1]]).sum(axis=1)
     for j in range(steps):
@@ -507,7 +508,8 @@ def test_hold_screen_spares_the_lengths_of_held_steps(monkeypatch, n, lengths, e
     monkeypatch.setattr(annealing, "acceptance_probability", accept)
     m = T.distance_matrix(T.generate_random_instance(n, 3))
     cfg = T.SaConfig()
-    start_len, (tour, best_len, trace) = pipeline._anneal_from_random(m, cfg)
+    tour, best_len, trace = pipeline._anneal_from_random(m, cfg)
+    start_len = trace.start_length
     assert counts == {"length": lengths, "exact": exact}
     monkeypatch.undo()
     rng = np.random.default_rng(cfg.seed)

@@ -641,6 +641,75 @@ def test_lockstep_record_rows_are_the_sweep_end_grids(n):
             assert not bits[:, n * n :].any()
 
 
+def _packed(g):
+    """A 0/1 grid as one row-major packed row."""
+    return np.packbits(np.asarray(g).ravel() > 0).tobytes()
+
+
+def test_a_records_first_row_is_its_packed_start_grid(cityset1_m):
+    """``rows[0]`` is the start grid packed, for ``run`` from a given grid
+    and for every trial of a stack, so a record has one row a sweep more."""
+    m = T.normalize_distances(cityset1_m)
+    n = m.n
+    g = random_grid(n, np.random.default_rng(4))
+    res = T.run_hopfield(m, T.HopfieldParams(d_pen=10.0), init=g)
+    assert res.rows[0].tobytes() == _packed(g)
+    rngs = [np.random.default_rng([4, seed]) for seed in range(6)]
+    grids = [random_grid(n, rng) for rng in rngs]
+    results = hopfield.run_lockstep(m, T.HopfieldParams(max_sweeps=3), grids, rngs)
+    for res, g in zip(results, grids):
+        assert res.rows.dtype == np.uint8
+        assert res.rows.shape == (res.sweeps_used + 1, (n * n + 7) // 8)
+        assert res.rows[0].tobytes() == _packed(g)
+
+
+def test_no_sweep_keeps_only_the_start_grid(cityset1_m):
+    """With ``max_sweeps=0`` a result holds one row: no sweep ran, the final
+    grid is the start grid, and the run is not converged."""
+    m = T.normalize_distances(cityset1_m)
+    n = m.n
+    p = T.HopfieldParams(max_sweeps=0)
+    tour = T.Tour(tuple(range(n)))
+    res = T.run_hopfield(m, p, init=T.tour_to_matrix(tour))
+    assert len(res.rows) == 1 and res.sweeps_used == 0 and not res.converged
+    assert res.tour == tour and np.array_equal(res.grid, T.tour_to_matrix(tour))
+    rngs = [np.random.default_rng([5, seed]) for seed in range(4)]
+    grids = [random_grid(n, rng) for rng in rngs]
+    for res, g in zip(hopfield.run_lockstep(m, p, grids, rngs), grids):
+        assert len(res.rows) == 1 and res.sweeps_used == 0 and not res.converged
+        assert res.grid.dtype == np.float64 and np.array_equal(res.grid, g)
+        assert res.ends.shape == (0, (n * n + 7) // 8)
+
+
+@pytest.mark.parametrize("max_sweeps", (1, 2, 3, 200))
+def test_convergence_grid_and_ends_read_from_rows_match_replay(max_sweeps):
+    """``converged``, ``grid`` and ``ends``, all read from a trial's rows,
+    are those of the unit_update replay, whether the budget or a sweep that
+    changes nothing stops the trial."""
+    m = T.normalize_distances(T.distance_matrix(T.generate_random_instance(6, seed=6)))
+    n = m.n
+    seen = set()
+    for p in (
+        T.HopfieldParams(d_pen=10.0, max_sweeps=max_sweeps),
+        T.HopfieldParams(threshold=0.5, max_sweeps=max_sweeps),
+    ):
+        rngs = [np.random.default_rng([max_sweeps, seed]) for seed in range(8)]
+        grids = [random_grid(n, rng) for rng in rngs]
+        for seed, res in enumerate(hopfield.run_lockstep(m, p, grids, rngs)):
+            replay, again = (np.random.default_rng([max_sweeps, seed]) for _ in range(2))
+            g, _, converged = _replay(m, p, random_grid(n, replay), replay)
+            start = random_grid(n, again).ravel()
+            ends = _replay_ends(m, p, start.reshape(n, n), again)
+            assert res.converged is converged
+            assert np.array_equal(res.grid, g)
+            assert np.array_equal(np.unpackbits(res.ends, axis=1, count=n * n), ends)
+            rows = np.unpackbits(res.rows, axis=1, count=n * n)
+            assert np.array_equal(rows, np.vstack([start, ends]))
+            seen.add(converged)
+    # here no trial settles within one sweep, every one within 200, some within 2 or 3
+    assert seen == {1: {False}, 200: {True}}.get(max_sweeps, {True, False})
+
+
 @pytest.mark.parametrize(
     "params",
     [

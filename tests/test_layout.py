@@ -1,10 +1,12 @@
 """The package's layout: modules import each other at the top only, the
 public names are declared once, by the package's imports, and resolve,
 the integer- and real-argument rules, the name check, the way a refusal
-shows a value and the float model's constants each have one home, and the
-CLI runs no solver itself."""
+shows a value and the float model's constants each have one home, the
+CLI runs no solver itself, and the run records store only what they cannot
+derive."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import tsphnn as T
@@ -212,3 +214,16 @@ def test_float_model_constants_live_only_in_rounding():
             if _is_float_model_constant(node)
         ]
     assert found == []
+
+
+def test_run_records_store_only_their_underivable_facts():
+    """Each run record's fields are exactly the facts it cannot derive;
+    every other fact it offers is a read-only property, so a derivable
+    field cannot come back unnoticed."""
+    stored = {
+        T.SaTrace: ["current_length", "start_length", "final_tour", "config"],
+        T.HopfieldResult: ["tour", "max_update_delta_e", "m", "p", "rows"],
+        T.HybridReport: ["instance_id", "sa_tour", "sa_trace", "hnn_result", "hnn_length"],
+    }
+    for record, names in stored.items():
+        assert [f.name for f in dataclasses.fields(record)] == names, record.__name__
