@@ -27,7 +27,7 @@ from . import _kernels
 from ._rounding import E, MIN_NORMAL, POW_TINY, U
 from .errors import (
     InvalidTemperatureError,
-    TsphnnError,
+    InvalidTourError,
     check_int,
     check_real,
     check_record,
@@ -389,7 +389,7 @@ def anneal(
     check_record("cfg", cfg, SaConfig)
     n = m.n
     if start.n != n:
-        raise TsphnnError(f"start tour has {start.n} cities, matrix has {n}")
+        raise InvalidTourError(f"start tour has {start.n} cities, matrix has {n}")
     k = check_int("swap_count", cfg.swap_count, 1, n // 2)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)

@@ -14,7 +14,7 @@ O(n^2 + block).
 import numpy as np
 
 from ._rounding import U
-from .errors import TsphnnError, check_int, check_record, quote
+from .errors import InvalidTourError, check_int, check_record
 from .instance import DistanceMatrix
 from .tour import Tour
 
@@ -45,7 +45,7 @@ def _check_search(m, t) -> None:
     check_record("m", m, DistanceMatrix)
     check_record("t", t, Tour)
     if t.n != m.n:
-        raise TsphnnError(f"tour has {t.n} cities, matrix has {m.n}")
+        raise InvalidTourError(f"tour has {t.n} cities, matrix has {m.n}")
 
 
 def greedy_nearest_neighbor(m: DistanceMatrix, start: int = 0) -> Tour:
@@ -53,9 +53,7 @@ def greedy_nearest_neighbor(m: DistanceMatrix, start: int = 0) -> Tour:
     index, closing back to the start."""
     check_record("m", m, DistanceMatrix)
     n = m.n
-    start = check_int("start", start, 0)
-    if start >= n:
-        raise TsphnnError(f"start city {quote(start)} out of range 0..{n - 1}")
+    start = check_int("start", start, 0, n - 1)
     visited = np.zeros(n, dtype=bool)
     order = [start]
     visited[start] = True

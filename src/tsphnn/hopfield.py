@@ -402,16 +402,18 @@ def run_lockstep(
     Each step computes the net inputs of every running trial as one
     (trials, n, n) stack and makes at most one flip per trial: the first
     unit, from the trial's scan position in its own sweep order, whose
-    threshold decision differs from its state.  A trial's record starts
-    with its packed start grid; a trial whose scan finds none ends its
-    sweep, packs its grid as the next row of its record, and either stops
-    or draws its next order from its own generator.  The trials that start a sweep together
+    threshold decision differs from its state.  Only the rows that flip are
+    written.  A trial's record starts with its packed start grid; a trial
+    whose scan finds none ends its sweep, packs its grid as the next row of
+    its record, and stops if its scan position is still 0 (the sweep
+    flipped nothing) or the sweep budget is spent, else draws its next
+    order from its own generator.  The trials that start a sweep together
     draw their orders into one array, each shuffling its row of 0..n^2-1 in
     place, which is what ``permutation(n^2)`` does, so the orders and
     generator states are those of ``run``.  Only the running rows' grids,
     order ranks and scan positions shrink as trials stop; each trial's
-    change flag, sweep count and largest update delta E stay at its trial
-    number, and a stopped trial keeps only its record.
+    sweep count and largest update delta E stay at its trial number, and a
+    stopped trial keeps only its record.
 
     The stacked product may sum the distance field in another order than
     the 2-D one.  So when a trial's scan, from its position through its
@@ -437,7 +439,6 @@ def run_lockstep(
     rank = np.empty((count, n2), dtype=np.int64)  # each unit's place in its order
     pos = np.zeros(count, dtype=np.int64)  # the place the scan has reached
     # each trial's facts, by trial number; a stopped trial's are its outcome
-    changed = np.zeros(count, dtype=bool)  # in the current sweep
     sweeps = np.zeros(count, dtype=np.int64)
     max_de = np.full(count, -np.inf)
     # the start grids, then the grids at sweep ends, packed, and their trials
@@ -447,62 +448,58 @@ def run_lockstep(
     band = _guard_band(m, p, f)
 
     def start_sweeps(rows):
-        if rows.size:
-            orders = np.empty((rows.size, n2), dtype=np.int64)
-            orders[:] = units
-            for order, t in zip(orders, trial[rows].tolist()):
-                rngs[t].shuffle(order)
-            rank[rows[:, None], orders] = units
+        orders = np.empty((rows.size, n2), dtype=np.int64)
+        orders[:] = units
+        for order, t in zip(orders, trial[rows].tolist()):
+            rngs[t].shuffle(order)
+        rank[rows[:, None], orders] = units
         pos[rows] = 0
-        changed[trial[rows]] = False
 
     def next_flips(net):
         # each row's next flip at or after its scan position: the unit and
         # its place in the order, n2 where the rest of the sweep has none
-        key = np.where(((net >= p.threshold) != flat) & todo, rank, n2)
+        key = np.where(((net >= p.threshold) != (flat > 0)) & todo, rank, n2)
         u = key.argmin(axis=1)
-        return u, key.ravel()[offset + u]
+        return u, key[rows, u]
 
     if p.max_sweeps == 0:
         trial = trial[:0]
     else:
         start_sweeps(trial)
     rows = np.arange(trial.size)
-    offset = rows * n2  # each row's start in the raveled state
     while trial.size:
         flat = g.reshape(trial.size, n2)
         net = _net_inputs(g, m, p).reshape(trial.size, n2)
         todo = rank >= pos[:, None]
         u, k = next_flips(net)
-        if np.abs(net - p.threshold).min() <= band:
-            near = (np.abs(net - p.threshold) <= band) & todo & (rank <= k[:, None])
+        gap = np.abs(net - p.threshold)
+        if gap.min() <= band:
+            near = (gap <= band) & todo & (rank <= k[:, None])
             for r in np.flatnonzero(near.any(axis=1)):
                 net[r] = _net_inputs(g[r], m, p).ravel()
             u, k = next_flips(net)
-        # A row without a flip adds 0 to some unit and ends its sweep, which
-        # resets its scan position.
         flip = k < n2
-        at = offset + u
-        dv = flip * (1.0 - 2.0 * g.ravel()[at])
-        de = -dv * net.ravel()[at]
-        max_de[trial] = np.where(flip & (de > max_de[trial]), de, max_de[trial])
-        g.ravel()[at] += dv
-        pos = k + 1
-        changed[trial] |= flip
-
+        hit, at = rows[flip], u[flip]
+        x = net[hit, at]
+        on = x >= p.threshold  # a flip sets its unit to its threshold decision
+        flat[hit, at] = on
+        de = np.where(on, -x, x)  # -dv * x, dv = 1 turning a unit on and -1 off
+        flipped = trial[hit]
+        best = max_de[flipped]
+        max_de[flipped] = np.where(de > best, de, best)  # a tie keeps best's signed zero
         ended = rows[~flip]
+        was, pos = pos, k + 1  # an ended sweep whose scan was at 0 flipped no unit
         if ended.size:
             who = trial[ended]
             records.append(np.packbits(flat[ended] > 0, axis=1))
             owners.append(who)
             sweeps[who] += 1
             stop = np.zeros(trial.size, dtype=bool)
-            stop[ended] = ~changed[who] | (sweeps[who] == p.max_sweeps)
+            stop[ended] = (was[ended] == 0) | (sweeps[who] == p.max_sweeps)
             start_sweeps(ended[~stop[ended]])
             if stop.any():
                 g, rank, pos, trial = (a[~stop] for a in (g, rank, pos, trial))
                 rows = np.arange(trial.size)
-                offset = rows * n2
     return _results(m, p, max_de, sweeps, records, owners)
 
 

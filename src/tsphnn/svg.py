@@ -6,7 +6,7 @@ produce identical bytes, making the images usable as golden files.
 
 import numpy as np
 
-from .errors import TsphnnError, check_record
+from .errors import InvalidTourError, check_record
 from .hopfield import _check_grids
 from .instance import Instance
 from .tour import Tour
@@ -34,7 +34,7 @@ def render_tour_svg(inst: Instance, tour: Tour = None) -> str:
     if tour is not None:
         check_record("tour", tour, Tour)
         if tour.n != inst.n:
-            raise TsphnnError(f"tour has {tour.n} cities, instance has {inst.n}")
+            raise InvalidTourError(f"tour has {tour.n} cities, instance has {inst.n}")
     size, margin = 480, 40
     pts = inst.coords()
     lo = pts.min(axis=0)

@@ -63,19 +63,27 @@ REFUSALS = {
     ),
     "anneal-tour-size": (
         lambda: T.anneal(M8, SHORT, T.SaConfig(t0=1.0, cooling_rate=0.9, iterations=1)),
-        T.TsphnnError, "start tour has 4 cities, matrix has 8",
+        T.InvalidTourError, "start tour has 4 cities, matrix has 8",
     ),
     "two-opt-tour-size": (
         lambda: T.two_opt(M8, SHORT),
-        T.TsphnnError, "tour has 4 cities, matrix has 8",
+        T.InvalidTourError, "tour has 4 cities, matrix has 8",
     ),
     "three-opt-tour-size": (
         lambda: T.three_opt(M8, SHORT),
-        T.TsphnnError, "tour has 4 cities, matrix has 8",
+        T.InvalidTourError, "tour has 4 cities, matrix has 8",
+    ),
+    "tour-length-tour-size": (
+        lambda: T.tour_length(M8, SHORT),
+        T.InvalidTourError, r"tour \[0, 1, 2, 3\] is not a permutation of 0\.\.7",
+    ),
+    "render-tour-svg-tour-size": (
+        lambda: render_tour_svg(PAPER8, SHORT),
+        T.InvalidTourError, "tour has 4 cities, instance has 8",
     ),
     "greedy-start": (
         lambda: T.greedy_nearest_neighbor(M8, 8),
-        T.TsphnnError, r"start city 8 out of range 0\.\.7",
+        T.InvalidArgumentError, "start must be <= 7, got 8",
     ),
     "matrix-to-tour-not-square": (
         lambda: T.matrix_to_tour(np.zeros((3, 4))),

@@ -58,7 +58,7 @@ def test_public_names_are_the_package_imports():
     assert imported == set(T.__all__)
 
 
-RANGE_WORDS = ("must be >=", "must be <=", "must be an integer")
+RANGE_WORDS = ("must be >=", "must be <=", "must be an integer", "out of range")
 
 
 def test_integer_rule_is_worded_only_by_check_int():

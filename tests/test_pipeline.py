@@ -206,6 +206,17 @@ def test_sweep_success_degrades_as_distance_penalty_grows(cityset1):
     assert rates[0] > rates[2]  # the degradation is real, not vacuous
 
 
+@pytest.mark.parametrize("name", ["cityset1", "paper8"])
+def test_default_penalties_find_no_valid_tour_where_a_small_distance_penalty_always_does(name):
+    """``HopfieldParams``' docstring: a 200-trial sweep at seed 0 ends valid
+    in none of its trials at the defaults (C=90, D=100) and succeeds in
+    every one at D=10."""
+    rep = T.sweep(T.get_builtin(name), [90.0], [100.0, 10.0], 200, T.HopfieldParams(), 0)
+    defaults, gentle = rep.cells
+    assert (defaults.d_pen, defaults.best) == (100.0, None)
+    assert (gentle.d_pen, gentle.success_rate) == (10.0, 1.0)
+
+
 def test_sweep_empty_grid_rejected(cityset1):
     with pytest.raises(InvalidArgumentError):
         T.sweep(cityset1, [], [100.0], trials=1, base=T.HopfieldParams(), seed=0)
