@@ -6,19 +6,23 @@ The solver reports the best tour seen rather than the final walker state
 (the final state is kept on the trace).
 
 A step is decided exactly: the candidate's in-order length and
-:func:`acceptance_probability` at the step's :func:`temperature_at`.  To
-spare that work on the many steps that fail, :func:`anneal` first screens
-upcoming steps in NumPy, or one at a time, from the O(k) edges each swap
-changes, and rejects a step without building the candidate only where a
-written error bound, from the float model of :mod:`._rounding`, proves the
-exact step would reject it too; every other step, ties included, takes the
-exact step.  So the answers are the exact step's, bit for bit.
+:func:`acceptance_probability` at the step's :func:`temperature_at`.  On up
+to ``ORDER_WALK_MAX_N`` cities :func:`anneal` reads the candidate and its
+length from tables over the n! orders and runs no screen.  On more, to
+spare that work on the many steps that fail, it first screens steps from
+the O(k) edges each swap changes: one at a time for one-pair swaps from
+``HOLD_SCREEN_MIN_N`` cities, else in NumPy windows, or from a table of the
+tour's swap deltas.  It rejects a step without building the candidate only
+where a written error bound, from the float model of :mod:`._rounding`,
+proves the exact step would reject it too; every other step, ties
+included, takes the exact step.  So the answers are the exact step's, bit
+for bit, on either path.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import permutations, repeat
 from typing import Protocol, Tuple
 
 import numpy as np
@@ -43,12 +47,24 @@ CHUNK = 2048  # steps whose uniforms `anneal` draws at once
 # acceptance: while acceptances come closer together, the exact step alone
 # is cheaper than a screen whose window an acceptance cuts short.
 SCREEN_GAP = 16
-# From this many cities, the one-pair steps held exact after an acceptance
-# are screened one at a time by their scalar edge delta (`_pair_delta`).
-# Below it the in-order length that spares is short: with the screen, the
-# default schedule ran 2-11 % slower at n = 8 and 10 and under 6 % faster at
-# n = 12 to 15, against 5-7 % faster at n = 16 to 20 (2 cores, no numba).
+# From this many cities, one-pair steps without a swap-delta table are
+# screened one at a time by their scalar edge delta (`_pair_delta`), those
+# held exact after an acceptance included; fewer cities, and k-pair steps,
+# use the NumPy windows.  Below it the in-order length that spares is short:
+# with the screen on held steps, the default schedule ran 2-11 % slower at
+# n = 8 and 10 and under 6 % faster at n = 12 to 15, against 5-7 % faster at
+# n = 16 to 20.  In place of the windows it made default walks 10-17 %
+# faster at n = 100 and 200 (2 cores, no numba).
 HOLD_SCREEN_MIN_N = 16
+# Up to this many cities, `anneal` walks over indices into the n! orders
+# (`_walk_orders`).  There ties are common and each acceptance restarts the
+# `SCREEN_GAP` count, so the screen hardly runs.  Default walks, best of 15
+# on the orders against the lists (2 cores, no numba): matrix4 8.9 against
+# 20.0 ms; random n = 4, three instances, 7.1-7.8 against 16.3-17.4 ms;
+# n = 3, 10.2-11.7 against 19.3-21.2 ms.  At n = 5, where the screen
+# already works, 5.9-6.1 against 4.4-5.3 ms: the 120 orders' tables cost
+# about 2 ms to build.
+ORDER_WALK_MAX_N = 4
 # The most steps whose changed edges one window gathers: per step, gathers
 # of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
 WINDOW = 512
@@ -330,76 +346,65 @@ def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(delta - band >= cuts))
 
 
-def anneal(
-    m: DistanceMatrix,
-    start: Tour,
-    cfg: SaConfig,
-    rng: np.random.Generator = None,
-) -> Tuple[Tour, float, SaTrace]:
-    """Run exactly ``cfg.iterations`` annealing steps from ``start``.
+def _chunks(rng: RandomGenerator, cfg: SaConfig, n: int, k: int):
+    """The walk's draws, ``CHUNK`` steps at a time: for each chunk, its
+    first step, its steps' swap positions (one
+    :func:`_kernels.pick_positions` call), acceptance uniforms and rejection
+    cuts (:func:`_rejection_cuts` over :func:`_temperature_bounds`), none of
+    which depends on the tour.  A step's 2k+1 uniforms are the same values,
+    and leave ``rng`` in the same state, as one draw of them all."""
+    iters = cfg.iterations
+    for first in range(0, iters, CHUNK):
+        u = _uniforms(rng, (min(CHUNK, iters - first), 2 * k + 1))
+        accept = u[:, 2 * k]
+        cuts = _rejection_cuts(_temperature_bounds(cfg, first, len(u)), accept)
+        yield first, _kernels.pick_positions(n, k, u), accept, cuts
 
-    Each step proposes a ``swap_count``-pair exchange and accepts it when
-    the acceptance probability beats one uniform draw.  Deterministic for a
-    fixed seed; passing ``rng`` lets callers chain draws instead.
 
-    Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, the
-    same values and generator state as one draw of them all.  For each
-    chunk the steps' swap positions (one :func:`_kernels.pick_positions`
-    call) and the rejection cuts of :func:`_rejection_cuts` are computed at
-    once, since neither depends on the tour.  The cuts come from
-    :func:`_temperature_bounds`, not from the schedule itself.
+def _fill_runs(cur_lens: np.ndarray, run_from: list, run_cur: list, end: int) -> None:
+    """Fill a chunk's current lengths, steps ``run_from[0]`` to ``end - 1``,
+    run by run: the walk holds length ``run_cur[r]`` from step
+    ``run_from[r]``, the chunk's first step or an acceptance, until the next
+    run's step."""
+    cur_lens[run_from[0] : end] = np.repeat(run_cur, np.diff(run_from + [end]))
+
+
+def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur_lens):
+    """The walk over Python lists, with the screen; returns the start
+    length, the best order and its length, and the final order.
 
     The exact step builds the candidate from the chunk's positions on Python
-    lists and takes its in-order length.  A step whose length difference
-    reaches its cut is rejected there; any other step asks
-    :func:`acceptance_probability` at its :func:`temperature_at`, the only
-    place the walk evaluates the schedule.  Steps run exactly, back to back,
-    until ``SCREEN_GAP`` steps have passed since the last acceptance.  With
-    one pair per swap and at least ``HOLD_SCREEN_MIN_N`` cities, each of
-    these steps is first screened alone: a step whose scalar edge delta
-    (:func:`_pair_delta`), less the band, reaches its cut is rejected
-    without building the candidate; below that size the gain is small or a
-    loss.  From then on, a window of upcoming steps, as many as have passed,
-    at most ``WINDOW`` and at most the rest of the chunk, is screened
-    against the current tour: a step whose edge delta, less the error band
-    of :func:`_screen_band`, reaches its cut is one the exact step would
-    reject, and is rejected without touching the tour.  A window sums its
-    steps' changed edges (:func:`_changed_edges`, made for the rest of the
-    chunk by its first such window).  With one pair per swap, the first
-    screen after an acceptance with at least P = n(n-1)/2 steps both passed
-    and left in the chunk gathers instead a table of the tour's swap deltas
-    for every position pair (:func:`_position_pairs`).  The table is kept
-    across windows and chunks until the next acceptance, and a window that
-    has it runs to the end of the chunk, one lookup per step.  Every step
-    the screen leaves undecided is the exact step, and an acceptance ends
-    the window.  As the screen only rejects where the exact step would, the
-    walk, its answers and its trace are those of the exact step alone.
+    lists and takes its in-order length.  Steps run exactly, back to back,
+    until ``SCREEN_GAP`` steps have passed since the last acceptance; from
+    then on the screen rejects, without building the candidate, a step
+    whose edge delta, less the error band of :func:`_screen_band`, reaches
+    its cut: one the exact step would reject.  With one pair per swap and
+    at least ``HOLD_SCREEN_MIN_N`` cities, each step is screened alone by
+    its scalar edge delta (:func:`_pair_delta`), the steps held exact after
+    an acceptance included.  With fewer cities, where screening held steps
+    gains little or costs time, or with more pairs per swap, a window of
+    upcoming steps, as many as have passed, at most ``WINDOW`` and at most
+    the rest of the chunk, is screened against the current tour: it sums
+    its steps' changed edges (:func:`_changed_edges`, made for the rest of
+    the chunk by its first such window), and an acceptance ends it.  With
+    one pair per swap, the first screen after an acceptance with at least P
+    = n(n-1)/2 steps both passed and left in the chunk gathers instead a
+    table of the tour's swap deltas for every position pair
+    (:func:`_position_pairs`).  The table is kept across chunks until the
+    next acceptance, and serves every step to the end of the chunk, one
+    lookup per step.  Every step the screen leaves undecided is the exact
+    step.  As the screen only rejects where the exact step would, the walk,
+    its answers and its trace are those of the exact step alone.
 
-    The trace's current lengths are filled run by run at the end of each
-    chunk.  Its best lengths are the running minimum of the start and
-    current lengths, since the best length only ever takes the start length
-    or an accepted one; they, its step numbers and its temperatures are
-    computed only when read (:class:`SaTrace`).  Besides the trace's 8 bytes
-    per step, memory is O(CHUNK * n) narrow integers, one byte each while
-    n < 128.  A table needs P steps left in a chunk, so it is made only
-    while P <= CHUNK, for n <= 64, and its P entries add O(CHUNK).
+    Memory is O(CHUNK * n) narrow integers, one byte each while n < 128.
+    A table needs P steps left in a chunk, so it is made only while P <=
+    CHUNK, for n <= 64, and its P entries add O(CHUNK).
     """
-    check_record("m", m, DistanceMatrix)
-    check_record("start", start, Tour)
-    check_record("cfg", cfg, SaConfig)
     n = m.n
-    if start.n != n:
-        raise InvalidTourError(f"start tour has {start.n} cities, matrix has {n}")
-    k = check_int("swap_count", cfg.swap_count, 1, n // 2)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    iters = cfg.iterations
     d = m.d.tolist()
     length = _kernels.closed_tour_length
-    cur = list(start.order)
     start_len = cur_len = length(d, cur)
     best, best_len = cur, cur_len
-    cur_lens = np.empty(iters)
     band = _screen_band(m, k)
     # The fewest steps, passed and left, for which a screen gathers a table.
     # Only one-pair swaps use one: a k-pair step could sum its pairs'
@@ -410,16 +415,13 @@ def anneal(
     pair_row = pair_edges = None  # made with the first table
     tour = table = None  # ``cur`` as an array, and its table, made when needed
     last = -1  # the last accepted step; the start counts as one
-    for first in range(0, iters, CHUNK):
-        u = _uniforms(rng, (min(CHUNK, iters - first), 2 * k + 1))
-        count = len(u)
-        picks = _kernels.pick_positions(n, k, u)
-        cuts = _rejection_cuts(_temperature_bounds(cfg, first, count), u[:, 2 * k])
+    for first, picks, accept, cuts in chunks:
+        count = len(picks)
         edges = None  # made with the chunk's first window that gathers edges
         # Made at the chunk's first exact step; most cold chunks have none.
         swaps = None
-        # The chunk's steps from which the walk holds each length: a run.
-        run_from, run_cur = [0], [cur_len]
+        # The steps from which the walk holds each length: the runs.
+        run_from, run_cur = [first], [cur_len]
         i = 0
         while i < count:
             gap = first + i - last
@@ -429,35 +431,38 @@ def anneal(
                 steps, stop, after = range(i, count), i + SCREEN_GAP - gap, SCREEN_GAP
                 screened = hold_screen
             else:
-                if tour is None:
-                    tour = np.array(cur, dtype=picks.dtype)
                 end = min(i + gap, count)
                 if table is None and end - i >= table_at:
                     if pair_row is None:
                         pair_row, pair_edges = _position_pairs(n, picks.dtype)
-                    table = _edge_deltas(m.d, tour, pair_edges)
-                if table is not None:
-                    end = count
-                    delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
+                    table = _edge_deltas(m.d, np.array(cur, dtype=picks.dtype), pair_edges)
+                if table is None and hold_screen:
+                    # Screened one at a time up to ``end``, where the gap
+                    # has doubled and the table check runs again.
+                    steps, stop, after, screened = range(i, count), end, SCREEN_GAP, True
                 else:
-                    end = min(end, i + WINDOW)
-                    if edges is None:
-                        edges_from, edges = i, _changed_edges(picks[i:], n)
-                    window = edges[:, i - edges_from : end - edges_from]
-                    delta = _edge_deltas(m.d, tour, window)
-                offsets = _undecided(delta, band, cuts[i:end])
-                steps = (i + offsets).tolist()
-                # An acceptance ends the window: its later steps were
-                # screened against the old tour.
-                stop, after, screened = end, 1, False
+                    if table is not None:
+                        end = count
+                        delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
+                    else:
+                        end = min(end, i + WINDOW)
+                        if edges is None:
+                            edges_from, edges = i, _changed_edges(picks[i:], n)
+                        if tour is None:
+                            tour = np.array(cur, dtype=picks.dtype)
+                        window = edges[:, i - edges_from : end - edges_from]
+                        delta = _edge_deltas(m.d, tour, window)
+                    steps = (i + _undecided(delta, band, cuts[i:end])).tolist()
+                    # An acceptance ends the window: its later steps were
+                    # screened against the old tour.
+                    stop, after, screened = end, 1, False
             if swaps is None and steps:
                 # Each pair's two position columns: a per-step ``tolist``
                 # costs more.
                 cols = picks.T.tolist()
                 swaps = list(zip(cols[0::2], cols[1::2]))
                 xs, ys = swaps[0]
-                accept_at = u[:, 2 * k].tolist()
-                cut_at = cuts.tolist()
+                accept_at, cut_at = accept.tolist(), cuts.tolist()
             for j in steps:
                 if j >= stop:
                     break
@@ -475,10 +480,104 @@ def anneal(
                     cur, cur_len = cand, cand_len
                     if cur_len < best_len:
                         best, best_len = cur, cur_len
-                    run_from.append(j)
-                    run_cur.append(cur_len)
                     last, stop, tour, table = first + j, j + after, None, None
+                    run_from.append(last)
+                    run_cur.append(cur_len)
             i = min(stop, count)
-        runs = np.diff(run_from + [count])
-        cur_lens[first : first + count] = np.repeat(run_cur, runs)
+        _fill_runs(cur_lens, run_from, run_cur, first + count)
+    return start_len, best, best_len, cur
+
+
+def _walk_orders(m: DistanceMatrix, start: list, cfg: SaConfig, k: int, chunks, cur_lens):
+    """The walk of :func:`_walk_lists` over indices into the n! orders, with
+    no screen; returns what it does.
+
+    The orders come from ``itertools.permutations``, their lengths from
+    :func:`_kernels.closed_tour_length` and the order each position pair
+    (a, b) leads to from :func:`_kernels.swap_pairs`, so a candidate and its
+    length are the list path's, bit for bit.  A k-pair step looks its pairs
+    up one after another, in pick order.
+    """
+    n = m.n
+    d = m.d.tolist()
+    orders = [list(order) for order in permutations(range(n))]
+    index = {tuple(order): at for at, order in enumerate(orders)}
+    lengths = [_kernels.closed_tour_length(d, order) for order in orders]
+    # The order that swapping positions a and b leads to, at a * n + b.
+    after = [
+        [index[tuple(_kernels.swap_pairs(order, [(a, b)]))] for a in range(n) for b in range(n)]
+        for order in orders
+    ]
+    cur = index[tuple(start)]
+    start_len = cur_len = lengths[cur]
+    best, best_len = cur, cur_len
+    for first, picks, accept, cuts in chunks:
+        count = len(picks)
+        pair_at = (picks[:, 0::2] * n + picks[:, 1::2]).T.tolist()
+        later = pair_at[1:]
+        run_from, run_cur = [first], [cur_len]
+        steps = zip(range(first, first + count), pair_at[0], cuts.tolist(), accept.tolist())
+        for step, at, cut, u in steps:
+            cand = after[cur][at]
+            for ats in later:
+                cand = after[cand][ats[step - first]]
+            cand_len = lengths[cand]
+            if cand_len - cur_len >= cut:
+                continue
+            if acceptance_probability(cur_len, cand_len, temperature_at(step, cfg)) >= u:
+                cur, cur_len = cand, cand_len
+                if cur_len < best_len:
+                    best, best_len = cur, cur_len
+                run_from.append(step)
+                run_cur.append(cur_len)
+        _fill_runs(cur_lens, run_from, run_cur, first + count)
+    return start_len, orders[best], best_len, orders[cur]
+
+
+def anneal(
+    m: DistanceMatrix,
+    start: Tour,
+    cfg: SaConfig,
+    rng: np.random.Generator = None,
+) -> Tuple[Tour, float, SaTrace]:
+    """Run exactly ``cfg.iterations`` annealing steps from ``start``.
+
+    Each step proposes a ``swap_count``-pair exchange and accepts it when
+    the acceptance probability beats one uniform draw.  Deterministic for a
+    fixed seed; passing ``rng`` lets callers chain draws instead.
+
+    Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, and for
+    each chunk the steps' swap positions and rejection cuts are computed at
+    once (:func:`_chunks`).  The cuts come from :func:`_temperature_bounds`,
+    not from the schedule itself.  A step whose candidate is longer by at
+    least its cut is rejected there; any other step, ties included, asks
+    :func:`acceptance_probability` at its :func:`temperature_at`, the only
+    place the walk evaluates the schedule.  On up to ``ORDER_WALK_MAX_N``
+    cities the walk keeps an index into the n! orders and reads each
+    candidate and its length from tables (:func:`_walk_orders`), with no
+    screen.  On more it builds each candidate on Python lists and first
+    screens the many steps that fail (:func:`_walk_lists` says where each
+    screen applies).  Both paths decide each step by the same rule, so the
+    answers are the same on either.
+
+    The trace's current lengths are filled run by run at the end of each
+    chunk (:func:`_fill_runs`).  Its best lengths are the running minimum of
+    the start and current lengths, since the best length only ever takes the
+    start length or an accepted one; they, its step numbers and its
+    temperatures are computed only when read (:class:`SaTrace`).  Besides
+    the trace's 8 bytes per step, memory is O(CHUNK * n).
+    """
+    check_record("m", m, DistanceMatrix)
+    check_record("start", start, Tour)
+    check_record("cfg", cfg, SaConfig)
+    n = m.n
+    if start.n != n:
+        raise InvalidTourError(f"start tour has {start.n} cities, matrix has {n}")
+    k = check_int("swap_count", cfg.swap_count, 1, n // 2)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    cur_lens = np.empty(cfg.iterations)
+    walk = _walk_orders if n <= ORDER_WALK_MAX_N else _walk_lists
+    chunks = _chunks(rng, cfg, n, k)
+    start_len, best, best_len, cur = walk(m, list(start.order), cfg, k, chunks, cur_lens)
     return Tour(tuple(best)), float(best_len), SaTrace(cur_lens, start_len, Tour(tuple(cur)), cfg)

@@ -817,3 +817,115 @@ def test_traces_compare_by_identity(paper8_m):
     assert np.array_equal(first.current_length, second.current_length)
     assert first == first and first != second
 
+
+
+def test_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
+    """Above the order walk's gate the screen runs, from the first step
+    after each acceptance here: on a tied grid instance, steps whose
+    window edge delta is exactly 0 reach ``acceptance_probability`` and are
+    accepted, while most steps are screened out."""
+    n = 8
+    assert n > annealing.ORDER_WALK_MAX_N
+    m = T.distance_matrix(_tied_instance(n, np.random.default_rng(0)))
+    cfg = T.SaConfig(t0=1e-3, cooling_rate=0.99, iterations=400, seed=1)
+    start = T.Tour(tuple(range(n)))
+    called, exact = [], []
+    real_temperature, real_accept = annealing.temperature_at, annealing.acceptance_probability
+    monkeypatch.setattr(annealing, "SCREEN_GAP", 1)
+    monkeypatch.setattr(
+        annealing, "temperature_at", lambda t, c: called.append(t) or real_temperature(t, c)
+    )
+    monkeypatch.setattr(
+        annealing, "acceptance_probability", lambda *a: exact.append(a) or real_accept(*a)
+    )
+    _, _, trace = T.anneal(m, start, cfg)
+    monkeypatch.undo()
+    assert len(called) == len(exact) < cfg.iterations
+
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 3))
+    assert trace.current_length.tolist() == _replay(m, start, cfg, draws)[1]
+    picks = _kernels.pick_positions(n, 1, draws)
+    d = m.d.tolist()
+    cur = list(start.order)
+    cur_len = _kernels.closed_tour_length(d, cur)
+    tied = 0
+    for step, pair in enumerate(picks.tolist()):
+        cand = _kernels.swap_pairs(cur, [pair])
+        cand_len = _kernels.closed_tour_length(d, cand)
+        p = T.acceptance_probability(cur_len, cand_len, real_temperature(step, cfg))
+        if p >= draws[step, 2]:
+            edges = annealing._changed_edges(picks[step : step + 1], n)
+            delta = annealing._edge_deltas(m.d, np.array(cur, dtype=picks.dtype), edges)[0]
+            tied += step in called and delta == 0.0
+            cur, cur_len = cand, cand_len
+    assert tied
+
+
+@pytest.mark.parametrize("k, windows", [(1, False), (2, True)])
+def test_one_pair_walks_from_the_gate_screen_no_window(monkeypatch, k, windows):
+    """From ``HOLD_SCREEN_MIN_N`` cities the scalar screen serves every
+    one-pair step that no swap-delta table serves, so a default walk at
+    n = 30 gathers no window's changed edges; a two-pair walk still does.
+    The tables come from a copy made before counting, so every counted
+    ``_changed_edges`` call is a window's."""
+    n = 30
+    assert n >= annealing.HOLD_SCREEN_MIN_N
+    m = T.distance_matrix(T.generate_random_instance(n, seed=3))
+    dtype = _kernels.pick_positions(n, k, np.zeros((1, 2 * k))).dtype
+    pairs = annealing._position_pairs(n, dtype)
+    real_edges = annealing._changed_edges
+    gathered = []
+    monkeypatch.setattr(annealing, "_position_pairs", lambda n_, dtype_: pairs)
+    monkeypatch.setattr(
+        annealing,
+        "_changed_edges",
+        lambda picks, n_: gathered.append(len(picks)) or real_edges(picks, n_),
+    )
+    cfg = T.SaConfig(swap_count=k)
+    start = T.Tour.random(n, np.random.default_rng(0))
+    tour, length, trace = T.anneal(m, start, cfg)
+    monkeypatch.undo()
+    assert bool(gathered) == windows
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 2 * k + 1))
+    _, current, _, best, final = _replay(m, start, cfg, draws)
+    assert trace.current_length.tolist() == current
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+
+
+def _walk_on_gate(gate, m, start, cfg, rng):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annealing, "ORDER_WALK_MAX_N", gate)
+        tour, length, trace = T.anneal(m, start, cfg, rng=rng)
+    arrays = [a.tobytes() for a in (trace.temperature, trace.current_length, trace.best_length)]
+    final = (trace.final_tour, trace.final_length, trace.start_length)
+    return tour, length, final, arrays, rng.random(4).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(1e-4, 10.0),
+    cooling=st.floats(0.99, 0.9999),
+    iters=st.integers(CHUNK + 1, 2 * CHUNK + 1),
+    data=st.data(),
+)
+def test_order_walk_matches_the_list_walk(n, tied, seed, t0, cooling, iters, data):
+    """The walk over order indices (gate 5, so n = 5 too) and the walk over
+    lists (gate 2) give the same best and final tours and lengths, the same
+    trace arrays bit for bit and leave the generator in the same state, on
+    tied and untied instances, for every swap count, across a chunk
+    boundary."""
+    rng = np.random.default_rng(seed)
+    if tied:
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed))
+    k = data.draw(st.integers(1, n // 2), label="swap_count")
+    cfg = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=iters, swap_count=k, seed=seed)
+    start = T.Tour.random(n, rng)
+    orders = _walk_on_gate(5, m, start, cfg, np.random.default_rng(seed))
+    lists = _walk_on_gate(2, m, start, cfg, np.random.default_rng(seed))
+    assert orders == lists
