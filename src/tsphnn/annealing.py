@@ -10,13 +10,12 @@ A step is decided exactly: the candidate's in-order length and
 to ``ORDER_WALK_MAX_N`` cities :func:`anneal` reads the candidate and its
 length from tables over the n! orders and runs no screen.  On more, to
 spare that work on the many steps that fail, it first screens steps from
-the O(k) edges each swap changes: one at a time for one-pair swaps from
-``HOLD_SCREEN_MIN_N`` cities, else in NumPy windows, or from a table of the
-tour's swap deltas.  It rejects a step without building the candidate only
-where a written error bound, from the float model of :mod:`._rounding`,
-proves the exact step would reject it too; every other step, ties
-included, takes the exact step.  So the answers are the exact step's, bit
-for bit, on either path.
+the O(k) edges each swap changes: one at a time for one-pair swaps, in
+NumPy windows for k-pair swaps, or from a table of the tour's swap deltas.
+It rejects a step without building the candidate only where a written
+error bound, from the float model of :mod:`._rounding`, proves the exact
+step would reject it too; every other step, ties included, takes the exact
+step.  So the answers are the exact step's, bit for bit, on either path.
 """
 
 import math
@@ -47,14 +46,16 @@ CHUNK = 2048  # steps whose uniforms `anneal` draws at once
 # acceptance: while acceptances come closer together, the exact step alone
 # is cheaper than a screen whose window an acceptance cuts short.
 SCREEN_GAP = 16
-# From this many cities, one-pair steps without a swap-delta table are
-# screened one at a time by their scalar edge delta (`_pair_delta`), those
-# held exact after an acceptance included; fewer cities, and k-pair steps,
-# use the NumPy windows.  Below it the in-order length that spares is short:
-# with the screen on held steps, the default schedule ran 2-11 % slower at
-# n = 8 and 10 and under 6 % faster at n = 12 to 15, against 5-7 % faster at
-# n = 16 to 20.  In place of the windows it made default walks 10-17 %
-# faster at n = 100 and 200 (2 cores, no numba).
+# One-pair steps without a swap-delta table are screened one at a time by
+# their scalar edge delta (`_pair_delta`) once `SCREEN_GAP` steps have passed
+# since an acceptance, at every n.  From this many cities the steps held
+# exact after an acceptance are screened so too.  Below it the in-order
+# length that spares is short: with held steps screened from n = 7 as well,
+# default walks ran 3-9 % slower at n = 7 to 12 (30 paired calls each).
+# Against NumPy windows on the later steps, the scalar screen made default
+# walks 12-24 % faster at n = 7 to 15 (paired per-call medians 0.876 at
+# n = 7, 0.841 at 8, 0.791 at 10, 0.776 at 12 and 0.762 at 15; n = 5 and 6
+# within 1 %) and 10-17 % faster at n = 100 and 200 (2 cores, no numba).
 HOLD_SCREEN_MIN_N = 16
 # Up to this many cities, `anneal` walks over indices into the n! orders
 # (`_walk_orders`).  There ties are common and each acceptance restarts the
@@ -65,8 +66,11 @@ HOLD_SCREEN_MIN_N = 16
 # already works, 5.9-6.1 against 4.4-5.3 ms: the 120 orders' tables cost
 # about 2 ms to build.
 ORDER_WALK_MAX_N = 4
-# The most steps whose changed edges one window gathers: per step, gathers
-# of 2048 steps cost 50-90 % more than gathers of 512 (n = 50, k = 1 and 3).
+# The most steps whose changed edges one window gathers; only k-pair walks
+# use windows.  Default walks at n = 30 and 50, k = 2 and 3, ran 1-9 % slower
+# with windows of 2048 steps (20 paired calls each), as an acceptance wastes
+# more of a longer window; per step, a gather of 2048 steps cost 24-42 % more
+# than one of 512 at k = 3, and about as much at k = 2.
 WINDOW = 512
 # The most iterations `SaConfig` accepts.  The trace stores one 8-byte record
 # per step, and up to four once its step numbers, best lengths and
@@ -378,23 +382,23 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
     until ``SCREEN_GAP`` steps have passed since the last acceptance; from
     then on the screen rejects, without building the candidate, a step
     whose edge delta, less the error band of :func:`_screen_band`, reaches
-    its cut: one the exact step would reject.  With one pair per swap and
-    at least ``HOLD_SCREEN_MIN_N`` cities, each step is screened alone by
-    its scalar edge delta (:func:`_pair_delta`), the steps held exact after
-    an acceptance included.  With fewer cities, where screening held steps
-    gains little or costs time, or with more pairs per swap, a window of
-    upcoming steps, as many as have passed, at most ``WINDOW`` and at most
-    the rest of the chunk, is screened against the current tour: it sums
-    its steps' changed edges (:func:`_changed_edges`, made for the rest of
-    the chunk by its first such window), and an acceptance ends it.  With
-    one pair per swap, the first screen after an acceptance with at least P
-    = n(n-1)/2 steps both passed and left in the chunk gathers instead a
-    table of the tour's swap deltas for every position pair
-    (:func:`_position_pairs`).  The table is kept across chunks until the
-    next acceptance, and serves every step to the end of the chunk, one
-    lookup per step.  Every step the screen leaves undecided is the exact
-    step.  As the screen only rejects where the exact step would, the walk,
-    its answers and its trace are those of the exact step alone.
+    its cut: one the exact step would reject.  With one pair per swap, each
+    step is screened alone by its scalar edge delta (:func:`_pair_delta`);
+    from ``HOLD_SCREEN_MIN_N`` cities, the steps held exact after an
+    acceptance are screened so too, where below it that gains little or
+    costs time.  With more pairs per swap, a window of upcoming steps, as
+    many as have passed, at most ``WINDOW`` and at most the rest of the
+    chunk, is screened against the current tour: it sums its steps' changed
+    edges (:func:`_changed_edges`, made for the rest of the chunk by its
+    first such window), and an acceptance ends it.  With one pair per swap,
+    the first screen after an acceptance with at least P = n(n-1)/2 steps
+    both passed and left in the chunk gathers instead a table of the tour's
+    swap deltas for every position pair (:func:`_position_pairs`).  The
+    table is kept across chunks until the next acceptance, and serves every
+    step to the end of the chunk, one lookup per step.  Every step the
+    screen leaves undecided is the exact step.  As the screen only rejects
+    where the exact step would, the walk, its answers and its trace are
+    those of the exact step alone.
 
     Memory is O(CHUNK * n) narrow integers, one byte each while n < 128.
     A table needs P steps left in a chunk, so it is made only while P <=
@@ -436,7 +440,7 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                     if pair_row is None:
                         pair_row, pair_edges = _position_pairs(n, picks.dtype)
                     table = _edge_deltas(m.d, np.array(cur, dtype=picks.dtype), pair_edges)
-                if table is None and hold_screen:
+                if table is None and k == 1:
                     # Screened one at a time up to ``end``, where the gap
                     # has doubled and the table check runs again.
                     steps, stop, after, screened = range(i, count), end, SCREEN_GAP, True

@@ -485,14 +485,62 @@ def test_hold_screen_never_rejects_an_accepted_step(bound, seed, data):
             assert p < u[j, 2]
 
 
-@pytest.mark.parametrize("n, lengths, exact", [(15, 2919, 1129), (50, 1157, 1156)])
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(5, annealing.HOLD_SCREEN_MIN_N - 1),
+    bound=st.sampled_from([1.0, 100.0, 1e5, "grid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_screen_below_the_hold_gate_never_rejects_an_accepted_step(n, bound, seed):
+    """Below ``HOLD_SCREEN_MIN_N``, where one-pair steps after the gap are
+    screened alone by ``_pair_delta``, every delta is within the band of
+    the exact length difference and every rejected step is one
+    ``acceptance_probability`` rejects.  Pairs are adjacent, the
+    wrap-around (0, n - 1), two apart (both picks share a neighbour), n - 2
+    apart (the city before the first pick is the one after the second) or
+    general, in either order; uniforms include 0.0, the step's own
+    acceptance probability and its float neighbours; temperatures run from
+    the floor to 1e300."""
+    rng = np.random.default_rng(seed)
+    if bound == "grid":
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed, bound=bound))
+    steps = 100
+    cur = rng.permutation(n).tolist()
+    d = m.d.tolist()
+    cur_len = _kernels.closed_tour_length(d, cur)
+    temps = np.maximum(10.0 ** rng.uniform(-12, 300, steps), TEMPERATURE_FLOOR)
+    temps[: steps // 3] = TEMPERATURE_FLOOR  # where a rounding tie could be rejected
+    u = rng.random((steps, 3))
+    general = _kernels.pick_positions(n, 1, u).tolist()
+    band = annealing._screen_band(m, 1)
+    assert band > 0
+    for j in range(steps):
+        x, y = int(rng.integers(n - 2)), int(rng.integers(2))
+        pair = (general[j], [x, x + 1], [0, n - 1], [x, x + 2], [y, y + n - 2])[j % 5]
+        x, y = pair[:: (-1) ** (j // 5)]
+        cand_len = _kernels.closed_tour_length(d, _kernels.swap_pairs(cur, [(x, y)]))
+        p = annealing.acceptance_probability(cur_len, cand_len, temps[j])
+        u[j, 2] = (0.0, p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), u[j, 2])[j // 10 % 5]
+        delta = annealing._pair_delta(d, cur, x, y, n)
+        excess = Fraction(cand_len) - Fraction(cur_len) - Fraction(delta)
+        assert abs(excess) <= Fraction(band)
+        cut = annealing._rejection_cuts(temps[j : j + 1], u[j : j + 1, 2])[0]
+        if delta - band >= cut:
+            assert p < u[j, 2]
+
+
+@pytest.mark.parametrize("n, lengths, exact", [(15, 2032, 1129), (50, 1157, 1156)])
 def test_hold_screen_spares_the_lengths_of_held_steps(monkeypatch, n, lengths, exact):
     """The in-order lengths summed by one default SA solve on
     ``generate_random_instance(n, 3)``: one start length, one per exact
     step, and one per step the exact step's cut rejects.  At n = 50 the
     hold screen rejects those steps before their length, which took 3,678
-    lengths without it; n = 15 is below its gate.  The steps reaching
-    ``acceptance_probability`` and the walk are the same either way."""
+    lengths without it; n = 15 is below its gate, so only its steps after
+    the gap are screened alone, which took 2,919 lengths in windows.  The
+    steps reaching ``acceptance_probability`` and the walk are the same
+    either way."""
     counts = {"length": 0, "exact": 0}
     real_length, real_accept = _kernels.closed_tour_length, annealing.acceptance_probability
 
@@ -891,6 +939,86 @@ def test_one_pair_walks_from_the_gate_screen_no_window(monkeypatch, k, windows):
     assert trace.current_length.tolist() == current
     assert (tour, length) == best
     assert (trace.final_tour, trace.final_length) == final
+
+
+def _count_windows(monkeypatch, n, k):
+    """Count the steps of each ``_changed_edges`` call, a window's gather:
+    tables come from a copy of ``_position_pairs`` made before counting."""
+    dtype = _kernels.pick_positions(n, k, np.zeros((1, 2 * k))).dtype
+    pairs = annealing._position_pairs(n, dtype)
+    real_edges = annealing._changed_edges
+    gathered = []
+    monkeypatch.setattr(annealing, "_position_pairs", lambda n_, dtype_: pairs)
+    monkeypatch.setattr(
+        annealing,
+        "_changed_edges",
+        lambda picks, n_: gathered.append(len(picks)) or real_edges(picks, n_),
+    )
+    return gathered
+
+
+@pytest.mark.parametrize("name", ("paper8", "cityset1"))
+def test_one_pair_walks_below_the_gate_screen_no_window(monkeypatch, name):
+    """Below ``HOLD_SCREEN_MIN_N`` too, a one-pair step after the gap that
+    no swap-delta table serves is screened alone, so default walks on the
+    paper's n = 8 and n = 10 instances gather no window, and match the
+    hand replay."""
+    m = T.distance_matrix(T.get_builtin(name))
+    assert annealing.ORDER_WALK_MAX_N < m.n < annealing.HOLD_SCREEN_MIN_N
+    gathered = _count_windows(monkeypatch, m.n, 1)
+    cfg = T.SaConfig()
+    start = T.Tour.random(m.n, np.random.default_rng(0))
+    tour, length, trace = T.anneal(m, start, cfg)
+    monkeypatch.undo()
+    assert gathered == []
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 3))
+    _, current, _, best, final = _replay(m, start, cfg, draws)
+    assert trace.current_length.tolist() == current
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+
+
+def test_two_pair_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
+    """Two-pair walks screen in windows: on a tied grid instance at n = 8,
+    screened from the first step after each acceptance, steps whose window
+    edge delta is exactly 0 reach ``acceptance_probability`` and are
+    accepted, while most steps are screened out."""
+    n, k = 8, 2
+    m = T.distance_matrix(_tied_instance(n, np.random.default_rng(0)))
+    cfg = T.SaConfig(t0=1e-3, cooling_rate=0.99, iterations=400, swap_count=k, seed=5)
+    start = T.Tour(tuple(range(n)))
+    gathered = _count_windows(monkeypatch, n, k)
+    called, exact = [], []
+    real_temperature, real_accept = annealing.temperature_at, annealing.acceptance_probability
+    monkeypatch.setattr(annealing, "SCREEN_GAP", 1)
+    monkeypatch.setattr(
+        annealing, "temperature_at", lambda t, c: called.append(t) or real_temperature(t, c)
+    )
+    monkeypatch.setattr(
+        annealing, "acceptance_probability", lambda *a: exact.append(a) or real_accept(*a)
+    )
+    _, _, trace = T.anneal(m, start, cfg)
+    monkeypatch.undo()
+    assert gathered
+    assert len(called) == len(exact) < cfg.iterations
+
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 2 * k + 1))
+    assert trace.current_length.tolist() == _replay(m, start, cfg, draws)[1]
+    picks = _kernels.pick_positions(n, k, draws)
+    d = m.d.tolist()
+    cur = list(start.order)
+    cur_len = _kernels.closed_tour_length(d, cur)
+    tied = 0
+    for step, row in enumerate(picks.tolist()):
+        cand = _kernels.swap_pairs(cur, [row[:2], row[2:]])
+        cand_len = _kernels.closed_tour_length(d, cand)
+        p = T.acceptance_probability(cur_len, cand_len, real_temperature(step, cfg))
+        if p >= draws[step, 2 * k]:
+            edges = annealing._changed_edges(picks[step : step + 1], n)
+            delta = annealing._edge_deltas(m.d, np.array(cur, dtype=picks.dtype), edges)[0]
+            tied += step in called and delta == 0.0
+            cur, cur_len = cand, cand_len
+    assert tied
 
 
 def _walk_on_gate(gate, m, start, cfg, rng):
