@@ -5,7 +5,9 @@ Metropolis probability exp(-delta/T) under a geometric cooling schedule.
 The solver reports the best tour seen rather than the final walker state
 (the final state is kept on the trace).
 
-A step is decided exactly: the candidate's in-order length and
+A step is decided exactly, from the candidate's in-order length: a
+candidate no longer than the tour is accepted on that alone, as its
+acceptance probability is 1, and only a longer one asks
 :func:`acceptance_probability` at the step's :func:`temperature_at`.  On up
 to ``ORDER_WALK_MAX_N`` cities :func:`anneal` reads the candidate and its
 length from tables over the n! orders and runs no screen.  On more, to
@@ -15,7 +17,9 @@ NumPy windows for k-pair swaps, or from a table of the tour's swap deltas.
 It rejects a step without building the candidate only where a written
 error bound, from the float model of :mod:`._rounding`, proves the exact
 step would reject it too; every other step, ties included, takes the exact
-step.  So the answers are the exact step's, bit for bit, on either path.
+step.  Where the table proves that every step left in a chunk fails, the
+walk rejects them all at once, without picking their swap positions.  So
+the answers are the exact step's, bit for bit, on either path.
 """
 
 import math
@@ -333,11 +337,17 @@ def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     T' >= T only raises the cut.  As cut > 0, the candidate is then longer,
     so :func:`acceptance_probability` takes the exponential.  A uniform below
     U (0.0, or a stand-in generator's), or a bound or product that
-    overflows, gives an infinite cut, which no finite D reaches.
+    overflows, gives an infinite cut, which no finite D reaches.  A
+    stand-in's uniform above 1, or NaN, gives a cut of -inf, which every
+    step reaches: no probability, at most 1, reaches such a uniform.  So
+    any step that passes its cut has u <= 1, and a candidate no longer than
+    the tour, whose probability is 1, is accepted.
     """
     with np.errstate(divide="ignore", over="ignore"):
         x = -np.log(uniforms) * (1 + E) + E
-        return np.where(uniforms < U, np.inf, x * bounds * (1 + E) + MIN_NORMAL)
+        cuts = np.where(uniforms < U, np.inf, x * bounds * (1 + E) + MIN_NORMAL)
+    cuts[~(uniforms <= 1.0)] = -np.inf
+    return cuts
 
 
 def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
@@ -350,19 +360,21 @@ def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(delta - band >= cuts))
 
 
-def _chunks(rng: RandomGenerator, cfg: SaConfig, n: int, k: int):
+def _chunks(rng: RandomGenerator, cfg: SaConfig, k: int):
     """The walk's draws, ``CHUNK`` steps at a time: for each chunk, its
-    first step, its steps' swap positions (one
-    :func:`_kernels.pick_positions` call), acceptance uniforms and rejection
-    cuts (:func:`_rejection_cuts` over :func:`_temperature_bounds`), none of
-    which depends on the tour.  A step's 2k+1 uniforms are the same values,
-    and leave ``rng`` in the same state, as one draw of them all."""
+    first step, its steps' uniforms, one row of 2k+1 a step, their
+    acceptance uniforms (the last column) and rejection cuts
+    (:func:`_rejection_cuts` over :func:`_temperature_bounds`), none of
+    which depends on the tour.  A walker picks a chunk's swap positions
+    from its rows (:func:`_kernels.pick_positions`) only once some step
+    needs them.  Every chunk is drawn, so a step's 2k+1 uniforms are the
+    same values, and leave ``rng`` in the same state, as one draw of them
+    all."""
     iters = cfg.iterations
     for first in range(0, iters, CHUNK):
         u = _uniforms(rng, (min(CHUNK, iters - first), 2 * k + 1))
         accept = u[:, 2 * k]
-        cuts = _rejection_cuts(_temperature_bounds(cfg, first, len(u)), accept)
-        yield first, _kernels.pick_positions(n, k, u), accept, cuts
+        yield first, u, accept, _rejection_cuts(_temperature_bounds(cfg, first, len(u)), accept)
 
 
 def _fill_runs(cur_lens: np.ndarray, run_from: list, run_cur: list, end: int) -> None:
@@ -377,28 +389,34 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
     """The walk over Python lists, with the screen; returns the start
     length, the best order and its length, and the final order.
 
-    The exact step builds the candidate from the chunk's positions on Python
-    lists and takes its in-order length.  Steps run exactly, back to back,
-    until ``SCREEN_GAP`` steps have passed since the last acceptance; from
-    then on the screen rejects, without building the candidate, a step
-    whose edge delta, less the error band of :func:`_screen_band`, reaches
-    its cut: one the exact step would reject.  With one pair per swap, each
-    step is screened alone by its scalar edge delta (:func:`_pair_delta`);
-    from ``HOLD_SCREEN_MIN_N`` cities, the steps held exact after an
-    acceptance are screened so too, where below it that gains little or
-    costs time.  With more pairs per swap, a window of upcoming steps, as
-    many as have passed, at most ``WINDOW`` and at most the rest of the
-    chunk, is screened against the current tour: it sums its steps' changed
-    edges (:func:`_changed_edges`, made for the rest of the chunk by its
-    first such window), and an acceptance ends it.  With one pair per swap,
-    the first screen after an acceptance with at least P = n(n-1)/2 steps
-    both passed and left in the chunk gathers instead a table of the tour's
-    swap deltas for every position pair (:func:`_position_pairs`).  The
-    table is kept across chunks until the next acceptance, and serves every
-    step to the end of the chunk, one lookup per step.  Every step the
-    screen leaves undecided is the exact step.  As the screen only rejects
-    where the exact step would, the walk, its answers and its trace are
-    those of the exact step alone.
+    The exact step builds the candidate on Python lists from the chunk's
+    positions, picked at its first step that needs them, and takes its
+    in-order length.  A candidate no longer than the tour is accepted on
+    that alone; only a longer one below its cut evaluates the schedule.
+    Steps run exactly, back to back, until ``SCREEN_GAP`` steps have passed
+    since the last acceptance; from then on the screen rejects, without
+    building the candidate, a step whose edge delta, less the error band of
+    :func:`_screen_band`, reaches its cut: one the exact step would reject.
+    With one pair per swap, each step is screened alone by its scalar edge
+    delta (:func:`_pair_delta`); from ``HOLD_SCREEN_MIN_N`` cities, the
+    steps held exact after an acceptance are screened so too, where below
+    it that gains little or costs time.  With more pairs per swap, a window
+    of upcoming steps, as many as have passed, at most ``WINDOW`` and at
+    most the rest of the chunk, is screened against the current tour: it
+    sums its steps' changed edges (:func:`_changed_edges`, made for the
+    rest of the chunk by its first such window), and an acceptance ends it.
+    With one pair per swap, the first screen after an acceptance with at
+    least P = n(n-1)/2 steps both passed and left in the chunk gathers
+    instead a table of the tour's swap deltas for every position pair
+    (:func:`_position_pairs`).  The table is kept across chunks until the
+    next acceptance, and serves every step to the end of the chunk, one
+    lookup per step.  Where its smallest delta, less the band, reaches the
+    largest cut left in the chunk, every step left would fail that lookup
+    (rounding is monotone), so they are all rejected at once, and a chunk
+    frozen from its first step picks no positions.  Every step the screen
+    leaves undecided is the exact step.  As the screen only rejects where
+    the exact step would, the walk, its answers and its trace are those of
+    the exact step alone.
 
     Memory is O(CHUNK * n) narrow integers, one byte each while n < 128.
     A table needs P steps left in a chunk, so it is made only while P <=
@@ -416,12 +434,17 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
     # faster than its edges.
     table_at = n * (n - 1) // 2 if k == 1 else np.inf
     hold_screen = k == 1 and n >= HOLD_SCREEN_MIN_N
+    dtype = _kernels.position_dtype(n)
     pair_row = pair_edges = None  # made with the first table
-    tour = table = None  # ``cur`` as an array, and its table, made when needed
+    # ``cur`` as an array, and its table with the table's least entry less
+    # the band, made when needed.
+    tour = table = floor = None
     last = -1  # the last accepted step; the start counts as one
-    for first, picks, accept, cuts in chunks:
-        count = len(picks)
-        edges = None  # made with the chunk's first window that gathers edges
+    for first, u, accept, cuts in chunks:
+        count = len(u)
+        # The chunk's picks, made at its first step that needs them (a
+        # frozen chunk has none), and its first window's changed edges.
+        picks = edges = None
         # Made at the chunk's first exact step; most cold chunks have none.
         swaps = None
         # The steps from which the walk holds each length: the runs.
@@ -438,13 +461,18 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                 end = min(i + gap, count)
                 if table is None and end - i >= table_at:
                     if pair_row is None:
-                        pair_row, pair_edges = _position_pairs(n, picks.dtype)
-                    table = _edge_deltas(m.d, np.array(cur, dtype=picks.dtype), pair_edges)
+                        pair_row, pair_edges = _position_pairs(n, dtype)
+                    table = _edge_deltas(m.d, np.array(cur, dtype=dtype), pair_edges)
+                    floor = table.min() - band
                 if table is None and k == 1:
                     # Screened one at a time up to ``end``, where the gap
                     # has doubled and the table check runs again.
                     steps, stop, after, screened = range(i, count), end, SCREEN_GAP, True
+                elif table is not None and floor >= cuts[i:].max():
+                    steps, stop, after, screened = (), count, 1, False  # frozen
                 else:
+                    if picks is None:
+                        picks = _kernels.pick_positions(n, k, u)
                     if table is not None:
                         end = count
                         delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
@@ -453,7 +481,7 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                         if edges is None:
                             edges_from, edges = i, _changed_edges(picks[i:], n)
                         if tour is None:
-                            tour = np.array(cur, dtype=picks.dtype)
+                            tour = np.array(cur, dtype=dtype)
                         window = edges[:, i - edges_from : end - edges_from]
                         delta = _edge_deltas(m.d, tour, window)
                     steps = (i + _undecided(delta, band, cuts[i:end])).tolist()
@@ -461,6 +489,8 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                     # screened against the old tour.
                     stop, after, screened = end, 1, False
             if swaps is None and steps:
+                if picks is None:
+                    picks = _kernels.pick_positions(n, k, u)
                 # Each pair's two position columns: a per-step ``tolist``
                 # costs more.
                 cols = picks.T.tolist()
@@ -479,14 +509,18 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                 cand_len = length(d, cand)
                 if cand_len - cur_len >= cut_at[j]:
                     continue
-                temp = temperature_at(first + j, cfg)
-                if acceptance_probability(cur_len, cand_len, temp) >= accept_at[j]:
-                    cur, cur_len = cand, cand_len
-                    if cur_len < best_len:
-                        best, best_len = cur, cur_len
-                    last, stop, tour, table = first + j, j + after, None, None
-                    run_from.append(last)
-                    run_cur.append(cur_len)
+                # A step that passes its cut has u <= 1, which a candidate
+                # no longer than the tour, of probability 1, reaches.
+                if cand_len > cur_len:
+                    temp = temperature_at(first + j, cfg)
+                    if acceptance_probability(cur_len, cand_len, temp) < accept_at[j]:
+                        continue
+                cur, cur_len = cand, cand_len
+                if cur_len < best_len:
+                    best, best_len = cur, cur_len
+                last, stop, tour, table = first + j, j + after, None, None
+                run_from.append(last)
+                run_cur.append(cur_len)
             i = min(stop, count)
         _fill_runs(cur_lens, run_from, run_cur, first + count)
     return start_len, best, best_len, cur
@@ -499,8 +533,12 @@ def _walk_orders(m: DistanceMatrix, start: list, cfg: SaConfig, k: int, chunks, 
     The orders come from ``itertools.permutations``, their lengths from
     :func:`_kernels.closed_tour_length` and the order each position pair
     (a, b) leads to from :func:`_kernels.swap_pairs`, so a candidate and its
-    length are the list path's, bit for bit.  A k-pair step looks its pairs
-    up one after another, in pick order.
+    length are the list path's, bit for bit.  Every step needs its
+    candidate, so each chunk picks its positions at once.  A k-pair step
+    looks its pairs up one after another, in pick order.  As on the lists,
+    a step past its cut whose candidate is no longer than the tour is
+    accepted without the schedule; ties, the most common step on so few
+    cities, never evaluate it.
     """
     n = m.n
     d = m.d.tolist()
@@ -515,25 +553,28 @@ def _walk_orders(m: DistanceMatrix, start: list, cfg: SaConfig, k: int, chunks, 
     cur = index[tuple(start)]
     start_len = cur_len = lengths[cur]
     best, best_len = cur, cur_len
-    for first, picks, accept, cuts in chunks:
-        count = len(picks)
+    for first, u, accept, cuts in chunks:
+        count = len(u)
+        picks = _kernels.pick_positions(n, k, u)
         pair_at = (picks[:, 0::2] * n + picks[:, 1::2]).T.tolist()
         later = pair_at[1:]
         run_from, run_cur = [first], [cur_len]
         steps = zip(range(first, first + count), pair_at[0], cuts.tolist(), accept.tolist())
-        for step, at, cut, u in steps:
+        for step, at, cut, u_at in steps:
             cand = after[cur][at]
             for ats in later:
                 cand = after[cand][ats[step - first]]
             cand_len = lengths[cand]
             if cand_len - cur_len >= cut:
                 continue
-            if acceptance_probability(cur_len, cand_len, temperature_at(step, cfg)) >= u:
-                cur, cur_len = cand, cand_len
-                if cur_len < best_len:
-                    best, best_len = cur, cur_len
-                run_from.append(step)
-                run_cur.append(cur_len)
+            if cand_len > cur_len:
+                if acceptance_probability(cur_len, cand_len, temperature_at(step, cfg)) < u_at:
+                    continue
+            cur, cur_len = cand, cand_len
+            if cur_len < best_len:
+                best, best_len = cur, cur_len
+            run_from.append(step)
+            run_cur.append(cur_len)
         _fill_runs(cur_lens, run_from, run_cur, first + count)
     return start_len, orders[best], best_len, orders[cur]
 
@@ -551,10 +592,13 @@ def anneal(
     fixed seed; passing ``rng`` lets callers chain draws instead.
 
     Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, and for
-    each chunk the steps' swap positions and rejection cuts are computed at
-    once (:func:`_chunks`).  The cuts come from :func:`_temperature_bounds`,
-    not from the schedule itself.  A step whose candidate is longer by at
-    least its cut is rejected there; any other step, ties included, asks
+    each chunk the steps' rejection cuts are computed at once
+    (:func:`_chunks`); its swap positions are picked at once too, but only
+    once some step of the chunk needs them.  The cuts come from
+    :func:`_temperature_bounds`, not from the schedule itself.  A step
+    whose candidate is longer by at least its cut is rejected there; one
+    whose candidate is no longer than the tour is accepted, as its
+    acceptance probability is 1; only a longer candidate below its cut asks
     :func:`acceptance_probability` at its :func:`temperature_at`, the only
     place the walk evaluates the schedule.  On up to ``ORDER_WALK_MAX_N``
     cities the walk keeps an index into the n! orders and reads each
@@ -582,6 +626,6 @@ def anneal(
         rng = np.random.default_rng(cfg.seed)
     cur_lens = np.empty(cfg.iterations)
     walk = _walk_orders if n <= ORDER_WALK_MAX_N else _walk_lists
-    chunks = _chunks(rng, cfg, n, k)
+    chunks = _chunks(rng, cfg, k)
     start_len, best, best_len, cur = walk(m, list(start.order), cfg, k, chunks, cur_lens)
     return Tour(tuple(best)), float(best_len), SaTrace(cur_lens, start_len, Tour(tuple(cur)), cfg)

@@ -282,12 +282,20 @@ def _pick_positions_reference(n, k, uniforms):
 def test_pick_positions_match_scalar_fisher_yates():
     rng = np.random.default_rng(12)
     edge = [0.0, 0.5, 1 - 2.0**-53]  # the smallest uniform, a midpoint, the largest
-    for n in (4, 5, 10, 50, 127, 128, 300):
-        for k in sorted({1, 2, n // 2}):
+    for n in (2, 3, 4, 5, 10, 50, 127, 128, 300):
+        for k in sorted({1, min(2, n // 2), n // 2}):
             u = rng.random((40, 2 * k + 1))
             u[:3, : 2 * k] = np.array(edge)[:, None]
+            # Rows whose second draw lands on the first pick's slot, which
+            # the first step filled with position 0.
+            slots = np.arange(1, min(n, 8))
+            u[3 : 3 + len(slots), 0] = (slots + 0.5) / n
+            u[3 : 3 + len(slots), 1] = (slots - 0.5) / (n - 1)
             picks = _kernels.pick_positions(n, k, u)
             assert picks.shape == (40, 2 * k)
+            assert picks.dtype == _kernels.position_dtype(n)
+            assert picks[3 : 3 + len(slots), 0].tolist() == slots.tolist()
+            assert not picks[3 : 3 + len(slots), 1].any()
             for row, draws in zip(picks.tolist(), u):
                 assert row == _pick_positions_reference(n, k, draws)
 
@@ -340,7 +348,8 @@ def _anneal_counting_exact_steps(monkeypatch, m, start, cfg):
 def test_screen_leaves_ties_to_the_exact_step(monkeypatch):
     """Swapping opposite corners of a square tour reverses it: the edge
     delta is exactly 0, which the screen cannot decide, so the exact step
-    runs (and accepts the tie) while the screen rejects the crossings."""
+    runs and accepts the tie on its in-order length, never reaching the
+    schedule, while the crossings are rejected."""
     corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     square = T.Instance(
         id="square", cities=tuple(T.City(f"c{i}", x, y) for i, (x, y) in enumerate(corners))
@@ -348,9 +357,21 @@ def test_screen_leaves_ties_to_the_exact_step(monkeypatch):
     m = T.distance_matrix(square)
     monkeypatch.setattr(annealing, "SCREEN_GAP", 1)  # screen every step
     cfg = T.SaConfig(t0=1e-3, cooling_rate=0.99, iterations=400, seed=6)
-    exact = _anneal_counting_exact_steps(monkeypatch, m, T.Tour((0, 1, 2, 3)), cfg)
-    assert any(e == e_new == 4.0 for e, e_new in exact)
-    assert 1 <= len(exact) < cfg.iterations
+    start = T.Tour((0, 1, 2, 3))
+    exact = _anneal_counting_exact_steps(monkeypatch, m, start, cfg)
+    assert all(e_new > e for e, e_new in exact)
+    assert len(exact) < cfg.iterations
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 3))
+    cur = start
+    ties = 0
+    for step in range(cfg.iterations):
+        cand = T.Tour(tuple(_kernels.swap_positions(list(cur.order), 1, draws[step, :2])))
+        cand_len = T.tour_length(m, cand)
+        if T.acceptance_probability(4.0, cand_len, T.temperature_at(step, cfg)) >= draws[step, 2]:
+            assert cand_len == 4.0
+            ties += 1
+            cur = cand
+    assert ties
 
 
 @pytest.mark.parametrize("k", (1, 25))
@@ -531,7 +552,7 @@ def test_scalar_screen_below_the_hold_gate_never_rejects_an_accepted_step(n, bou
             assert p < u[j, 2]
 
 
-@pytest.mark.parametrize("n, lengths, exact", [(15, 2032, 1129), (50, 1157, 1156)])
+@pytest.mark.parametrize("n, lengths, exact", [(15, 2032, 544), (50, 1157, 528)])
 def test_hold_screen_spares_the_lengths_of_held_steps(monkeypatch, n, lengths, exact):
     """The in-order lengths summed by one default SA solve on
     ``generate_random_instance(n, 3)``: one start length, one per exact
@@ -540,7 +561,9 @@ def test_hold_screen_spares_the_lengths_of_held_steps(monkeypatch, n, lengths, e
     lengths without it; n = 15 is below its gate, so only its steps after
     the gap are screened alone, which took 2,919 lengths in windows.  The
     steps reaching ``acceptance_probability`` and the walk are the same
-    either way."""
+    either way.  Only a longer candidate reaches it: a candidate no longer
+    than the tour is accepted on its length, which spared 585 calls at
+    n = 15 and 628 at n = 50."""
     counts = {"length": 0, "exact": 0}
     real_length, real_accept = _kernels.closed_tour_length, annealing.acceptance_probability
 
@@ -870,8 +893,9 @@ def test_traces_compare_by_identity(paper8_m):
 def test_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
     """Above the order walk's gate the screen runs, from the first step
     after each acceptance here: on a tied grid instance, steps whose
-    window edge delta is exactly 0 reach ``acceptance_probability`` and are
-    accepted, while most steps are screened out."""
+    window edge delta is exactly 0 are left to the exact step, which
+    accepts them on their in-order length without evaluating the schedule,
+    while most steps are screened out."""
     n = 8
     assert n > annealing.ORDER_WALK_MAX_N
     m = T.distance_matrix(_tied_instance(n, np.random.default_rng(0)))
@@ -889,6 +913,7 @@ def test_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
     _, _, trace = T.anneal(m, start, cfg)
     monkeypatch.undo()
     assert len(called) == len(exact) < cfg.iterations
+    assert all(e_new > e for e, e_new, _ in exact)
 
     draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 3))
     assert trace.current_length.tolist() == _replay(m, start, cfg, draws)[1]
@@ -904,7 +929,7 @@ def test_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
         if p >= draws[step, 2]:
             edges = annealing._changed_edges(picks[step : step + 1], n)
             delta = annealing._edge_deltas(m.d, np.array(cur, dtype=picks.dtype), edges)[0]
-            tied += step in called and delta == 0.0
+            tied += step not in called and delta == 0.0
             cur, cur_len = cand, cand_len
     assert tied
 
@@ -981,8 +1006,9 @@ def test_one_pair_walks_below_the_gate_screen_no_window(monkeypatch, name):
 def test_two_pair_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
     """Two-pair walks screen in windows: on a tied grid instance at n = 8,
     screened from the first step after each acceptance, steps whose window
-    edge delta is exactly 0 reach ``acceptance_probability`` and are
-    accepted, while most steps are screened out."""
+    edge delta is exactly 0 are left to the exact step, which accepts them
+    on their in-order length without evaluating the schedule, while most
+    steps are screened out."""
     n, k = 8, 2
     m = T.distance_matrix(_tied_instance(n, np.random.default_rng(0)))
     cfg = T.SaConfig(t0=1e-3, cooling_rate=0.99, iterations=400, swap_count=k, seed=5)
@@ -1001,6 +1027,7 @@ def test_two_pair_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
     monkeypatch.undo()
     assert gathered
     assert len(called) == len(exact) < cfg.iterations
+    assert all(e_new > e for e, e_new, _ in exact)
 
     draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 2 * k + 1))
     assert trace.current_length.tolist() == _replay(m, start, cfg, draws)[1]
@@ -1016,7 +1043,7 @@ def test_two_pair_window_screen_leaves_ties_to_the_exact_step(monkeypatch):
         if p >= draws[step, 2 * k]:
             edges = annealing._changed_edges(picks[step : step + 1], n)
             delta = annealing._edge_deltas(m.d, np.array(cur, dtype=picks.dtype), edges)[0]
-            tied += step in called and delta == 0.0
+            tied += step not in called and delta == 0.0
             cur, cur_len = cand, cand_len
     assert tied
 
@@ -1057,3 +1084,102 @@ def test_order_walk_matches_the_list_walk(n, tied, seed, t0, cooling, iters, dat
     orders = _walk_on_gate(5, m, start, cfg, np.random.default_rng(seed))
     lists = _walk_on_gate(2, m, start, cfg, np.random.default_rng(seed))
     assert orders == lists
+
+
+def _walk_and_next_draws(m, start, cfg):
+    """``anneal`` from ``cfg.seed`` and the generator's next four draws."""
+    rng = np.random.default_rng(cfg.seed)
+    tour, length, trace = T.anneal(m, start, cfg, rng=rng)
+    return tour, length, trace, rng.random(4).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(5, 14),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    log_t0=st.floats(-4.0, 0.0),
+    cooling=st.floats(0.95, 0.999),
+    chunk=st.integers(64, 256),
+    iters=st.integers(300, 3000),
+    data=st.data(),
+)
+def test_frozen_chunks_keep_the_walk(n, tied, seed, log_t0, cooling, chunk, iters, data):
+    """With short chunks and a cool schedule, many chunks are rejected whole
+    once a swap-delta table proves every step left fails; the walk still
+    matches the hand replay bit for bit, on tied and untied instances, and
+    leaves the generator where one draw of all its uniforms does."""
+    rng = np.random.default_rng(seed)
+    if tied:
+        m = T.distance_matrix(_tied_instance(n, rng))
+    else:
+        m = T.distance_matrix(T.generate_random_instance(n, seed=seed))
+    k = data.draw(st.sampled_from(sorted({1, 2})), label="swap_count")
+    t0 = 10.0**log_t0
+    cfg = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=iters, swap_count=k, seed=seed)
+    start = T.Tour.random(n, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annealing, "CHUNK", chunk)
+        tour, length, trace, next_draws = _walk_and_next_draws(m, start, cfg)
+    replay_rng = np.random.default_rng(seed)
+    draws = replay_rng.random((iters, 2 * k + 1))
+    temps, current, bests, best, final = _replay(m, start, cfg, draws)
+    assert trace.temperature.tolist() == temps
+    assert trace.current_length.tolist() == current
+    assert trace.best_length.tolist() == bests
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+    assert next_draws == replay_rng.random(4).tolist()
+
+
+def test_frozen_chunks_pick_no_positions(monkeypatch):
+    """A default walk on cityset1 makes its last acceptance early, and its
+    swap-delta table then proves later chunks frozen, so it picks positions
+    for fewer chunks than it draws, and matches the hand replay."""
+    calls = []
+    real = _kernels.pick_positions
+    monkeypatch.setattr(_kernels, "pick_positions", lambda *a: calls.append(1) or real(*a))
+    m = T.distance_matrix(T.get_builtin("cityset1"))
+    cfg = T.SaConfig()
+    start = T.Tour.random(m.n, np.random.default_rng(0))
+    tour, length, trace, next_draws = _walk_and_next_draws(m, start, cfg)
+    monkeypatch.undo()
+    assert 0 < len(calls) < math.ceil(cfg.iterations / CHUNK)
+    replay_rng = np.random.default_rng(cfg.seed)
+    _, current, _, best, final = _replay(m, start, cfg, replay_rng.random((cfg.iterations, 3)))
+    assert trace.current_length.tolist() == current
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+    assert next_draws == replay_rng.random(4).tolist()
+
+
+class _Draws:
+    """A stand-in generator that serves the rows of ``draws`` in order."""
+
+    def __init__(self, draws):
+        self.draws, self.at = draws, 0
+
+    def random(self, size):
+        rows = self.draws[self.at : self.at + size[0]].copy()
+        self.at += size[0]
+        return rows
+
+
+@pytest.mark.parametrize("name", ("matrix4", "paper8"))
+@pytest.mark.parametrize("k", (1, 2))
+def test_uniforms_no_probability_reaches_reject_every_step(name, k):
+    """A stand-in generator's acceptance uniform of 1.0 admits only steps of
+    probability 1, and one above 1, infinite or NaN admits none, ties
+    included, on the order and the list walks alike: the walk matches the
+    hand replay over those draws."""
+    m = T.distance_matrix(T.get_builtin(name))
+    cfg = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=600, swap_count=k, seed=3)
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 2 * k + 1))
+    for at, value in enumerate((1.0, 1.0 + 2.0**-52, 1.5, math.inf, math.nan)):
+        draws[at::6, 2 * k] = value
+    start = T.Tour(tuple(range(m.n)))
+    tour, length, trace = T.anneal(m, start, cfg, rng=_Draws(draws))
+    _, current, _, best, final = _replay(m, start, cfg, draws)
+    assert trace.current_length.tolist() == current
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
