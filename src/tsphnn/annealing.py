@@ -18,7 +18,8 @@ It rejects a step without building the candidate only where a written
 error bound, from the float model of :mod:`._rounding`, proves the exact
 step would reject it too; every other step, ties included, takes the exact
 step.  Where the table proves that every step left in a chunk fails, the
-walk rejects them all at once, without picking their swap positions.  So
+walk rejects them all at once, without picking their swap positions or,
+where one bound on the chunk's cuts proves it, computing the cuts.  So
 the answers are the exact step's, bit for bit, on either path.
 """
 
@@ -350,6 +351,50 @@ def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return cuts
 
 
+def _cut_bound(cfg: SaConfig, first: int, accept: np.ndarray) -> float:
+    """An upper bound on every rejection cut of a chunk whose first step is
+    ``first`` and whose acceptance uniforms are ``accept``, from one power
+    and one log, where :func:`_rejection_cuts` over
+    :func:`_temperature_bounds` takes one of each a step.
+
+    Each cut is fl(fl(x * T') * (1 + E)) + ``MIN_NORMAL`` rounded, in its
+    step's x = fl(fl(-np.log(u) * (1 + E)) + E) and temperature bound T',
+    both positive, so by monotone rounding it is at most the same
+    expression in any X >= x and T >= T'.  The bound is that expression in:
+
+    - T, the first step's bound with pow for np.power and ``MIN_NORMAL``
+      for ``POW_TINY``, times (1 + 4E), floored.  The exact power R =
+      rate^s falls as s grows, but pow and np.power are monotone only to
+      within their errors (:mod:`._rounding`): a step's np.power P' <= R *
+      (1 + 2^-43) + 2^-1065, and R is at most the first step's, at most
+      (P + 2^-1065) / (1 - 2^-43) for its pow P.  So P' + ``POW_TINY`` <=
+      (P + ``MIN_NORMAL``) * (1 + 2^-41); the added terms matter where P is
+      subnormal.  With the two sums' roundings, fl(P' + ``POW_TINY``) <=
+      fl(P + ``MIN_NORMAL``) * (1 + 2^-40).  Where T' is above the floor,
+      its products are normal, so T' <= t0 * fl(P + ``MIN_NORMAL``) *
+      (1 + 2^-40) * (1 + E) * (1 + U)^2, and each of the three roundings of
+      T's product loses at most a factor 1 - U, or overflows to inf.
+    - X = fl(x(u_min) * (1 + 4E)), for the smallest uniform u_min, in [U,
+      1].  Each counted u below 1 has -ln(u) >= 2^-53, a normal number, at
+      most -ln(u_min), so np.log gives -np.log(u) <= -np.log(u_min) *
+      (1 + 2^-50) / (1 - 2^-50); a u of 1 gives 0.  With their two
+      roundings, x(u) <= x(u_min) * (1 + 2^-46) <= X.
+
+    The smallest uniform is taken with ``np.fmin``, which passes NaN over: a
+    NaN uniform, like one above 1, has a cut of -inf, which any bound
+    reaches, and when every uniform is so the bound is -inf.  A uniform
+    below U makes the bound inf, as its cut is.
+    """
+    low = np.fmin.reduce(accept)
+    if not low <= 1.0:  # NaN, or above 1: every cut is -inf
+        return -_INF
+    if low < U:
+        return _INF
+    x = float(-np.log(low)) * (1 + E) + E
+    temp = cfg.t0 * (cfg.cooling_rate**first + MIN_NORMAL) * (1 + E) * (1 + 4 * E)
+    return x * (1 + 4 * E) * max(temp, TEMPERATURE_FLOOR) * (1 + E) + MIN_NORMAL
+
+
 def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
     """Offsets of the steps that the screen cannot reject: undecided, not
     accepted.  A step is rejected when fl(delta - band) reaches its cut; by
@@ -362,19 +407,18 @@ def _undecided(delta: np.ndarray, band: float, cuts: np.ndarray) -> np.ndarray:
 
 def _chunks(rng: RandomGenerator, cfg: SaConfig, k: int):
     """The walk's draws, ``CHUNK`` steps at a time: for each chunk, its
-    first step, its steps' uniforms, one row of 2k+1 a step, their
-    acceptance uniforms (the last column) and rejection cuts
-    (:func:`_rejection_cuts` over :func:`_temperature_bounds`), none of
-    which depends on the tour.  A walker picks a chunk's swap positions
-    from its rows (:func:`_kernels.pick_positions`) only once some step
-    needs them.  Every chunk is drawn, so a step's 2k+1 uniforms are the
-    same values, and leave ``rng`` in the same state, as one draw of them
-    all."""
+    first step, its steps' uniforms, one row of 2k+1 a step, and their
+    acceptance uniforms (the last column), none of which depends on the
+    tour.  A walker computes a chunk's rejection cuts
+    (:func:`_rejection_cuts` over :func:`_temperature_bounds`) and picks
+    its swap positions from its rows (:func:`_kernels.pick_positions`)
+    only once some step needs them.  Every chunk is drawn, so a step's
+    2k+1 uniforms are the same values, and leave ``rng`` in the same
+    state, as one draw of them all."""
     iters = cfg.iterations
     for first in range(0, iters, CHUNK):
         u = _uniforms(rng, (min(CHUNK, iters - first), 2 * k + 1))
-        accept = u[:, 2 * k]
-        yield first, u, accept, _rejection_cuts(_temperature_bounds(cfg, first, len(u)), accept)
+        yield first, u, u[:, 2 * k]
 
 
 def _fill_runs(cur_lens: np.ndarray, run_from: list, run_cur: list, end: int) -> None:
@@ -412,8 +456,11 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
     next acceptance, and serves every step to the end of the chunk, one
     lookup per step.  Where its smallest delta, less the band, reaches the
     largest cut left in the chunk, every step left would fail that lookup
-    (rounding is monotone), so they are all rejected at once, and a chunk
-    frozen from its first step picks no positions.  Every step the screen
+    (rounding is monotone), so they are all rejected at once.  That test
+    first tries the chunk's :func:`_cut_bound`, and reads the cuts only
+    where the bound proves nothing.  The chunk's cuts are computed at its
+    first step that reads them, so a chunk frozen from its first step on
+    the bound computes no cuts and picks no positions.  Every step the screen
     leaves undecided is the exact step.  As the screen only rejects where
     the exact step would, the walk, its answers and its trace are those of
     the exact step alone.
@@ -440,54 +487,64 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
     # the band, made when needed.
     tour = table = floor = None
     last = -1  # the last accepted step; the start counts as one
-    for first, u, accept, cuts in chunks:
+    for first, u, accept in chunks:
         count = len(u)
         # The chunk's picks, made at its first step that needs them (a
         # frozen chunk has none), and its first window's changed edges.
         picks = edges = None
         # Made at the chunk's first exact step; most cold chunks have none.
         swaps = None
+        # The chunk's cuts, made at its first step that reads them, and a
+        # bound on them all, made at its first freeze test.
+        cuts = top = None
         # The steps from which the walk holds each length: the runs.
         run_from, run_cur = [first], [cur_len]
         i = 0
         while i < count:
             gap = first + i - last
-            if gap < SCREEN_GAP:
-                # Exact steps until the gap reaches ``SCREEN_GAP``; an
-                # acceptance restarts the count.
-                steps, stop, after = range(i, count), i + SCREEN_GAP - gap, SCREEN_GAP
-                screened = hold_screen
-            else:
+            if gap >= SCREEN_GAP:
                 end = min(i + gap, count)
                 if table is None and end - i >= table_at:
                     if pair_row is None:
                         pair_row, pair_edges = _position_pairs(n, dtype)
                     table = _edge_deltas(m.d, np.array(cur, dtype=dtype), pair_edges)
                     floor = table.min() - band
-                if table is None and k == 1:
-                    # Screened one at a time up to ``end``, where the gap
-                    # has doubled and the table check runs again.
-                    steps, stop, after, screened = range(i, count), end, SCREEN_GAP, True
-                elif table is not None and floor >= cuts[i:].max():
-                    steps, stop, after, screened = (), count, 1, False  # frozen
+                if table is not None:
+                    if top is None:
+                        top = _cut_bound(cfg, first, accept)
+                    if floor >= top:
+                        break  # frozen, as no cut left exceeds ``top``
+            if cuts is None:
+                cuts = _rejection_cuts(_temperature_bounds(cfg, first, count), accept)
+            if gap < SCREEN_GAP:
+                # Exact steps until the gap reaches ``SCREEN_GAP``; an
+                # acceptance restarts the count.
+                steps, stop, after = range(i, count), i + SCREEN_GAP - gap, SCREEN_GAP
+                screened = hold_screen
+            elif table is None and k == 1:
+                # Screened one at a time up to ``end``, where the gap has
+                # doubled and the table check runs again.
+                steps, stop, after, screened = range(i, count), end, SCREEN_GAP, True
+            elif table is not None and floor >= cuts[i:].max():
+                break  # frozen
+            else:
+                if picks is None:
+                    picks = _kernels.pick_positions(n, k, u)
+                if table is not None:
+                    end = count
+                    delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
                 else:
-                    if picks is None:
-                        picks = _kernels.pick_positions(n, k, u)
-                    if table is not None:
-                        end = count
-                        delta = table[pair_row[picks[i:, 0], picks[i:, 1]]]
-                    else:
-                        end = min(end, i + WINDOW)
-                        if edges is None:
-                            edges_from, edges = i, _changed_edges(picks[i:], n)
-                        if tour is None:
-                            tour = np.array(cur, dtype=dtype)
-                        window = edges[:, i - edges_from : end - edges_from]
-                        delta = _edge_deltas(m.d, tour, window)
-                    steps = (i + _undecided(delta, band, cuts[i:end])).tolist()
-                    # An acceptance ends the window: its later steps were
-                    # screened against the old tour.
-                    stop, after, screened = end, 1, False
+                    end = min(end, i + WINDOW)
+                    if edges is None:
+                        edges_from, edges = i, _changed_edges(picks[i:], n)
+                    if tour is None:
+                        tour = np.array(cur, dtype=dtype)
+                    window = edges[:, i - edges_from : end - edges_from]
+                    delta = _edge_deltas(m.d, tour, window)
+                steps = (i + _undecided(delta, band, cuts[i:end])).tolist()
+                # An acceptance ends the window: its later steps were
+                # screened against the old tour.
+                stop, after, screened = end, 1, False
             if swaps is None and steps:
                 if picks is None:
                     picks = _kernels.pick_positions(n, k, u)
@@ -534,7 +591,8 @@ def _walk_orders(m: DistanceMatrix, start: list, cfg: SaConfig, k: int, chunks, 
     :func:`_kernels.closed_tour_length` and the order each position pair
     (a, b) leads to from :func:`_kernels.swap_pairs`, so a candidate and its
     length are the list path's, bit for bit.  Every step needs its
-    candidate, so each chunk picks its positions at once.  A k-pair step
+    candidate, so each chunk computes its cuts and picks its positions at
+    once.  A k-pair step
     looks its pairs up one after another, in pick order.  As on the lists,
     a step past its cut whose candidate is no longer than the tour is
     accepted without the schedule; ties, the most common step on so few
@@ -553,8 +611,9 @@ def _walk_orders(m: DistanceMatrix, start: list, cfg: SaConfig, k: int, chunks, 
     cur = index[tuple(start)]
     start_len = cur_len = lengths[cur]
     best, best_len = cur, cur_len
-    for first, u, accept, cuts in chunks:
+    for first, u, accept in chunks:
         count = len(u)
+        cuts = _rejection_cuts(_temperature_bounds(cfg, first, count), accept)
         picks = _kernels.pick_positions(n, k, u)
         pair_at = (picks[:, 0::2] * n + picks[:, 1::2]).T.tolist()
         later = pair_at[1:]
@@ -591,10 +650,10 @@ def anneal(
     the acceptance probability beats one uniform draw.  Deterministic for a
     fixed seed; passing ``rng`` lets callers chain draws instead.
 
-    Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time, and for
-    each chunk the steps' rejection cuts are computed at once
-    (:func:`_chunks`); its swap positions are picked at once too, but only
-    once some step of the chunk needs them.  The cuts come from
+    Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time
+    (:func:`_chunks`).  For each chunk the steps' rejection cuts are
+    computed at once, and so are its swap positions, but each only once
+    some step of the chunk needs them.  The cuts come from
     :func:`_temperature_bounds`, not from the schedule itself.  A step
     whose candidate is longer by at least its cut is rejected there; one
     whose candidate is no longer than the tour is accepted, as its

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import _kernels, annealing, pipeline
+from tsphnn._rounding import U
 from tsphnn.annealing import CHUNK, MAX_ITERATIONS, TEMPERATURE_FLOOR
 from tsphnn.errors import InvalidArgumentError, InvalidTemperatureError
 
@@ -1151,6 +1152,62 @@ def test_frozen_chunks_pick_no_positions(monkeypatch):
     assert (tour, length) == best
     assert (trace.final_tour, trace.final_length) == final
     assert next_draws == replay_rng.random(4).tolist()
+
+
+def test_frozen_chunks_make_no_cuts(monkeypatch):
+    """A default walk on paper8 freezes most of its chunks from their first
+    step, on the bound of ``_cut_bound`` alone, so it makes rejection cuts
+    for fewer chunks than it draws, and matches the hand replay."""
+    calls = []
+    real = annealing._rejection_cuts
+    monkeypatch.setattr(annealing, "_rejection_cuts", lambda *a: calls.append(1) or real(*a))
+    m = T.distance_matrix(T.get_builtin("paper8"))
+    cfg = T.SaConfig()
+    start = T.Tour.random(m.n, np.random.default_rng(0))
+    tour, length, trace, next_draws = _walk_and_next_draws(m, start, cfg)
+    monkeypatch.undo()
+    assert 0 < len(calls) < math.ceil(cfg.iterations / CHUNK)
+    replay_rng = np.random.default_rng(cfg.seed)
+    _, current, _, best, final = _replay(m, start, cfg, replay_rng.random((cfg.iterations, 3)))
+    assert trace.current_length.tolist() == current
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+    assert next_draws == replay_rng.random(4).tolist()
+
+
+_ODD_UNIFORMS = (U, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 1.5, math.inf, math.nan)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    log_t0=st.floats(-13.0, 300.0),
+    cooling=st.one_of(
+        st.floats(0.0, 1.0 - 2.0**-40, exclude_min=True), st.sampled_from([0.5, 1.0 - 2.0**-40])
+    ),
+    first=st.integers(0, MAX_ITERATIONS - 1),
+    near=st.sampled_from([None, "floor", "subnormal"]),
+    data=st.data(),
+)
+def test_cut_bound_is_at_least_every_cut(log_t0, cooling, first, near, data):
+    """``_cut_bound`` is at least the largest cut of its chunk, for t0 from
+    1e-13 to 1e300, any rate up to 1 - 2^-40 and steps up to
+    ``MAX_ITERATIONS``: anywhere, where the schedule meets its floor, or
+    where the power turns subnormal.  Its uniforms mix the generator's with
+    U, 1.0, 1 - 2^-53, values above 1, inf and NaN, whose cut is -inf."""
+    t0 = 10.0**log_t0
+    cfg = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=1)
+    if near is not None:
+        level = math.log(TEMPERATURE_FLOOR / t0) if near == "floor" else -1022 * math.log(2)
+        first = int(min(max(level / math.log(cooling) - 4, 0), MAX_ITERATIONS - 1))
+    count = data.draw(st.integers(1, min(64, MAX_ITERATIONS - first)), label="count")
+    uniform = st.one_of(st.floats(U, 1.0), st.sampled_from(_ODD_UNIFORMS))
+    accept = np.array(data.draw(st.lists(uniform, min_size=count, max_size=count), label="u"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cuts = annealing._rejection_cuts(annealing._temperature_bounds(cfg, first, count), accept)
+        bound = annealing._cut_bound(cfg, first, accept)
+    assert type(bound) is float
+    assert bound >= cuts.max()
 
 
 class _Draws:

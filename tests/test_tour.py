@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tsphnn as T
 from tsphnn import _kernels
-from tsphnn.tour import decode_grids
+from tsphnn.tour import _shortest_closings, decode_grids
 from tsphnn.errors import EnumerationTooLargeError, InvalidTourError, InvalidTourMatrixError
 
 # tour-matrix figure rows A..D for the visiting order B, A, D, C
@@ -165,8 +165,8 @@ def _reference_optimum(m):
 
 
 @st.composite
-def _matrices(draw):
-    n = draw(st.integers(4, 8))
+def _matrices(draw, sizes=st.integers(4, 8)):
+    n = draw(sizes)
     if draw(st.booleans()):
         # integer-grid coordinates: many tours tie to within an ulp
         point = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -187,6 +187,63 @@ def test_brute_force_matches_enumeration_reference(m):
     best, best_len = _reference_optimum(m)
     assert tour.order == best
     assert length == best_len
+
+
+def _per_candidate_closings(d, rest, start, second):
+    """Reference ``_shortest_closings``: one Held-Karp DP per next city
+    rest[i], each over every subset of ``rest``, where the sets without
+    rest[i] stay NaN."""
+    r = rest.shape[0]
+    bits = 1 << np.arange(r)
+    step = d[np.ix_(rest, rest)]
+    sizes = ((np.arange(1 << r)[:, None] & bits) > 0).sum(axis=1)
+    layers = []
+    for size in range(2, r + 1):
+        sets = np.flatnonzero(sizes == size)
+        layers.append((sets, sets[:, None] ^ bits))
+    ends = np.full(r, np.nan)
+    for i in range(r):
+        f = np.full((1 << r, r), np.nan)
+        f[bits[i], i] = start[i]
+        for sets, prev in layers:
+            f[sets] = np.fmin.reduce(f[prev] + step, axis=2)
+        last_ok = rest > (rest[i] if second is None else second)
+        ends[i] = np.fmin.reduce(np.where(last_ok, f[-1] + d[rest, 0], np.nan))
+    return ends
+
+
+def _check_batched_oracle(m):
+    """``brute_force_optimum`` gives the order and the length bits of the
+    city-by-city build over the per-candidate DPs, and each level's batched
+    closings equal theirs, NaN where theirs are."""
+    d, n = m.d, m.n
+    order, length = [0], None
+    while len(order) < n:
+        rest = np.array([c for c in range(1, n) if c not in order])
+        start = d[0, rest] if length is None else length + d[order[-1], rest]
+        second = order[1] if len(order) > 1 else None
+        ends = _per_candidate_closings(d, rest, start, second)
+        if len(rest) > 1:
+            batched = _shortest_closings(d, rest, start, second)
+            assert np.array_equal(batched, ends, equal_nan=True)
+        k = np.nanargmin(ends)
+        order.append(int(rest[k]))
+        length = start[k]
+    tour, best = T.brute_force_optimum(m)
+    assert tour.order == tuple(order)
+    assert repr(best) == repr(float(length + d[order[-1], 0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matrices(st.integers(3, 10)))
+def test_batched_oracle_matches_per_candidate_dps(m):
+    _check_batched_oracle(m)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_matrices(st.integers(11, 12)))
+def test_batched_oracle_matches_per_candidate_dps_at_11_and_12_cities(m):
+    _check_batched_oracle(m)
 
 
 @pytest.mark.parametrize("n", [6, 12])
