@@ -17,10 +17,10 @@ NumPy windows for k-pair swaps, or from a table of the tour's swap deltas.
 It rejects a step without building the candidate only where a written
 error bound, from the float model of :mod:`._rounding`, proves the exact
 step would reject it too; every other step, ties included, takes the exact
-step.  Where the table proves that every step left in a chunk fails, the
-walk rejects them all at once, without picking their swap positions or,
-where one bound on the chunk's cuts proves it, computing the cuts.  So
-the answers are the exact step's, bit for bit, on either path.
+step.  Where the table and one bound on a chunk's cuts prove that every
+step left in it fails, the walk rejects them all at once, without picking
+their swap positions or computing their cuts.  So the answers are the
+exact step's, bit for bit, on either path.
 """
 
 import math
@@ -107,21 +107,23 @@ class SaConfig:
 
 
 class RandomGenerator(Protocol):
-    """What :func:`anneal` draws its uniforms from: an object whose
-    ``random(size)`` returns an array of that shape, such as
-    ``np.random.Generator``."""
+    """What :func:`anneal` and :func:`swap_cities` draw from: an object whose
+    ``random(size)`` returns a float64 array of that shape, every value in
+    [0, 1], such as ``np.random.Generator`` or ``np.random.RandomState``."""
 
     def random(self, size): ...
 
 
 def _uniforms(rng: RandomGenerator, shape: Tuple[int, ...]) -> np.ndarray:
-    """``rng.random(shape)``, with ``rng`` refused unless that is an array of
-    that shape: the one check that ``rng`` is a :class:`RandomGenerator`."""
+    """``rng.random(shape)``, with ``rng`` refused unless that is a float64
+    array of that shape, every value in [0, 1]: the one check that ``rng``
+    is a :class:`RandomGenerator`, so every later step may take 0 <= u <= 1."""
     try:
         u = rng.random(shape)
     except (AttributeError, TypeError) as exc:  # no ``random``, or one that takes no size
         raise record_refusal("rng", rng, RandomGenerator) from exc
-    if not (isinstance(u, np.ndarray) and u.shape == shape):
+    ok = isinstance(u, np.ndarray) and u.shape == shape and u.dtype == np.float64
+    if not (ok and u.min() >= 0.0 and u.max() <= 1.0):  # a NaN fails both
         raise record_refusal("rng", rng, RandomGenerator)
     return u
 
@@ -180,13 +182,10 @@ class SaTrace:
         return np.fromiter(temps, dtype=np.float64, count=count)
 
     def to_csv(self) -> str:
-        lines = ["iteration,temperature,current,best"]
-        for i in range(len(self.iteration)):
-            lines.append(
-                f"{int(self.iteration[i])},{float(self.temperature[i])!r},"
-                f"{float(self.current_length[i])!r},{float(self.best_length[i])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = (self.temperature, self.current_length, self.best_length)
+        rows = zip(*(column.tolist() for column in columns))
+        lines = [f"{i},{t!r},{c!r},{b!r}" for i, (t, c, b) in enumerate(rows)]
+        return "\n".join(["iteration,temperature,current,best", *lines]) + "\n"
 
 
 def swap_cities(t: Tour, k: int, rng: np.random.Generator) -> Tour:
@@ -337,18 +336,12 @@ def _rejection_cuts(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     the factor covers the product's rounding, the term its underflow, and
     T' >= T only raises the cut.  As cut > 0, the candidate is then longer,
     so :func:`acceptance_probability` takes the exponential.  A uniform below
-    U (0.0, or a stand-in generator's), or a bound or product that
-    overflows, gives an infinite cut, which no finite D reaches.  A
-    stand-in's uniform above 1, or NaN, gives a cut of -inf, which every
-    step reaches: no probability, at most 1, reaches such a uniform.  So
-    any step that passes its cut has u <= 1, and a candidate no longer than
-    the tour, whose probability is 1, is accepted.
+    U (0.0), or a bound or product that overflows, gives an infinite cut,
+    which no finite D reaches.
     """
     with np.errstate(divide="ignore", over="ignore"):
         x = -np.log(uniforms) * (1 + E) + E
-        cuts = np.where(uniforms < U, np.inf, x * bounds * (1 + E) + MIN_NORMAL)
-    cuts[~(uniforms <= 1.0)] = -np.inf
-    return cuts
+        return np.where(uniforms < U, np.inf, x * bounds * (1 + E) + MIN_NORMAL)
 
 
 def _cut_bound(cfg: SaConfig, first: int, accept: np.ndarray) -> float:
@@ -380,14 +373,9 @@ def _cut_bound(cfg: SaConfig, first: int, accept: np.ndarray) -> float:
       (1 + 2^-50) / (1 - 2^-50); a u of 1 gives 0.  With their two
       roundings, x(u) <= x(u_min) * (1 + 2^-46) <= X.
 
-    The smallest uniform is taken with ``np.fmin``, which passes NaN over: a
-    NaN uniform, like one above 1, has a cut of -inf, which any bound
-    reaches, and when every uniform is so the bound is -inf.  A uniform
-    below U makes the bound inf, as its cut is.
+    A uniform below U makes the bound inf, as its cut is.
     """
-    low = np.fmin.reduce(accept)
-    if not low <= 1.0:  # NaN, or above 1: every cut is -inf
-        return -_INF
+    low = accept.min()
     if low < U:
         return _INF
     x = float(-np.log(low)) * (1 + E) + E
@@ -455,15 +443,13 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
     (:func:`_position_pairs`).  The table is kept across chunks until the
     next acceptance, and serves every step to the end of the chunk, one
     lookup per step.  Where its smallest delta, less the band, reaches the
-    largest cut left in the chunk, every step left would fail that lookup
-    (rounding is monotone), so they are all rejected at once.  That test
-    first tries the chunk's :func:`_cut_bound`, and reads the cuts only
-    where the bound proves nothing.  The chunk's cuts are computed at its
-    first step that reads them, so a chunk frozen from its first step on
-    the bound computes no cuts and picks no positions.  Every step the screen
-    leaves undecided is the exact step.  As the screen only rejects where
-    the exact step would, the walk, its answers and its trace are those of
-    the exact step alone.
+    chunk's :func:`_cut_bound`, at least every cut in it, every step left
+    would fail that lookup (rounding is monotone), so they are all rejected
+    at once.  The chunk's cuts are computed at its first step that reads
+    them, so a chunk frozen from its first step computes no cuts and picks
+    no positions.  Every step the screen leaves undecided is the exact
+    step.  As the screen only rejects where the exact step would, the walk,
+    its answers and its trace are those of the exact step alone.
 
     Memory is O(CHUNK * n) narrow integers, one byte each while n < 128.
     A table needs P steps left in a chunk, so it is made only while P <=
@@ -525,8 +511,6 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                 # Screened one at a time up to ``end``, where the gap has
                 # doubled and the table check runs again.
                 steps, stop, after, screened = range(i, count), end, SCREEN_GAP, True
-            elif table is not None and floor >= cuts[i:].max():
-                break  # frozen
             else:
                 if picks is None:
                     picks = _kernels.pick_positions(n, k, u)
@@ -566,8 +550,6 @@ def _walk_lists(m: DistanceMatrix, cur: list, cfg: SaConfig, k: int, chunks, cur
                 cand_len = length(d, cand)
                 if cand_len - cur_len >= cut_at[j]:
                     continue
-                # A step that passes its cut has u <= 1, which a candidate
-                # no longer than the tour, of probability 1, reaches.
                 if cand_len > cur_len:
                     temp = temperature_at(first + j, cfg)
                     if acceptance_probability(cur_len, cand_len, temp) < accept_at[j]:
@@ -648,7 +630,8 @@ def anneal(
 
     Each step proposes a ``swap_count``-pair exchange and accepts it when
     the acceptance probability beats one uniform draw.  Deterministic for a
-    fixed seed; passing ``rng`` lets callers chain draws instead.
+    fixed seed; passing ``rng``, a :class:`RandomGenerator` whose every
+    chunk of draws :func:`_uniforms` checks, lets callers chain draws instead.
 
     Its 2k+1 uniforms per step are drawn ``CHUNK`` steps at a time
     (:func:`_chunks`).  For each chunk the steps' rejection cuts are

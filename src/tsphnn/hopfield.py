@@ -295,11 +295,20 @@ def unit_update(
     return 1 if net >= threshold else 0
 
 
+def _check_rngs(rngs) -> None:
+    """Refuse ``rngs`` unless it is a sequence of ``np.random.Generator``."""
+    check_record("rngs", rngs, Sequence)
+    for t, rng in enumerate(rngs):
+        if not isinstance(rng, np.random.Generator):  # names no trial that passes
+            check_record(f"rngs[{t}]", rng, np.random.Generator)
+
+
 def random_grids(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """A (len(rngs), n, n) stack of grids, grid t drawn from ``rngs[t]``:
     each unit on independently with probability 1/n, so the expected number
     of ones is n.  Each generator fills its grid's n^2 doubles in place, the
     same draws as ``rngs[t].random((n, n))``."""
+    _check_rngs(rngs)
     u = np.empty((len(rngs), n, n))
     for row, rng in zip(u, rngs):
         rng.random(out=row)
@@ -308,6 +317,7 @@ def random_grids(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
 
 def random_grid(n: int, rng: np.random.Generator) -> np.ndarray:
     """One grid of :func:`random_grids`, drawn from ``rng``."""
+    check_record("rng", rng, np.random.Generator)
     return random_grids(n, [rng])[0]
 
 
@@ -334,6 +344,7 @@ def run(
     check_record("p", p, HopfieldParams)
     if rng is None:
         rng = np.random.default_rng(p.seed)
+    check_record("rng", rng, np.random.Generator)
     grid = random_grid(m.n, rng) if init is None else init
     return run_lockstep(m, p, [grid], [rng])[0]
 
@@ -427,6 +438,7 @@ def run_lockstep(
     """
     check_record("m", m, DistanceMatrix)
     check_record("p", p, HopfieldParams)
+    _check_rngs(rngs)
     n = m.n
     n2 = n * n
     count = len(rngs)

@@ -56,6 +56,7 @@ class Tour:
     def random(n: int, rng: np.random.Generator) -> "Tour":
         # Past this n, NumPy cannot size the permutation's 8-byte array at all.
         n = check_int("n", n, 0, np.iinfo(np.intp).max // 8)
+        check_record("rng", rng, np.random.Generator)
         return Tour(tuple(int(v) for v in rng.permutation(n)))
 
 
@@ -103,7 +104,8 @@ def matrix_to_tour(tm: np.ndarray) -> Tour:
     """Inverse of :func:`tour_to_matrix`; rejects non-permutation matrices.
 
     The raised :class:`InvalidTourMatrixError` carries which condition
-    failed first: "count" (not square), "row" or "column".
+    failed first: "count" (not square), "row" or "column".  The 0 x 0
+    matrix decodes to the empty tour.
     """
     v = np.asarray(tm)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -115,18 +117,20 @@ def matrix_to_tour(tm: np.ndarray) -> Tour:
         raise InvalidTourMatrixError(
             "some position column does not hold exactly one 1", "column"
         )
-    return Tour(tuple(int(city) for city in np.argmax(v, axis=0)))
+    return Tour(tuple(v.argmax(axis=0).tolist()) if v.size else ())
 
 
 def canonicalize(t: Tour) -> Tour:
     """Rotate to start at city 0, oriented so 0's smaller neighbour comes second.
 
     Tours equal up to rotation/reversal canonicalize identically, collapsing
-    the 2n symmetries of a closed tour.
+    the 2n symmetries of a closed tour.  A tour of 0 or 1 cities is its own.
     """
     check_record("t", t, Tour)
     order = t.order
     n = t.n
+    if n < 2:
+        return t
     at = order.index(0)
     forward = tuple(order[(at + i) % n] for i in range(n))
     backward = tuple(order[(at - i) % n] for i in range(n))
@@ -243,8 +247,8 @@ def decode_grid(grid: np.ndarray) -> Optional[Tour]:
 def decode_grids(grids: np.ndarray) -> List[Optional[Tour]]:
     """:func:`decode_grid` of every grid in a (k, n, n) stack, in one pass of
     the same permutation-matrix checks; each position's city is then its
-    column's argmax."""
+    column's argmax, and a 0 x 0 grid's tour is empty."""
     v = np.asarray(grids)
     ok = np.logical_and(*_permutation_checks(v))
-    cities = v.argmax(axis=1).tolist()
+    cities = v.argmax(axis=1).tolist() if v.shape[1] else [()] * len(v)
     return [Tour(tuple(c)) if valid else None for c, valid in zip(cities, ok.tolist())]

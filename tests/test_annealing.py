@@ -1175,7 +1175,7 @@ def test_frozen_chunks_make_no_cuts(monkeypatch):
     assert next_draws == replay_rng.random(4).tolist()
 
 
-_ODD_UNIFORMS = (U, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 1.5, math.inf, math.nan)
+_ODD_UNIFORMS = (0.0, U, 1.0, 1.0 - 2.0**-53)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1193,7 +1193,7 @@ def test_cut_bound_is_at_least_every_cut(log_t0, cooling, first, near, data):
     1e-13 to 1e300, any rate up to 1 - 2^-40 and steps up to
     ``MAX_ITERATIONS``: anywhere, where the schedule meets its floor, or
     where the power turns subnormal.  Its uniforms mix the generator's with
-    U, 1.0, 1 - 2^-53, values above 1, inf and NaN, whose cut is -inf."""
+    0.0, U, 1.0 and 1 - 2^-53, the ends of what ``_uniforms`` lets in."""
     t0 = 10.0**log_t0
     cfg = T.SaConfig(t0=t0, cooling_rate=cooling, iterations=1)
     if near is not None:
@@ -1224,19 +1224,67 @@ class _Draws:
 
 @pytest.mark.parametrize("name", ("matrix4", "paper8"))
 @pytest.mark.parametrize("k", (1, 2))
-def test_uniforms_no_probability_reaches_reject_every_step(name, k):
+def test_uniform_of_one_admits_only_probability_one(name, k):
     """A stand-in generator's acceptance uniform of 1.0 admits only steps of
-    probability 1, and one above 1, infinite or NaN admits none, ties
-    included, on the order and the list walks alike: the walk matches the
-    hand replay over those draws."""
+    probability 1, ties included, on the order and the list walks alike:
+    the walk matches the hand replay over those draws."""
     m = T.distance_matrix(T.get_builtin(name))
     cfg = T.SaConfig(t0=1.0, cooling_rate=0.99, iterations=600, swap_count=k, seed=3)
     draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 2 * k + 1))
-    for at, value in enumerate((1.0, 1.0 + 2.0**-52, 1.5, math.inf, math.nan)):
-        draws[at::6, 2 * k] = value
+    draws[::6, 2 * k] = 1.0
     start = T.Tour(tuple(range(m.n)))
     tour, length, trace = T.anneal(m, start, cfg, rng=_Draws(draws))
     _, current, _, best, final = _replay(m, start, cfg, draws)
     assert trace.current_length.tolist() == current
     assert (tour, length) == best
     assert (trace.final_tour, trace.final_length) == final
+
+
+_BAD_ACCEPT = (1.0 + 2.0**-52, 1.5, math.inf, math.nan)
+_BAD_PICK = (-0.5, math.nan, 7.0)
+
+
+@pytest.mark.parametrize("name", ("matrix4", "paper8"))
+@pytest.mark.parametrize(
+    "column, value", [(-1, v) for v in _BAD_ACCEPT] + [(0, v) for v in _BAD_PICK]
+)
+def test_uniforms_outside_zero_one_are_refused(name, column, value):
+    """A stand-in draw below 0, above 1 or NaN, in the acceptance column or
+    a pick column, is refused when its chunk is drawn, on the order walk
+    (matrix4) and the list walk (paper8) alike, with no bare exception or
+    warning from the walk."""
+    m = T.distance_matrix(T.get_builtin(name))
+    cfg = T.SaConfig(iterations=CHUNK + 10)
+    draws = np.random.default_rng(cfg.seed).random((cfg.iterations, 3))
+    draws[CHUNK + 5, column] = value
+    rng = _Draws(draws)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="^rng must be a RandomGenerator, got _Draws$"):
+            T.anneal(m, T.Tour(tuple(range(m.n))), cfg, rng=rng)
+    assert rng.at == cfg.iterations  # refused at the second chunk's draw
+
+
+@pytest.mark.parametrize("value", _BAD_ACCEPT + _BAD_PICK)
+def test_swap_cities_refuses_draws_outside_zero_one(value):
+    tour = T.Tour(tuple(range(8)))
+    assert T.swap_cities(tour, 1, _Draws(np.array([0.25, 1.0]))) != tour
+    with pytest.raises(InvalidArgumentError, match="^rng must be a RandomGenerator, got _Draws$"):
+        T.swap_cities(tour, 1, _Draws(np.array([0.25, value])))
+
+
+def test_random_state_passes_as_a_random_generator():
+    """``np.random.RandomState`` draws float64 uniforms in [0, 1), so the
+    walk and ``swap_cities`` take it as they take a ``Generator``."""
+    m = T.distance_matrix(T.get_builtin("paper8"))
+    cfg = T.SaConfig(iterations=CHUNK + 10)
+    start = T.Tour(tuple(range(m.n)))
+    tour, length, trace = T.anneal(m, start, cfg, rng=np.random.RandomState(0))
+    draws = np.random.RandomState(0).random((cfg.iterations, 3))
+    _, current, _, best, final = _replay(m, start, cfg, draws)
+    assert trace.current_length.tolist() == current
+    assert (tour, length) == best
+    assert (trace.final_tour, trace.final_length) == final
+    picks = np.random.RandomState(1).random(2)
+    expected = _kernels.swap_positions(start.as_array(), 1, picks).tolist()
+    assert list(T.swap_cities(start, 1, np.random.RandomState(1)).order) == expected

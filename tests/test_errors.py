@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import tsphnn as T
 from tsphnn.annealing import MAX_ITERATIONS
 from tsphnn.errors import quote
-from tsphnn.hopfield import run_lockstep
+from tsphnn.hopfield import random_grid, run_lockstep
 from tsphnn.svg import render_grid_svg, render_tour_svg
 
 PAPER8 = T.get_builtin("paper8")
@@ -426,6 +426,9 @@ RECORD_ARGUMENTS = {
     "tour-length-m": lambda v: T.tour_length(v, SHORT),
     "lockstep-m": lambda v: run_lockstep(v, FEW_SWEEPS, [], []),
     "lockstep-p": lambda v: run_lockstep(M8, v, [], []),
+    "lockstep-rng": lambda v: run_lockstep(M8, FEW_SWEEPS, [np.zeros((8, 8))], [v]),
+    "tour-random-rng": lambda v: T.Tour.random(5, v),
+    "random-grid-rng": lambda v: random_grid(5, v),
     "render-tour-inst": render_tour_svg,
     "save-instance-inst": lambda v: T.save_instance(v, os.devnull),
     "report-cells": lambda v: dataclasses.replace(ONE_CELL, cells=v),
@@ -462,6 +465,10 @@ def test_junk_record_argument_raises_a_typed_error(call, value):
         ("tour-length-m", None, "m must be a DistanceMatrix, got NoneType"),
         ("lockstep-m", M8.d, "m must be a DistanceMatrix, got ndarray"),
         ("lockstep-p", None, "p must be a HopfieldParams, got NoneType"),
+        ("lockstep-rng", 5, "rngs\\[0\\] must be a Generator, got int"),
+        ("tour-random-rng", None, "rng must be a Generator, got NoneType"),
+        ("tour-random-rng", 5, "rng must be a Generator, got int"),
+        ("random-grid-rng", 5, "rng must be a Generator, got int"),
         ("render-tour-inst", None, "inst must be an Instance, got NoneType"),
         ("save-instance-inst", None, "inst must be an Instance, got NoneType"),
     ],
@@ -469,6 +476,29 @@ def test_junk_record_argument_raises_a_typed_error(call, value):
 def test_record_argument_refusal_names_the_argument(key, value, message):
     with pytest.raises(T.InvalidArgumentError, match=f"^{message}$"):
         RECORD_ARGUMENTS[key](value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: T.run_hopfield(M8, FEW_SWEEPS, rng=5), "rng must be a Generator, got int"),
+        (
+            lambda: T.run_hopfield(M8, FEW_SWEEPS, init=np.zeros((8, 8)), rng=5),
+            "rng must be a Generator, got int",
+        ),
+        (
+            lambda: run_lockstep(M8, FEW_SWEEPS, [np.zeros((8, 8))], 5),
+            "rngs must be a Sequence, got int",
+        ),
+    ],
+)
+def test_network_refuses_a_generator_of_another_type(call, message):
+    """Not rows of ``RECORD_ARGUMENTS``, as some junk is taken here:
+    ``run_hopfield``'s ``rng=None`` draws from ``p.seed``, and an empty list
+    is ``run_lockstep``'s ``rngs`` for no trials.  Each raised a bare
+    ``AttributeError`` or ``TypeError`` before."""
+    with pytest.raises(T.InvalidArgumentError, match=f"^{message}$"):
+        call()
 
 
 def test_render_tour_svg_refuses_a_tour_of_another_type():
@@ -633,6 +663,7 @@ ANNEAL_ARGUMENTS = {
         ("rng", MisshapenDraws(np.ndarray.tolist), MISSHAPEN),
         ("rng", MisshapenDraws(lambda u: u[:-1]), MISSHAPEN),
         ("rng", MisshapenDraws(lambda u: u[:, :-1]), MISSHAPEN),
+        ("rng", MisshapenDraws(lambda u: u.astype(np.float32)), MISSHAPEN),
     ],
 )
 def test_anneal_refuses_an_argument_of_another_type(name, value, message):

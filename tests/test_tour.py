@@ -273,6 +273,20 @@ def test_codec_round_trip_property(perm):
     assert np.array_equal(T.tour_to_matrix(T.matrix_to_tour(grid)), grid)
 
 
+@pytest.mark.parametrize("order", [(), (0,), (0, 1), (1, 0)])
+def test_codec_round_trip_and_canonicalize_under_three_cities(order):
+    """Tours of 0, 1 and 2 cities round-trip through every decoder, the
+    0 x 0 grid to the empty tour, and each is its own canonical form up to
+    orientation; these raised a bare ``IndexError`` or ``ValueError``
+    before."""
+    tour = T.Tour(order)
+    grid = T.tour_to_matrix(tour)
+    assert grid.shape == (len(order), len(order))
+    assert T.matrix_to_tour(grid) == T.decode(grid) == tour
+    assert decode_grids(np.stack([grid, grid])) == [tour, tour]
+    assert T.canonicalize(tour).order == tuple(range(len(order)))
+
+
 def test_grids_that_are_not_0_1_are_not_tours():
     """Row and column sums of 1 make no tour unless every entry is 0 or 1."""
     assert not T.is_valid_permutation_matrix(np.array([[2, -1], [-1, 2]]))
